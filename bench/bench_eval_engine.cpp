@@ -9,14 +9,10 @@
 //   * the sweep is identical at 1/2/8 worker threads,
 //   * a cache-backed sweep equals the uncached one, restores every
 //     cell on the second run, and the warm re-sweep is >= 5x faster
-//     than the cold one (wall clock),
-//   * the virtual-time grid simulator is deterministic, the shared-plan
-//     schedule never loses to the per-cell one, and its 8-worker
-//     speedup is >= 1.5x (structural: same per-task costs, different
-//     DAG — reproducible on any host, including single-core CI).
+//     than the cold one (wall clock).
 //
-// Writes BENCH_eval.json with the retrieval accounting, the cold/warm
-// timings and the simulated worker sweep (smoke and full).
+// Writes BENCH_eval.json with the retrieval accounting and the
+// cold/warm timings (smoke and full).
 
 #include <atomic>
 #include <chrono>
@@ -28,7 +24,7 @@
 
 #include "bench_common.hpp"
 #include "core/eval_cache.hpp"
-#include "core/executor.hpp"
+#include "core/pipeline.hpp"
 #include "json/json.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -192,42 +188,6 @@ int main(int argc, char** argv) {
               warm_seconds, cold_seconds, warm_speedup);
   check("warm-cache re-sweep >= 5x faster (wall clock)", warm_speedup >= 5.0);
 
-  // --- simulated grid scheduling ---------------------------------------------
-  const core::EvalGridModel model = core::eval_grid_model_from(
-      ctx, records, ctx.students().size(), eval::all_conditions());
-  eval::TableWriter sim_table({"Workers", "Per-cell", "Shared-plan",
-                               "Speedup"});
-  json::Array sim_rows;
-  bool sim_ordered = true;
-  double speedup8 = 0.0;
-  for (const std::size_t w : {1, 2, 4, 8}) {
-    const double pc = core::simulated_grid_makespan(
-        model, core::EvalGridMode::kPerCell, w);
-    const double sp = core::simulated_grid_makespan(
-        model, core::EvalGridMode::kSharedPlan, w);
-    sim_ordered = sim_ordered && sp <= pc * 1.001;
-    const double speedup = sp > 0.0 ? pc / sp : 0.0;
-    if (w == 8) speedup8 = speedup;
-    sim_table.add_row({std::to_string(w), eval::fmt_acc(pc),
-                       eval::fmt_acc(sp), eval::fmt_acc(speedup) + "x"});
-    json::Value row = json::Value::object();
-    row["workers"] = w;
-    row["per_cell_makespan"] = pc;
-    row["shared_plan_makespan"] = sp;
-    row["speedup"] = speedup;
-    sim_rows.push_back(std::move(row));
-  }
-  std::printf("Simulated sweep makespan (virtual time units):\n\n%s\n",
-              sim_table.render().c_str());
-  check("grid simulator deterministic across repeated runs",
-        core::simulated_grid_makespan(model, core::EvalGridMode::kSharedPlan,
-                                      8) ==
-            core::simulated_grid_makespan(model,
-                                          core::EvalGridMode::kSharedPlan, 8));
-  check("shared plan never loses to per-cell, W in {1,2,4,8}", sim_ordered);
-  check("shared plan >= 1.5x per-cell at 8 workers (simulated)",
-        speedup8 >= 1.5);
-
   json::Value report = json::Value::object();
   report["bench"] = "eval_engine";
   bench::add_kernel_metadata(report);
@@ -244,8 +204,6 @@ int main(int argc, char** argv) {
   report["warm_sweep_seconds"] = warm_seconds;
   report["warm_speedup"] = warm_speedup;
   report["cells_restored_warm"] = warm_stats.cells_restored;
-  report["simulated_speedup_8_workers"] = speedup8;
-  report["simulated_sweep"] = json::Value(std::move(sim_rows));
 
   std::ofstream out("BENCH_eval.json");
   out << report.dump(2) << "\n";

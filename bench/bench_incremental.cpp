@@ -35,7 +35,6 @@
 namespace {
 
 using namespace mcqa;
-using core::ExecutionMode;
 using core::PipelineConfig;
 using core::PipelineContext;
 

@@ -1,27 +1,19 @@
-// End-to-end pipeline executor benchmark: staged vs overlapped build
-// scheduling plus content-addressed checkpoint restore.
+// End-to-end pipeline build benchmark: the one build path with and
+// without the content-addressed checkpoint cache.
 //
 // Shape checks (smoke and full):
-//   * staged and overlapped builds produce byte-identical artifacts
-//     (digest over the checkpoint serializers covers every artifact),
-//   * a checkpoint-restored context is byte-identical to the cold build
-//     that populated the cache, with full hit/miss accounting,
+//   * checkpointed cold and warm builds are byte-identical to a
+//     no-cache build (the digest over the checkpoint serializers covers
+//     every artifact), with full hit/miss accounting,
 //   * an edit-K incremental rebuild restores exactly N-K per-document
 //     artifacts, recomputes exactly K, and matches a fresh rebuild
-//     byte-for-byte,
-//   * the virtual-time schedule simulator is deterministic, overlap
-//     never loses to barriers, and both modes agree on total work.
+//     byte-for-byte.
 //
 // Full mode additionally:
-//   * sweeps the schedule simulator over worker counts {1,2,4,8} at the
-//     paper reproduction scale and requires the overlapped schedule to
-//     beat the staged one by >= 1.5x at 8 workers (the speedup is
-//     structural — same per-task cost model, different DAG — so it is
-//     reproducible on any host, including single-core CI),
 //   * measures real cold-vs-warm wall clock for a checkpointed build
 //     and requires the warm rebuild to be >= 5x faster,
-//   * writes BENCH_pipeline.json with the sweep, the stage timing
-//     breakdown, and the checkpoint traffic.
+//   * writes BENCH_pipeline.json with the build times, the edit-K rows
+//     and the checkpoint traffic.
 
 #include <atomic>
 #include <cstdio>
@@ -32,14 +24,13 @@
 
 #include "bench_common.hpp"
 #include "core/checkpoint.hpp"
-#include "core/executor.hpp"
+#include "core/pipeline.hpp"
 #include "json/json.hpp"
 #include "util/hash.hpp"
 
 namespace {
 
 using namespace mcqa;
-using core::ExecutionMode;
 using core::PipelineConfig;
 using core::PipelineContext;
 
@@ -50,10 +41,8 @@ void check(const char* name, bool pass) {
   g_all_pass = g_all_pass && pass;
 }
 
-PipelineConfig scaled_config(double scale, ExecutionMode mode,
-                             std::string checkpoint_dir = {}) {
+PipelineConfig scaled_config(double scale, std::string checkpoint_dir = {}) {
   PipelineConfig cfg = PipelineConfig::paper_scale(scale);
-  cfg.execution = mode;
   cfg.checkpoint_dir = std::move(checkpoint_dir);
   return cfg;
 }
@@ -95,28 +84,14 @@ struct TempDir {
   }
 };
 
-void print_stage_timings(const char* label, const core::PipelineStats& s) {
-  const auto& t = s.stage_seconds;
-  std::printf(
-      "%s: total %.3fs  (kb+corpus %.3f, parse %.3f, chunk %.3f, "
-      "embed+index %.3f, qgen %.3f, traces %.3f, overlapped %.3f, "
-      "exam %.3f)\n",
-      label, s.build_seconds, t.kb_corpus, t.parse, t.chunk, t.embed_index,
-      t.qgen, t.traces, t.overlapped, t.exam);
+void print_build(const char* label, const core::PipelineStats& s) {
+  std::printf("%s: %.3fs  (checkpoint hits %zu, misses %zu)\n", label,
+              s.build_seconds, s.checkpoint_hits, s.checkpoint_misses);
 }
 
-json::Value timings_json(const core::PipelineStats& s) {
-  const auto& t = s.stage_seconds;
+json::Value build_json(const core::PipelineStats& s) {
   json::Value v = json::Value::object();
   v["total_s"] = s.build_seconds;
-  v["kb_corpus_s"] = t.kb_corpus;
-  v["parse_s"] = t.parse;
-  v["chunk_s"] = t.chunk;
-  v["embed_index_s"] = t.embed_index;
-  v["qgen_s"] = t.qgen;
-  v["traces_s"] = t.traces;
-  v["overlapped_s"] = t.overlapped;
-  v["exam_s"] = t.exam;
   v["checkpoint_hits"] = s.checkpoint_hits;
   v["checkpoint_misses"] = s.checkpoint_misses;
   v["checkpoint_corrupt"] = s.checkpoint_corrupt;
@@ -135,33 +110,28 @@ int main(int argc, char** argv) {
 
   std::printf("Pipeline executor end-to-end (scale %.3f)\n\n", scale);
 
-  // --- byte identity: staged vs overlapped -----------------------------------
-  const auto staged =
-      std::make_unique<PipelineContext>(scaled_config(scale,
-                                                      ExecutionMode::kStaged));
-  const std::uint64_t staged_digest = artifact_digest(*staged);
-  print_stage_timings("staged build   ", staged->stats());
-  const double staged_seconds = staged->stats().build_seconds;
-  const auto staged_timings = timings_json(staged->stats());
+  // --- byte identity: no-cache vs checkpointed cold and warm ---------------
+  const auto plain = std::make_unique<PipelineContext>(scaled_config(scale));
+  const std::uint64_t plain_digest = artifact_digest(*plain);
+  print_build("no-cache build ", plain->stats());
+  const auto plain_build = build_json(plain->stats());
 
   const TempDir ckpt_dir;
-  const auto cold_cfg = scaled_config(scale, ExecutionMode::kOverlapped,
-                                      ckpt_dir.path.string());
+  const auto cold_cfg = scaled_config(scale, ckpt_dir.path.string());
   const auto cold = std::make_unique<PipelineContext>(cold_cfg);
-  print_stage_timings("overlapped cold", cold->stats());
-  check("overlapped artifacts byte-identical to staged",
-        artifact_digest(*cold) == staged_digest);
+  print_build("checkpoint cold", cold->stats());
+  check("checkpointed cold build byte-identical to no-cache build",
+        artifact_digest(*cold) == plain_digest);
   check("cold build saw only checkpoint misses",
         cold->stats().checkpoint_hits == 0 &&
             cold->stats().checkpoint_misses > 0);
   const double cold_seconds = cold->stats().build_seconds;
-  const auto cold_timings = timings_json(cold->stats());
+  const auto cold_build = build_json(cold->stats());
 
-  // --- byte identity: checkpoint-warm restore --------------------------------
   const auto warm = std::make_unique<PipelineContext>(cold_cfg);
-  print_stage_timings("checkpoint warm", warm->stats());
+  print_build("checkpoint warm", warm->stats());
   check("checkpoint-restored artifacts byte-identical",
-        artifact_digest(*warm) == staged_digest);
+        artifact_digest(*warm) == plain_digest);
   check("warm build saw only checkpoint hits",
         warm->stats().checkpoint_hits > 0 &&
             warm->stats().checkpoint_misses == 0);
@@ -169,7 +139,7 @@ int main(int argc, char** argv) {
   const double warm_speedup = warm_seconds > 0.0
                                   ? cold_seconds / warm_seconds
                                   : 0.0;
-  const auto warm_timings = timings_json(warm->stats());
+  const auto warm_build = build_json(warm->stats());
   std::printf("\ncheckpoint-warm rebuild: %.3fs vs %.3fs cold (%.1fx)\n\n",
               warm_seconds, cold_seconds, warm_speedup);
 
@@ -203,7 +173,7 @@ int main(int argc, char** argv) {
     const double incr_speedup =
         incr_seconds > 0.0 ? cold_seconds / incr_seconds : 0.0;
     if (k == identity_k) {
-      auto ref_cfg = scaled_config(scale, ExecutionMode::kOverlapped);
+      auto ref_cfg = scaled_config(scale);
       ref_cfg.corpus.edits.count = k;
       ref_cfg.corpus.edits.revision = k;
       const auto ref = std::make_unique<PipelineContext>(ref_cfg);
@@ -228,55 +198,13 @@ int main(int argc, char** argv) {
   check("edit-K incremental byte-identical to fresh rebuild",
         edit_identical);
 
-  // --- schedule simulator ----------------------------------------------------
-  const core::ScheduleModel model = core::schedule_model_from(*warm);
-  const std::vector<std::size_t> workers{1, 2, 4, 8};
-  eval::TableWriter sim_table(
-      {"Workers", "Staged", "Overlapped", "Speedup"});
-  json::Array sim_rows;
-  bool sim_ordered = true;
-  double speedup8 = 0.0;
-  for (const std::size_t w : workers) {
-    const double st = core::simulated_makespan(model, ExecutionMode::kStaged, w);
-    const double ov =
-        core::simulated_makespan(model, ExecutionMode::kOverlapped, w);
-    sim_ordered = sim_ordered && ov <= st * 1.001;
-    const double speedup = ov > 0.0 ? st / ov : 0.0;
-    if (w == 8) speedup8 = speedup;
-    sim_table.add_row({std::to_string(w), eval::fmt_acc(st),
-                       eval::fmt_acc(ov),
-                       eval::fmt_acc(speedup) + "x"});
-    json::Value row = json::Value::object();
-    row["workers"] = w;
-    row["staged_makespan"] = st;
-    row["overlapped_makespan"] = ov;
-    row["speedup"] = speedup;
-    sim_rows.push_back(std::move(row));
-  }
-  std::printf("Simulated build makespan (virtual time units):\n\n%s\n",
-              sim_table.render().c_str());
-
-  const double staged1 =
-      core::simulated_makespan(model, ExecutionMode::kStaged, 1);
-  const double over1 =
-      core::simulated_makespan(model, ExecutionMode::kOverlapped, 1);
-  check("simulator deterministic across repeated runs",
-        core::simulated_makespan(model, ExecutionMode::kStaged, 8) ==
-            core::simulated_makespan(model, ExecutionMode::kStaged, 8));
-  check("overlap never loses to barriers, W in {1,2,4,8}", sim_ordered);
-  check("equal total work at one worker (|ratio-1| < 0.05)",
-        staged1 > 0.0 && std::abs(over1 / staged1 - 1.0) < 0.05);
-
   if (bench::smoke()) {
     std::printf("\n%s\n", g_all_pass ? "ALL CHECKS PASSED" : "FAILURES");
     return g_all_pass ? 0 : 1;
   }
 
-  // Threshold checks run at full scale only: the structural speedup
-  // grows with corpus size (more overlap to exploit), and the warm
-  // restore amortizes a fixed kb+corpus cost over a bigger build.
-  check("overlapped >= 1.5x staged at 8 workers (simulated)",
-        speedup8 >= 1.5);
+  // The warm-speedup check runs at full scale only: the warm restore
+  // amortizes a fixed kb+corpus cost over a bigger build.
   check("checkpoint-warm rebuild >= 5x faster (wall clock)",
         warm_speedup >= 5.0);
 
@@ -287,18 +215,13 @@ int main(int argc, char** argv) {
   report["documents"] = warm->stats().documents;
   report["chunks"] = warm->stats().chunks;
   report["questions"] = warm->benchmark().size();
-  report["staged_seconds"] = staged_seconds;
-  report["overlapped_cold_seconds"] = cold_seconds;
-  report["checkpoint_warm_seconds"] = warm_seconds;
   report["checkpoint_warm_speedup"] = warm_speedup;
-  report["simulated_speedup_8_workers"] = speedup8;
-  report["staged_timings"] = staged_timings;
-  report["overlapped_cold_timings"] = cold_timings;
-  report["checkpoint_warm_timings"] = warm_timings;
-  report["simulated_sweep"] = json::Value(std::move(sim_rows));
+  report["no_cache_build"] = plain_build;
+  report["checkpoint_cold_build"] = cold_build;
+  report["checkpoint_warm_build"] = warm_build;
   report["edit_k_rows"] = json::Value(std::move(edit_rows));
   report["artifacts_byte_identical"] =
-      artifact_digest(*warm) == staged_digest;
+      artifact_digest(*warm) == plain_digest;
 
   std::ofstream out("BENCH_pipeline.json");
   out << report.dump(2) << "\n";

@@ -62,7 +62,7 @@ void put_str(std::string& out, std::string_view s) {
 
 std::string take_str(std::string_view blob, std::size_t& pos) {
   const std::size_t n = take_u64(blob, pos);
-  if (pos + n > blob.size()) {
+  if (n > blob.size() - pos) {
     throw std::runtime_error("checkpoint load: truncated string");
   }
   std::string s(blob.substr(pos, n));
@@ -374,7 +374,35 @@ std::string trace_mode_blob_name(std::string_view prefix,
   return name;
 }
 
-// --- parsed documents --------------------------------------------------------
+// --- parsed documents + chunks ---------------------------------------------
+
+namespace {
+
+void put_document(std::string& out, const parse::ParsedDocument& d) {
+  put_str(out, d.doc_id);
+  put_str(out, d.title);
+  put_str(out, d.kind);
+  put_u64(out, d.sections.size());
+  for (const auto& s : d.sections) {
+    put_str(out, s.heading);
+    put_str(out, s.text);
+  }
+  put_str(out, d.parser_used);
+  put_f64(out, d.quality);
+  put_u64(out, d.pages);
+}
+
+void put_chunk(std::string& out, const chunk::Chunk& c) {
+  put_str(out, c.chunk_id);
+  put_str(out, c.doc_id);
+  put_str(out, c.path);
+  put_str(out, c.text);
+  put_u64(out, c.index);
+  put_u64(out, c.word_count);
+  put_u64(out, c.sentence_count);
+}
+
+}  // namespace
 
 std::string serialize_parsed(const ParsedArtifact& a) {
   std::string out = "ckparse1\n";
@@ -389,94 +417,15 @@ std::string serialize_parsed(const ParsedArtifact& a) {
   put_f64(out, a.routing.compute_cost);
   put_f64(out, a.routing.always_accurate_cost);
   put_u64(out, a.documents.size());
-  for (const auto& d : a.documents) {
-    put_str(out, d.doc_id);
-    put_str(out, d.title);
-    put_str(out, d.kind);
-    put_u64(out, d.sections.size());
-    for (const auto& s : d.sections) {
-      put_str(out, s.heading);
-      put_str(out, s.text);
-    }
-    put_str(out, d.parser_used);
-    put_f64(out, d.quality);
-    put_u64(out, d.pages);
-  }
+  for (const auto& d : a.documents) put_document(out, d);
   return out;
 }
-
-ParsedArtifact deserialize_parsed(std::string_view blob) {
-  std::size_t pos = 0;
-  expect_magic(blob, pos, "ckparse1\n");
-  ParsedArtifact a;
-  a.total_documents = take_u64(blob, pos);
-  a.parse_failures = take_u64(blob, pos);
-  a.routing.total = take_u64(blob, pos);
-  a.routing.fast_routed = take_u64(blob, pos);
-  a.routing.escalated = take_u64(blob, pos);
-  a.routing.accurate_routed = take_u64(blob, pos);
-  a.routing.failed = take_u64(blob, pos);
-  a.routing.non_spdf = take_u64(blob, pos);
-  a.routing.compute_cost = take_f64(blob, pos);
-  a.routing.always_accurate_cost = take_f64(blob, pos);
-  const std::size_t n = take_count(blob, pos);
-  a.documents.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    parse::ParsedDocument d;
-    d.doc_id = take_str(blob, pos);
-    d.title = take_str(blob, pos);
-    d.kind = take_str(blob, pos);
-    const std::size_t sections = take_count(blob, pos);
-    d.sections.reserve(sections);
-    for (std::size_t s = 0; s < sections; ++s) {
-      parse::ParsedSection sec;
-      sec.heading = take_str(blob, pos);
-      sec.text = take_str(blob, pos);
-      d.sections.push_back(std::move(sec));
-    }
-    d.parser_used = take_str(blob, pos);
-    d.quality = take_f64(blob, pos);
-    d.pages = take_u64(blob, pos);
-    a.documents.push_back(std::move(d));
-  }
-  return a;
-}
-
-// --- chunks ------------------------------------------------------------------
 
 std::string serialize_chunks(const std::vector<chunk::Chunk>& chunks) {
   std::string out = "ckchunk1\n";
   put_u64(out, chunks.size());
-  for (const auto& c : chunks) {
-    put_str(out, c.chunk_id);
-    put_str(out, c.doc_id);
-    put_str(out, c.path);
-    put_str(out, c.text);
-    put_u64(out, c.index);
-    put_u64(out, c.word_count);
-    put_u64(out, c.sentence_count);
-  }
+  for (const auto& c : chunks) put_chunk(out, c);
   return out;
-}
-
-std::vector<chunk::Chunk> deserialize_chunks(std::string_view blob) {
-  std::size_t pos = 0;
-  expect_magic(blob, pos, "ckchunk1\n");
-  const std::size_t n = take_count(blob, pos);
-  std::vector<chunk::Chunk> chunks;
-  chunks.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    chunk::Chunk c;
-    c.chunk_id = take_str(blob, pos);
-    c.doc_id = take_str(blob, pos);
-    c.path = take_str(blob, pos);
-    c.text = take_str(blob, pos);
-    c.index = take_u64(blob, pos);
-    c.word_count = take_u64(blob, pos);
-    c.sentence_count = take_u64(blob, pos);
-    chunks.push_back(std::move(c));
-  }
-  return chunks;
 }
 
 // --- benchmark ---------------------------------------------------------------
@@ -552,24 +501,6 @@ std::string serialize_benchmark(const BenchmarkArtifact& a) {
   put_u64(out, a.records.size());
   for (const auto& r : a.records) put_record(out, r);
   return out;
-}
-
-BenchmarkArtifact deserialize_benchmark(std::string_view blob) {
-  std::size_t pos = 0;
-  expect_magic(blob, pos, "ckbench1\n");
-  BenchmarkArtifact a;
-  a.funnel.chunks = take_u64(blob, pos);
-  a.funnel.candidates = take_u64(blob, pos);
-  a.funnel.rejected_no_fact = take_u64(blob, pos);
-  a.funnel.rejected_quality = take_u64(blob, pos);
-  a.funnel.rejected_relevance = take_u64(blob, pos);
-  a.funnel.accepted = take_u64(blob, pos);
-  const std::size_t n = take_count(blob, pos);
-  a.records.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    a.records.push_back(take_record(blob, pos));
-  }
-  return a;
 }
 
 // --- traces ------------------------------------------------------------------
@@ -649,20 +580,6 @@ std::string serialize_traces(const TraceArtifact& a) {
   return out;
 }
 
-TraceArtifact deserialize_traces(std::string_view blob) {
-  std::size_t pos = 0;
-  expect_magic(blob, pos, "cktrace1\n");
-  TraceArtifact a;
-  a.grading.graded = take_u64(blob, pos);
-  a.grading.correct = take_u64(blob, pos);
-  const std::size_t n = take_count(blob, pos);
-  a.traces.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    a.traces.push_back(take_trace(blob, pos));
-  }
-  return a;
-}
-
 // --- eval cells --------------------------------------------------------------
 
 std::string serialize_eval_cell(const EvalCellArtifact& a) {
@@ -709,20 +626,6 @@ embed::Vector take_f32_vec(std::string_view blob, std::size_t& pos) {
   return v;
 }
 
-void put_document(std::string& out, const parse::ParsedDocument& d) {
-  put_str(out, d.doc_id);
-  put_str(out, d.title);
-  put_str(out, d.kind);
-  put_u64(out, d.sections.size());
-  for (const auto& s : d.sections) {
-    put_str(out, s.heading);
-    put_str(out, s.text);
-  }
-  put_str(out, d.parser_used);
-  put_f64(out, d.quality);
-  put_u64(out, d.pages);
-}
-
 parse::ParsedDocument take_document(std::string_view blob, std::size_t& pos) {
   parse::ParsedDocument d;
   d.doc_id = take_str(blob, pos);
@@ -740,16 +643,6 @@ parse::ParsedDocument take_document(std::string_view blob, std::size_t& pos) {
   d.quality = take_f64(blob, pos);
   d.pages = take_u64(blob, pos);
   return d;
-}
-
-void put_chunk(std::string& out, const chunk::Chunk& c) {
-  put_str(out, c.chunk_id);
-  put_str(out, c.doc_id);
-  put_str(out, c.path);
-  put_str(out, c.text);
-  put_u64(out, c.index);
-  put_u64(out, c.word_count);
-  put_u64(out, c.sentence_count);
 }
 
 chunk::Chunk take_chunk(std::string_view blob, std::size_t& pos) {

@@ -1,20 +1,27 @@
 #pragma once
 // Content-addressed artifact checkpointing.
 //
-// Every expensive pipeline artifact — parsed documents, chunks, the
-// chunk store, the benchmark, and the per-mode traces and trace stores
-// — is keyed by an fnv1a hash chain:
+// The build persists three kinds of blob (DESIGN.md §12, §17):
+//
+//   * docart   — one per document: its whole build subtree (parse
+//                outcome, chunks, embeddings, record, trace lanes),
+//                keyed by (doc config fingerprint, doc id, doc bytes);
+//   * stores   — the chunk store and the three trace stores, keyed by
+//                the aggregate hash chain below;
+//   * manifest — the corpus -> artifact-set map of one configuration
+//                family, which finds delta donors and drives pruning.
+//
+// The aggregate chain is
 //
 //   key(artifact) = fnv1a( format version
 //                        , code fingerprint (executable identity)
 //                        , fingerprint(configs the artifact depends on)
 //                        , key(upstream artifact) )
 //
-// and saved/loaded as index_io-style length-prefixed binary blobs.  A
-// PipelineContext with a checkpoint directory cold-builds once and
-// warm-loads after; restored artifacts are byte-identical to built ones
-// (tested), because the key only decides hit/miss — artifact bytes
-// never depend on it.
+// and every blob is an index_io-style length-prefixed binary record.
+// Restored artifacts are byte-identical to built ones (tested),
+// because a key only decides hit/miss — artifact bytes never depend
+// on it.
 //
 // Determinism contract: keys contain no wall-clock, no thread counts,
 // no scheduling state.  The executable fingerprint (path, size, mtime
@@ -66,16 +73,16 @@ struct CheckpointKeys {
   std::array<std::uint64_t, trace::kTraceModeCount> trace_stores{};
 };
 
-/// Derive the key chain from the build configuration.  Thread counts,
-/// the embed cache flag and the execution mode are deliberately
-/// excluded: they never change artifact bytes (tested), so staged,
-/// overlapped and differently-threaded builds share cache entries.
+/// Derive the key chain from the build configuration.  Thread counts
+/// and the embed cache flag are deliberately excluded: they never
+/// change artifact bytes (tested), so builds that differ only in them
+/// share cache entries.
 CheckpointKeys derive_checkpoint_keys(const PipelineConfig& config,
                                       std::size_t embed_dim);
 
 // --- per-document artifact DAG -----------------------------------------------
 //
-// The monolithic keys above give all-or-nothing restores.  The
+// The aggregate keys above would give all-or-nothing restores.  The
 // per-document layer keys each document's whole build subtree — parse
 // outcome, chunks, chunk embeddings, accepted record and the three
 // trace lanes — individually:
@@ -164,10 +171,11 @@ class ArtifactCache {
   mutable std::atomic<std::uint64_t> bytes_written_{0};
 };
 
-// --- artifact payloads -------------------------------------------------------
+// --- set-level artifact encoders --------------------------------------------
 //
-// Each artifact serializes the data plus the stats block its build
-// stage produced, so a warm load restores PipelineStats faithfully.
+// Encode-only: the build never reads these formats back (it restores
+// docart blobs).  They define the artifact digest the golden tests pin,
+// core/eval_cache's content fingerprints, and perfbench's digest.
 
 struct ParsedArtifact {
   std::vector<parse::ParsedDocument> documents;  ///< successes, doc order
@@ -187,16 +195,9 @@ struct TraceArtifact {
 };
 
 std::string serialize_parsed(const ParsedArtifact& a);
-ParsedArtifact deserialize_parsed(std::string_view blob);
-
 std::string serialize_chunks(const std::vector<chunk::Chunk>& chunks);
-std::vector<chunk::Chunk> deserialize_chunks(std::string_view blob);
-
 std::string serialize_benchmark(const BenchmarkArtifact& a);
-BenchmarkArtifact deserialize_benchmark(std::string_view blob);
-
 std::string serialize_traces(const TraceArtifact& a);
-TraceArtifact deserialize_traces(std::string_view blob);
 
 /// One evaluation-grid cell: the accuracy tally of (model, condition)
 /// over a fixed record set.  Plain counters so the codec stays free of

@@ -1,21 +1,15 @@
 #include "core/executor.hpp"
 
-#include <algorithm>
-#include <atomic>
+#include <array>
 #include <memory>
 #include <optional>
-#include <queue>
-#include <unordered_map>
 #include <utility>
 
 #include "core/checkpoint.hpp"
 #include "parallel/dag.hpp"
 #include "parallel/thread_pool.hpp"
-#include "util/hash.hpp"
 
 namespace mcqa::core {
-
-// --- execution plane ---------------------------------------------------------
 
 /// Per-trace slot filled by a fused generate+grade+embed task.
 struct OverlappedBuilder::TraceSlot {
@@ -55,7 +49,7 @@ struct OverlappedBuilder::StoreRows {
 
 void OverlappedBuilder::build_slots(parallel::ThreadPool& pool,
                                     std::vector<DocSlots>& slots,
-                                    const std::vector<char>* dirty) {
+                                    const std::vector<char>& dirty) {
   PipelineContext& ctx = ctx_;
   const PipelineConfig& config = ctx.config_;
   const embed::Embedder& embedder = ctx.active_embedder();
@@ -82,13 +76,13 @@ void OverlappedBuilder::build_slots(parallel::ThreadPool& pool,
   // dirty subset yields the same slot bytes as running it over all.
   parallel::TaskGroup group(pool);
   for (std::size_t i = 0; i < docs.size(); ++i) {
-    if (dirty != nullptr && (*dirty)[i] == 0) continue;
+    if (dirty[i] == 0) continue;
     group.spawn([&, i]() {
       DocSlots& slot = slots[i];
       slot.outcome = parser.parse(docs[i].bytes);
       if (!slot.outcome.ok) return;
       // Provenance fallback must precede chunking: chunk ids derive
-      // from the doc id (same order of operations as the staged build).
+      // from the doc id.
       if (slot.outcome.document.doc_id.empty()) {
         slot.outcome.document.doc_id = docs[i].doc_id;
       }
@@ -128,9 +122,8 @@ void OverlappedBuilder::build_slots(parallel::ThreadPool& pool,
 
 OverlappedBuilder::StoreRows OverlappedBuilder::merge_slots(
     std::vector<DocSlots>& slots) {
-  // Merge in (document, chunk, mode) order — identical traversal to the
-  // staged build's per-stage merges, so the artifacts come out
-  // byte-for-byte the same.
+  // Merge in (document, chunk, mode) order, so the artifacts come out
+  // byte-for-byte the same whatever order the tasks finished in.
   PipelineContext& ctx = ctx_;
   PipelineStats& stats = ctx.stats_;
   std::size_t ok_docs = 0;
@@ -226,45 +219,6 @@ OverlappedBuilder::StoreRows OverlappedBuilder::merge_slots(
   return rows;
 }
 
-void OverlappedBuilder::finish_stores(parallel::ThreadPool& pool,
-                                      StoreRows&& rows) {
-  PipelineContext& ctx = ctx_;
-  const PipelineConfig& config = ctx.config_;
-  const embed::Embedder& embedder = ctx.active_embedder();
-
-  ctx.chunk_store_ =
-      std::make_unique<index::VectorStore>(embedder, config.index_kind);
-  ctx.chunk_store_->add_precomputed(std::move(rows.chunks.ids),
-                                    std::move(rows.chunks.texts),
-                                    rows.chunks.vectors);
-  for (int m = 0; m < trace::kTraceModeCount; ++m) {
-    const auto mi = static_cast<std::size_t>(m);
-    ctx.trace_stores_[mi] =
-        std::make_unique<index::VectorStore>(embedder, config.index_kind);
-    ctx.trace_stores_[mi]->add_precomputed(std::move(rows.traces[mi].ids),
-                                           std::move(rows.traces[mi].texts),
-                                           rows.traces[mi].vectors);
-  }
-
-  // The four index builds are independent of each other; overlap them.
-  parallel::TaskGroup builds(pool);
-  builds.spawn([&ctx]() { ctx.chunk_store_->build(); });
-  for (int m = 0; m < trace::kTraceModeCount; ++m) {
-    builds.spawn([&ctx, m]() {
-      ctx.trace_stores_[static_cast<std::size_t>(m)]->build();
-    });
-  }
-  builds.wait();
-  ctx.stats_.embedding_bytes = ctx.chunk_store_->embedding_bytes();
-}
-
-void OverlappedBuilder::run(parallel::ThreadPool& pool) {
-  std::vector<DocSlots> slots(ctx_.corpus_.documents.size());
-  build_slots(pool, slots, nullptr);
-  StoreRows rows = merge_slots(slots);
-  finish_stores(pool, std::move(rows));
-}
-
 DocArtifact OverlappedBuilder::to_artifact(const DocSlots& slot) {
   DocArtifact art;
   art.parsed_ok = slot.outcome.ok;
@@ -331,66 +285,70 @@ void OverlappedBuilder::fill_slot(DocSlots& slot, DocArtifact&& art) {
   }
 }
 
-void OverlappedBuilder::run_incremental(parallel::ThreadPool& pool,
-                                        const ArtifactCache& cache) {
+void OverlappedBuilder::run(parallel::ThreadPool& pool,
+                            const ArtifactCache* cache) {
   PipelineContext& ctx = ctx_;
   const PipelineConfig& config = ctx.config_;
   const embed::Embedder& embedder = ctx.active_embedder();
   const auto& docs = ctx.corpus_.documents;
   const std::size_t n = docs.size();
 
-  const CheckpointKeys keys = derive_checkpoint_keys(config, embedder.dim());
-  const std::vector<std::uint64_t> doc_keys =
-      derive_doc_keys(config, ctx.corpus_, embedder.dim());
-  const std::uint64_t manifest_key =
-      derive_manifest_key(config, embedder.dim());
-
+  std::vector<DocSlots> slots(n);
+  std::vector<char> dirty(n, 1);
+  CheckpointKeys keys;
+  std::vector<std::uint64_t> doc_keys;
+  std::uint64_t manifest_key = 0;
   // The previous revision's manifest (same configuration family): the
   // IVF-PQ delta path finds its donor stores through its aggregate
   // keys.  A corrupt manifest is ignored — it only costs the donor.
   std::optional<ManifestArtifact> previous;
-  if (const auto blob = cache.load("manifest", manifest_key)) {
-    try {
-      previous = deserialize_manifest(*blob);
-    } catch (const std::exception&) {
-      cache.note_corrupt();
+  if (cache != nullptr) {
+    keys = derive_checkpoint_keys(config, embedder.dim());
+    doc_keys = derive_doc_keys(config, ctx.corpus_, embedder.dim());
+    manifest_key = derive_manifest_key(config, embedder.dim());
+    if (const auto blob = cache->load("manifest", manifest_key)) {
+      try {
+        previous = deserialize_manifest(*blob);
+      } catch (const std::exception&) {
+        cache->note_corrupt();
+      }
     }
-  }
 
-  // Restore pass: every document's subtree loads independently, in
-  // parallel.  Decode fully before touching the slot, so a corrupt
-  // blob dirties the document instead of half-filling it.
-  std::vector<DocSlots> slots(n);
-  std::vector<char> dirty(n, 0);
-  parallel::parallel_for(pool, 0, n, [&](std::size_t i) {
-    const auto blob = cache.load("docart", doc_keys[i]);
-    if (!blob.has_value()) {
-      dirty[i] = 1;
-      return;
-    }
-    std::optional<DocArtifact> art;
-    try {
-      art.emplace(deserialize_docart(*blob));
-    } catch (const std::exception&) {
-      cache.note_corrupt();
-      dirty[i] = 1;
-      return;
-    }
-    fill_slot(slots[i], std::move(*art));
-  });
+    // Restore pass: every document's subtree loads independently, in
+    // parallel.  Decode fully before touching the slot, so a corrupt
+    // blob dirties the document instead of half-filling it.
+    parallel::parallel_for(pool, 0, n, [&](std::size_t i) {
+      const auto blob = cache->load("docart", doc_keys[i]);
+      if (!blob.has_value()) return;
+      std::optional<DocArtifact> art;
+      try {
+        art.emplace(deserialize_docart(*blob));
+      } catch (const std::exception&) {
+        cache->note_corrupt();
+        return;
+      }
+      fill_slot(slots[i], std::move(*art));
+      dirty[i] = 0;
+    });
+  }
 
   std::size_t dirty_count = 0;
   for (const char d : dirty) dirty_count += static_cast<std::size_t>(d);
-  ctx.stats_.doc_artifacts_restored = n - dirty_count;
-  ctx.stats_.doc_artifacts_recomputed = dirty_count;
+  if (cache != nullptr) {
+    ctx.stats_.doc_artifacts_restored = n - dirty_count;
+    ctx.stats_.doc_artifacts_recomputed = dirty_count;
+  }
 
   if (dirty_count > 0) {
-    build_slots(pool, slots, &dirty);
+    build_slots(pool, slots, dirty);
     // Persist the recomputed subtrees before the merge moves them out.
-    parallel::parallel_for(pool, 0, n, [&](std::size_t i) {
-      if (dirty[i] == 0) return;
-      cache.store("docart", doc_keys[i], serialize_docart(to_artifact(slots[i])));
-    });
+    if (cache != nullptr) {
+      parallel::parallel_for(pool, 0, n, [&](std::size_t i) {
+        if (dirty[i] == 0) return;
+        cache->store("docart", doc_keys[i],
+                     serialize_docart(to_artifact(slots[i])));
+      });
+    }
   }
 
   // Changed-row fractions per store, computed before the merge consumes
@@ -425,57 +383,69 @@ void OverlappedBuilder::run_incremental(parallel::ThreadPool& pool,
   // assembled from the merged rows — reusing every surviving embedding
   // — and finalized delta-aware: IVF-PQ re-encodes against the donor's
   // frozen codebooks when the changed fraction is at or under the
-  // retrain threshold, every other kind rebuilds exactly as cold.
+  // retrain threshold, every other kind (and every cold build) builds
+  // from scratch.  `previous` is only ever set on the cache path.
   const auto assemble = [&](std::unique_ptr<index::VectorStore>& target,
                             const std::string& name, std::uint64_t key,
-                            StoreRows::Rows&& data, double changed,
+                            StoreRows::Rows& data, double changed,
                             std::uint64_t donor_key) {
-    if (dirty_count == 0) {
-      if (const auto blob = cache.load(name, key)) {
+    if (cache != nullptr && dirty_count == 0) {
+      if (const auto blob = cache->load(name, key)) {
         try {
           target = std::make_unique<index::VectorStore>(
               index::VectorStore::load(embedder, *blob));
           return;
         } catch (const std::exception&) {
-          cache.note_corrupt();
+          cache->note_corrupt();
         }
       }
     }
     target = std::make_unique<index::VectorStore>(embedder, config.index_kind);
     target->add_precomputed(std::move(data.ids), std::move(data.texts),
                             data.vectors);
+    data.vectors = {};  // the index holds its own copy now
     std::unique_ptr<index::VectorStore> donor;
     if (config.index_kind == index::IndexKind::kIvfPq &&
         previous.has_value() && changed <= config.ivfpq_retrain_threshold &&
         donor_key != key) {
-      if (const auto blob = cache.load(name, donor_key)) {
+      if (const auto blob = cache->load(name, donor_key)) {
         try {
           donor = std::make_unique<index::VectorStore>(
               index::VectorStore::load(embedder, *blob));
         } catch (const std::exception&) {
-          cache.note_corrupt();
+          cache->note_corrupt();
         }
       }
     }
     target->build_delta(donor.get(), changed, config.ivfpq_retrain_threshold);
-    cache.store(name, key, target->save());
+    if (cache != nullptr) cache->store(name, key, target->save());
   };
 
-  assemble(ctx.chunk_store_, "chunk-store", keys.chunk_store,
-           std::move(rows.chunks), fraction_of(dirty_chunk_rows, chunk_rows),
-           previous.has_value() ? previous->keys.chunk_store : keys.chunk_store);
+  // The four stores are independent of each other; assemble them as
+  // concurrent pool tasks.
+  parallel::TaskGroup stores(pool);
+  stores.spawn([&]() {
+    assemble(ctx.chunk_store_, "chunk-store", keys.chunk_store, rows.chunks,
+             fraction_of(dirty_chunk_rows, chunk_rows),
+             previous.has_value() ? previous->keys.chunk_store
+                                  : keys.chunk_store);
+  });
   for (int m = 0; m < trace::kTraceModeCount; ++m) {
-    const auto mi = static_cast<std::size_t>(m);
-    assemble(ctx.trace_stores_[mi],
-             trace_mode_blob_name("trace-store",
-                                  static_cast<trace::TraceMode>(m)),
-             keys.trace_stores[mi], std::move(rows.traces[mi]),
-             fraction_of(dirty_trace_rows[mi], trace_rows[mi]),
-             previous.has_value() ? previous->keys.trace_stores[mi]
-                                  : keys.trace_stores[mi]);
+    stores.spawn([&, m]() {
+      const auto mi = static_cast<std::size_t>(m);
+      assemble(ctx.trace_stores_[mi],
+               trace_mode_blob_name("trace-store",
+                                    static_cast<trace::TraceMode>(m)),
+               keys.trace_stores[mi], rows.traces[mi],
+               fraction_of(dirty_trace_rows[mi], trace_rows[mi]),
+               previous.has_value() ? previous->keys.trace_stores[mi]
+                                    : keys.trace_stores[mi]);
+    });
   }
+  stores.wait();
   ctx.stats_.embedding_bytes = ctx.chunk_store_->embedding_bytes();
 
+  if (cache == nullptr) return;
   // Manifest last: it must only ever name a fully-persisted artifact
   // set.  Rewritten every run — the slot is keyed by configuration
   // family, so this is what retires the previous revision.
@@ -484,375 +454,7 @@ void OverlappedBuilder::run_incremental(parallel::ThreadPool& pool,
   manifest.doc_ids.reserve(n);
   for (const auto& doc : docs) manifest.doc_ids.push_back(doc.doc_id);
   manifest.doc_keys = doc_keys;
-  cache.store("manifest", manifest_key, serialize_manifest(manifest));
-}
-
-// --- measurement plane -------------------------------------------------------
-
-namespace {
-
-/// Cost heterogeneity: deterministic per-item multiplier in [0.85, 1.15).
-double jitter(std::uint64_t key) {
-  return 0.85 + 0.3 * static_cast<double>(util::fnv1a64(key) % 1000u) / 1000.0;
-}
-
-/// Trace-mode cost scale: detailed writes option-by-option analyses,
-/// efficient a compact summary.
-constexpr std::array<double, trace::kTraceModeCount> kModeScale = {1.7, 1.25,
-                                                                   0.85};
-/// Trace retrieval-text embed cost relative to its generation cost.
-constexpr double kTraceEmbedFraction = 0.6;
-
-struct SimTask {
-  double cost = 0.0;
-  std::vector<std::uint32_t> deps;
-};
-
-/// Deterministic greedy list schedule: ready tasks are served in
-/// (release time, task id) order to the earliest-free worker.
-double run_schedule(const std::vector<SimTask>& tasks, std::size_t workers) {
-  const std::size_t n = tasks.size();
-  std::vector<std::uint32_t> indeg(n, 0);
-  std::vector<std::vector<std::uint32_t>> dependents(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (const std::uint32_t d : tasks[i].deps) {
-      dependents[d].push_back(static_cast<std::uint32_t>(i));
-      ++indeg[i];
-    }
-  }
-  std::vector<double> release(n, 0.0);
-  using Entry = std::pair<double, std::uint32_t>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> ready;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (indeg[i] == 0) ready.push({0.0, static_cast<std::uint32_t>(i)});
-  }
-  std::priority_queue<double, std::vector<double>, std::greater<>> free;
-  for (std::size_t w = 0; w < std::max<std::size_t>(workers, 1); ++w) {
-    free.push(0.0);
-  }
-  double makespan = 0.0;
-  while (!ready.empty()) {
-    const auto [rel, id] = ready.top();
-    ready.pop();
-    const double worker = free.top();
-    free.pop();
-    const double finish = std::max(rel, worker) + tasks[id].cost;
-    free.push(finish);
-    makespan = std::max(makespan, finish);
-    for (const std::uint32_t d : dependents[id]) {
-      release[d] = std::max(release[d], finish);
-      if (--indeg[d] == 0) ready.push({release[d], d});
-    }
-  }
-  return makespan;
-}
-
-class DagBuilder {
- public:
-  std::uint32_t add(double cost, std::vector<std::uint32_t> deps = {}) {
-    tasks_.push_back(SimTask{cost, std::move(deps)});
-    return static_cast<std::uint32_t>(tasks_.size() - 1);
-  }
-  const std::vector<SimTask>& tasks() const { return tasks_; }
-
- private:
-  std::vector<SimTask> tasks_;
-};
-
-double sum_generate(const ScheduleModel& m, std::size_t mode) {
-  double s = 0.0;
-  for (const auto& r : m.records) s += r.generate[mode];
-  return s;
-}
-
-double staged_makespan(const ScheduleModel& m, std::size_t workers) {
-  DagBuilder dag;
-  const double n_docs = static_cast<double>(m.docs.size());
-  const double n_chunks = static_cast<double>(m.chunks.size());
-  const double n_records = static_cast<double>(m.records.size());
-
-  // Stage 1: parse fan-out, serial outcome merge.
-  std::vector<std::uint32_t> parse_tasks;
-  for (const auto& d : m.docs) parse_tasks.push_back(dag.add(d.parse));
-  const std::uint32_t b1 = dag.add(n_docs * m.merge_cost, parse_tasks);
-
-  // Stage 2: chunk fan-out, serial chunk merge.
-  std::vector<std::uint32_t> chunk_tasks;
-  for (const auto& d : m.docs) {
-    if (d.chunk > 0.0) chunk_tasks.push_back(dag.add(d.chunk, {b1}));
-  }
-  const std::uint32_t b2 = dag.add(n_chunks * m.merge_cost, chunk_tasks);
-
-  // Stage 3: embed fan-out, serial store insert + index build.
-  std::vector<std::uint32_t> embed_tasks;
-  for (const auto& c : m.chunks) embed_tasks.push_back(dag.add(c.embed, {b2}));
-  const std::uint32_t b3 =
-      dag.add(n_chunks * (m.insert_cost + m.build_cost), embed_tasks);
-
-  // Stage 4: question fan-out, serial record collection.
-  std::vector<std::uint32_t> qgen_tasks;
-  for (const auto& c : m.chunks) qgen_tasks.push_back(dag.add(c.qgen, {b3}));
-  std::uint32_t prev = dag.add(n_chunks * m.merge_cost, qgen_tasks);
-
-  // Stage 5: the three mode lanes, strictly sequential; grading and
-  // retrieval-text extraction are serial loops between the parallel
-  // generate and embed fans (mirroring grade_all + the ids/texts loop).
-  for (std::size_t mode = 0; mode < static_cast<std::size_t>(trace::kTraceModeCount); ++mode) {
-    std::vector<std::uint32_t> gen_tasks;
-    for (const auto& r : m.records) {
-      gen_tasks.push_back(dag.add(r.generate[mode], {prev}));
-    }
-    const double lane_work = sum_generate(m, mode);
-    const std::uint32_t grade =
-        dag.add(lane_work * m.grade_fraction, gen_tasks);
-    const std::uint32_t extract =
-        dag.add(lane_work * m.extract_fraction, {grade});
-    std::vector<std::uint32_t> trace_embed_tasks;
-    for (const auto& r : m.records) {
-      trace_embed_tasks.push_back(
-          dag.add(r.generate[mode] * kTraceEmbedFraction, {extract}));
-    }
-    prev = dag.add(n_records * (m.insert_cost + m.build_cost),
-                   trace_embed_tasks);
-  }
-  return run_schedule(dag.tasks(), workers);
-}
-
-double overlapped_makespan(const ScheduleModel& m, std::size_t workers) {
-  DagBuilder dag;
-  const double n_docs = static_cast<double>(m.docs.size());
-  const double n_chunks = static_cast<double>(m.chunks.size());
-  const double n_records = static_cast<double>(m.records.size());
-
-  // Fused parse+chunk per document.
-  std::vector<std::uint32_t> doc_tasks(m.docs.size());
-  for (std::size_t d = 0; d < m.docs.size(); ++d) {
-    doc_tasks[d] = dag.add(m.docs[d].parse + m.docs[d].chunk);
-  }
-  // Per-chunk embed and question tasks, released by their document.
-  std::vector<std::uint32_t> qgen_tasks(m.chunks.size());
-  std::vector<std::uint32_t> leaves;
-  for (std::size_t c = 0; c < m.chunks.size(); ++c) {
-    leaves.push_back(dag.add(m.chunks[c].embed, {doc_tasks[m.chunks[c].doc]}));
-    qgen_tasks[c] = dag.add(m.chunks[c].qgen, {doc_tasks[m.chunks[c].doc]});
-  }
-  // Fused generate+grade+extract+embed per (record, mode), released by
-  // the record's question task; the three lanes interleave freely.
-  for (const auto& r : m.records) {
-    for (std::size_t mode = 0; mode < static_cast<std::size_t>(trace::kTraceModeCount); ++mode) {
-      const double cost =
-          r.generate[mode] *
-          (1.0 + m.grade_fraction + m.extract_fraction + kTraceEmbedFraction);
-      leaves.push_back(dag.add(cost, {qgen_tasks[r.chunk]}));
-    }
-  }
-  for (const std::uint32_t q : qgen_tasks) leaves.push_back(q);
-
-  // One serial merge (stats, ordered moves, store inserts), then the
-  // four index builds run as overlapping tasks.
-  const double rows =
-      n_chunks + n_records * static_cast<double>(trace::kTraceModeCount);
-  const std::uint32_t merge = dag.add(
-      (n_docs + n_chunks) * m.merge_cost + rows * m.insert_cost, leaves);
-  dag.add(n_chunks * m.build_cost, {merge});
-  for (std::size_t mode = 0; mode < static_cast<std::size_t>(trace::kTraceModeCount); ++mode) {
-    dag.add(n_records * m.build_cost, {merge});
-  }
-  return run_schedule(dag.tasks(), workers);
-}
-
-}  // namespace
-
-ScheduleModel schedule_model_from(const PipelineContext& ctx) {
-  ScheduleModel model;
-  const auto& docs = ctx.corpus().documents;
-  model.docs.resize(docs.size());
-
-  std::unordered_map<std::string_view, std::uint32_t> doc_index;
-  for (std::size_t i = 0; i < docs.size(); ++i) {
-    doc_index.emplace(docs[i].doc_id, static_cast<std::uint32_t>(i));
-    model.docs[i].parse =
-        static_cast<double>(docs[i].bytes.size()) / 2000.0 * jitter(i);
-  }
-
-  std::unordered_map<std::string_view, std::uint32_t> chunk_index;
-  model.chunks.resize(ctx.chunks().size());
-  for (std::size_t c = 0; c < ctx.chunks().size(); ++c) {
-    const auto& ch = ctx.chunks()[c];
-    chunk_index.emplace(ch.chunk_id, static_cast<std::uint32_t>(c));
-    auto& work = model.chunks[c];
-    const auto it = doc_index.find(ch.doc_id);
-    work.doc = it != doc_index.end() ? it->second : 0;
-    const double words = static_cast<double>(ch.word_count);
-    work.embed = words / 150.0 * jitter(0x10000u + c);
-    work.qgen = (0.4 + words / 300.0) * jitter(0x20000u + c);
-    // Semantic chunking embeds every sentence of the document; charge
-    // the document's chunking cost from its chunks' word mass.
-    model.docs[work.doc].chunk += words / 250.0 * jitter(0x30000u + c);
-    model.docs[work.doc].chunks.push_back(static_cast<std::uint32_t>(c));
-  }
-
-  model.records.resize(ctx.benchmark().size());
-  for (std::size_t r = 0; r < ctx.benchmark().size(); ++r) {
-    const auto& record = ctx.benchmark()[r];
-    auto& work = model.records[r];
-    const auto it = chunk_index.find(record.chunk_id);
-    if (it != chunk_index.end()) {
-      work.chunk = it->second;
-      model.chunks[it->second].accepted = true;
-    }
-    const double base = static_cast<double>(record.question.size()) / 360.0;
-    for (std::size_t mode = 0; mode < static_cast<std::size_t>(trace::kTraceModeCount); ++mode) {
-      work.generate[mode] =
-          base * kModeScale[mode] * jitter(0x40000u + r * 3 + mode);
-    }
-  }
-  return model;
-}
-
-double simulated_makespan(const ScheduleModel& model, ExecutionMode mode,
-                          std::size_t workers) {
-  return mode == ExecutionMode::kStaged ? staged_makespan(model, workers)
-                                        : overlapped_makespan(model, workers);
-}
-
-// --- evaluation-grid simulation ----------------------------------------------
-
-namespace {
-
-/// Stable jitter key for the answer task of (model, condition, record);
-/// shared by both grid modes so their total work is identical.
-double answer_jitter(std::size_t m, std::size_t ci, std::size_t i,
-                     std::size_t c_count, std::size_t n) {
-  return jitter(0x50000u + ((m * c_count + ci) * n + i));
-}
-
-double per_cell_grid_makespan(const EvalGridModel& m, std::size_t workers) {
-  DagBuilder dag;
-  const std::size_t c_count = m.retrieval.size();
-  const std::size_t n = m.answer.size();
-  // The seed's serial double loop: each cell's fans are internally
-  // parallel, but cell k+1 cannot start until cell k's merge finished
-  // (and every retrieval-active cell re-runs its own retrieval fan).
-  std::vector<std::uint32_t> prev;
-  for (std::size_t mi = 0; mi < m.model_count; ++mi) {
-    for (std::size_t ci = 0; ci < c_count; ++ci) {
-      std::vector<std::uint32_t> gate = prev;
-      if (!m.retrieval[ci].empty()) {
-        std::vector<std::uint32_t> ret_tasks;
-        ret_tasks.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-          ret_tasks.push_back(dag.add(m.retrieval[ci][i], prev));
-        }
-        gate = {dag.add(static_cast<double>(n) * m.merge_cost, ret_tasks)};
-      }
-      std::vector<std::uint32_t> answer_tasks;
-      answer_tasks.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        answer_tasks.push_back(dag.add(
-            m.answer[i] * answer_jitter(mi, ci, i, c_count, n), gate));
-      }
-      prev = {dag.add(static_cast<double>(n) * m.merge_cost, answer_tasks)};
-    }
-  }
-  return run_schedule(dag.tasks(), workers);
-}
-
-double shared_plan_grid_makespan(const EvalGridModel& m, std::size_t workers) {
-  DagBuilder dag;
-  const std::size_t c_count = m.retrieval.size();
-  const std::size_t n = m.answer.size();
-  // One retrieval fan per condition; every model's answer tasks for that
-  // condition depend only on the shared plan, so the whole grid runs as
-  // one dataflow with a single final merge.
-  std::vector<std::vector<std::uint32_t>> gates(c_count);
-  for (std::size_t ci = 0; ci < c_count; ++ci) {
-    if (m.retrieval[ci].empty()) continue;
-    std::vector<std::uint32_t> ret_tasks;
-    ret_tasks.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ret_tasks.push_back(dag.add(m.retrieval[ci][i]));
-    }
-    gates[ci] = {dag.add(static_cast<double>(n) * m.merge_cost, ret_tasks)};
-  }
-  std::vector<std::uint32_t> answer_tasks;
-  answer_tasks.reserve(m.model_count * c_count * n);
-  for (std::size_t mi = 0; mi < m.model_count; ++mi) {
-    for (std::size_t ci = 0; ci < c_count; ++ci) {
-      for (std::size_t i = 0; i < n; ++i) {
-        answer_tasks.push_back(dag.add(
-            m.answer[i] * answer_jitter(mi, ci, i, c_count, n), gates[ci]));
-      }
-    }
-  }
-  dag.add(static_cast<double>(m.model_count * c_count) * m.merge_cost,
-          answer_tasks);
-  return run_schedule(dag.tasks(), workers);
-}
-
-/// Does `condition` retrieve against a non-empty store in `ctx`?
-bool grid_condition_active(const PipelineContext& ctx, rag::Condition c) {
-  switch (c) {
-    case rag::Condition::kBaseline:
-      return false;
-    case rag::Condition::kChunks:
-      return ctx.chunk_store().size() > 0;
-    case rag::Condition::kTraceDetailed:
-      return ctx.trace_store(trace::TraceMode::kDetailed).size() > 0;
-    case rag::Condition::kTraceFocused:
-      return ctx.trace_store(trace::TraceMode::kFocused).size() > 0;
-    case rag::Condition::kTraceEfficient:
-      return ctx.trace_store(trace::TraceMode::kEfficient).size() > 0;
-  }
-  return false;
-}
-
-}  // namespace
-
-EvalGridModel eval_grid_model_from(
-    const PipelineContext& ctx, const std::vector<qgen::McqRecord>& records,
-    std::size_t model_count, const std::vector<rag::Condition>& conditions) {
-  EvalGridModel model;
-  model.model_count = model_count;
-  const std::size_t n = records.size();
-
-  model.answer.resize(n);
-  double answer_sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    model.answer[i] = (0.3 + static_cast<double>(records[i].question.size()) /
-                                360.0) *
-                      jitter(0x60000u + i);
-    answer_sum += model.answer[i];
-  }
-
-  model.retrieval.resize(conditions.size());
-  for (std::size_t ci = 0; ci < conditions.size(); ++ci) {
-    if (!grid_condition_active(ctx, conditions[ci])) continue;
-    auto& costs = model.retrieval[ci];
-    costs.resize(n);
-    double sum = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::string query = ctx.rag().query_for(records[i], conditions[ci]);
-      costs[i] = (0.2 + static_cast<double>(query.size()) / 300.0) *
-                 jitter(0x70000u + ci * n + i);
-      sum += costs[i];
-    }
-    // Normalize: one condition's retrieval fan costs
-    // retrieval_answer_ratio x one model's answer fan, keeping the
-    // query-size-driven shape.
-    if (sum > 0.0) {
-      const double scale = model.retrieval_answer_ratio * answer_sum / sum;
-      for (double& c : costs) c *= scale;
-    }
-  }
-  return model;
-}
-
-double simulated_grid_makespan(const EvalGridModel& model, EvalGridMode mode,
-                               std::size_t workers) {
-  return mode == EvalGridMode::kPerCell
-             ? per_cell_grid_makespan(model, workers)
-             : shared_plan_grid_makespan(model, workers);
+  cache->store("manifest", manifest_key, serialize_manifest(manifest));
 }
 
 }  // namespace mcqa::core

@@ -1,30 +1,15 @@
 #pragma once
-// Overlapped pipeline executor — the two-plane design the serving
-// engine established (see serve/engine.hpp):
-//
-//  * Execution plane (OverlappedBuilder): stages 1-5 of the build run
-//    as one dataflow on a single ThreadPool.  Each document's
-//    parse+chunk task spawns that document's per-chunk embed and MCQ
-//    generation tasks the moment its chunks exist; every accepted
-//    record immediately spawns its three trace-mode tasks
-//    (generate + grade + retrieval-text embed, fused), so the
-//    detailed/focused/efficient lanes run concurrently instead of
-//    sequentially.  All results land in per-item slots and are merged
-//    in (document, chunk, mode) order afterwards, which makes every
-//    artifact byte-identical to the staged build at any thread count.
-//
-//  * Measurement plane (ScheduleModel + simulated_makespan): a
-//    deterministic virtual-time list-schedule simulation over the real
-//    task DAG of a built pipeline, with per-task costs derived from
-//    real artifact sizes plus id-hashed jitter.  Staged and overlapped
-//    schedules share one cost model; the speedup reported by
-//    bench_pipeline_e2e is therefore purely structural — barriers and
-//    serial segments (grade_all loops, retrieval-text extraction,
-//    store inserts, index builds) versus dataflow overlap — and
-//    reproducible on any host, including single-core CI.
+// The pipeline's one build producer.  Stages 1-5 of the build run as
+// one dataflow on a single ThreadPool.  Each document's parse+chunk
+// task spawns that document's per-chunk embed and MCQ generation tasks
+// the moment its chunks exist; every accepted record immediately
+// spawns its three trace-mode tasks (generate + grade + retrieval-text
+// embed, fused), so the detailed/focused/efficient lanes run
+// concurrently.  All results land in per-item slots and are merged in
+// (document, chunk, mode) order afterwards, which makes every artifact
+// byte-identical at any thread count; pinned golden digests
+// (tests/golden_digest_test.cpp) hold those bytes fixed.
 
-#include <array>
-#include <cstdint>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -39,135 +24,42 @@ class ArtifactCache;
 struct DocArtifact;
 
 /// Runs stages 1-5 (parse .. trace stores) for a PipelineContext whose
-/// corpus and embedder are already in place.  Fills the same fields and
-/// stats the staged build fills.
+/// corpus and embedder are already in place.
 class OverlappedBuilder {
  public:
   explicit OverlappedBuilder(PipelineContext& ctx) : ctx_(ctx) {}
 
-  void run(parallel::ThreadPool& pool);
-
-  /// Incremental build against a per-document artifact cache (DESIGN.md
-  /// §17).  Restores every document whose artifact key still matches,
-  /// recomputes only the dirty subtrees through the same dataflow tree
-  /// run() uses, rebuilds the four stores (delta-aware for IVF-PQ),
-  /// and rewrites the manifest.  Artifacts are byte-identical to a
-  /// cold run() at any thread count: restored slots hold exactly the
-  /// bytes the dataflow would have produced, and the merge is
-  /// index-ordered either way.  Fills stats.doc_artifacts_*.
-  void run_incremental(parallel::ThreadPool& pool, const ArtifactCache& cache);
+  /// Build every document subtree, merge, and assemble the four stores
+  /// (chunks + one per trace mode) as concurrent pool tasks.
+  ///
+  /// With `cache == nullptr` nothing is serialized: every document is
+  /// computed and every store built cold.  With a cache the build is
+  /// incremental (DESIGN.md §17): it restores every document whose
+  /// artifact key still matches, recomputes only the dirty subtrees
+  /// through the same dataflow tree, rebuilds the stores (delta-aware
+  /// for IVF-PQ), and rewrites the manifest.  Artifacts are
+  /// byte-identical either way at any thread count: restored slots hold
+  /// exactly the bytes the dataflow would have produced, and the merge
+  /// is index-ordered.  Fills stats.doc_artifacts_* on the cache path.
+  void run(parallel::ThreadPool& pool, const ArtifactCache* cache);
 
  private:
   struct TraceSlot;
   struct DocSlots;
   struct StoreRows;
 
-  /// Run the per-document dataflow tree into `slots`; when `dirty` is
-  /// non-null only the flagged documents are (re)computed.
+  /// Run the per-document dataflow tree into `slots` for the documents
+  /// flagged in `dirty`.
   void build_slots(parallel::ThreadPool& pool, std::vector<DocSlots>& slots,
-                   const std::vector<char>* dirty);
+                   const std::vector<char>& dirty);
   /// Merge `slots` into the context in (document, chunk, mode) order and
   /// return the store-ready rows.  Consumes the slots' payloads.
   StoreRows merge_slots(std::vector<DocSlots>& slots);
-  /// Create + build the four stores from merged rows (cold path).
-  void finish_stores(parallel::ThreadPool& pool, StoreRows&& rows);
 
   static DocArtifact to_artifact(const DocSlots& slot);
   static void fill_slot(DocSlots& slot, DocArtifact&& artifact);
 
   PipelineContext& ctx_;
 };
-
-// --- virtual-time schedule simulation ----------------------------------------
-
-/// The build DAG of a finished pipeline, with per-task costs in
-/// abstract work units (derived from document bytes, chunk words and
-/// question sizes, jittered by an fnv1a hash of each item's index so
-/// schedules exhibit realistic heterogeneity).  No wall-clock anywhere:
-/// two runs over the same context produce identical models.
-struct ScheduleModel {
-  struct Doc {
-    double parse = 0.0;
-    double chunk = 0.0;                ///< zero when the parse failed
-    std::vector<std::uint32_t> chunks; ///< indexes into `chunks`
-  };
-  struct ChunkWork {
-    double embed = 0.0;
-    double qgen = 0.0;
-    std::uint32_t doc = 0;
-    bool accepted = false;
-  };
-  struct RecordWork {
-    std::array<double, trace::kTraceModeCount> generate{};
-    std::uint32_t chunk = 0;
-  };
-
-  std::vector<Doc> docs;
-  std::vector<ChunkWork> chunks;
-  std::vector<RecordWork> records;
-
-  /// Serial-segment cost knobs (fractions of the work they follow).
-  double grade_fraction = 0.45;    ///< grade_trace vs generate cost
-  double extract_fraction = 0.35;  ///< retrieval_text() vs generate cost
-  double insert_cost = 0.02;       ///< per store row (serial add path)
-  double build_cost = 0.012;       ///< per row, index finalization
-  double merge_cost = 0.006;       ///< per item, stage merge loops
-};
-
-/// Derive the schedule model from a built pipeline.
-ScheduleModel schedule_model_from(const PipelineContext& ctx);
-
-/// Deterministic greedy list-schedule makespan of the build DAG under
-/// `mode` with `workers` identical workers (virtual time units).
-/// Staged inserts stage barriers and runs the three trace lanes
-/// sequentially with serial grading/extraction segments, mirroring
-/// build_staged; overlapped keeps only true data dependencies,
-/// mirroring OverlappedBuilder.
-double simulated_makespan(const ScheduleModel& model, ExecutionMode mode,
-                          std::size_t workers);
-
-// --- evaluation-grid schedule simulation -------------------------------------
-
-/// How the models x conditions accuracy grid is scheduled.
-///
-///   kPerCell    — the seed harness: cells run strictly sequentially
-///                 (the serial double loop), each cell re-running its
-///                 own retrieval fan before its answer fan.
-///   kSharedPlan — the memoized engine: one retrieval fan per
-///                 condition, shared by every model's cells, which all
-///                 fan out on one pool as soon as the plan exists.
-enum class EvalGridMode { kPerCell, kSharedPlan };
-
-/// Cost model of one sweep, in the same abstract work units as
-/// ScheduleModel: per-record retrieval costs per retrieval-active
-/// condition (from the real query texts) and per-record answer+grade
-/// costs (from the real question sizes), jittered by stable id hashes.
-/// Both grid modes draw identical per-task costs, so the makespan gap
-/// is purely structural: retrieval repeated per cell versus shared.
-struct EvalGridModel {
-  std::size_t model_count = 0;
-  /// [condition][record] retrieval cost; inner vector empty for
-  /// conditions that do not retrieve (baseline / absent store).
-  std::vector<std::vector<double>> retrieval;
-  /// [record] answer+grade base cost; each (model, condition) cell
-  /// applies its own jitter on top.
-  std::vector<double> answer;
-  /// Retrieval work per condition relative to one model's answer work
-  /// (embedding the query + scanning the store dominates one simulated
-  /// answer); eval_grid_model_from normalizes retrieval costs to it.
-  double retrieval_answer_ratio = 1.2;
-  double merge_cost = 0.006;  ///< per item, slot-merge loops
-};
-
-/// Derive the grid cost model for sweeping `records` with `model_count`
-/// students under `conditions`, against `ctx`'s stores.
-EvalGridModel eval_grid_model_from(
-    const PipelineContext& ctx, const std::vector<qgen::McqRecord>& records,
-    std::size_t model_count, const std::vector<rag::Condition>& conditions);
-
-/// Deterministic greedy list-schedule makespan of one sweep under
-/// `mode` with `workers` identical workers (virtual time units).
-double simulated_grid_makespan(const EvalGridModel& model, EvalGridMode mode,
-                               std::size_t workers);
 
 }  // namespace mcqa::core

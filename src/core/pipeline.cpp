@@ -1,6 +1,7 @@
 #include "core/pipeline.hpp"
 
 #include <cstdlib>
+#include <optional>
 #include <utility>
 
 #include "core/checkpoint.hpp"
@@ -12,14 +13,6 @@
 #include "util/stopwatch.hpp"
 
 namespace mcqa::core {
-
-std::string_view execution_mode_name(ExecutionMode mode) {
-  switch (mode) {
-    case ExecutionMode::kStaged: return "staged";
-    case ExecutionMode::kOverlapped: return "overlapped";
-  }
-  return "unknown";
-}
 
 std::string default_checkpoint_dir() {
   const char* env = std::getenv("MCQA_CHECKPOINT_DIR");
@@ -39,11 +32,7 @@ PipelineContext::PipelineContext(const PipelineConfig& config)
       matcher_(kb_),
       embedder_(embed::make_biomed_encoder()) {
   util::Stopwatch total;
-  {
-    util::Stopwatch watch;
-    corpus_ = corpus::build_corpus(kb_, config_.corpus, config_.threads);
-    stats_.stage_seconds.kb_corpus = watch.seconds();
-  }
+  corpus_ = corpus::build_corpus(kb_, config_.corpus, config_.threads);
 
   parallel::ThreadPool pool(config_.threads);
   if (config_.embed_cache) {
@@ -51,173 +40,34 @@ PipelineContext::PipelineContext(const PipelineConfig& config)
   }
   teacher_ = std::make_unique<llm::TeacherModel>(kb_, matcher_);
 
+  // One producer for stages 1-5.  With a checkpoint directory it
+  // restores the per-document artifacts that still match and
+  // recomputes only the dirty subtrees; either way the artifacts are
+  // byte-identical (tested against pinned digests).
+  std::optional<ArtifactCache> cache;
+  if (!config_.checkpoint_dir.empty()) cache.emplace(config_.checkpoint_dir);
+  OverlappedBuilder(*this).run(pool, cache ? &*cache : nullptr);
   bool restored = false;
-  if (!config_.checkpoint_dir.empty()) {
-    // Checkpointed builds always route through the incremental
-    // dataflow executor (byte-identical to both plain modes; tested):
-    // it restores the per-document artifacts that still match and
-    // recomputes only the dirty subtrees.
-    const ArtifactCache cache(config_.checkpoint_dir);
-    util::Stopwatch watch;
-    OverlappedBuilder(*this).run_incremental(pool, cache);
-    stats_.stage_seconds.overlapped = watch.seconds();
-    const ArtifactCache::Stats cs = cache.stats();
+  if (cache) {
+    const ArtifactCache::Stats cs = cache->stats();
     stats_.checkpoint_hits = cs.hits;
     stats_.checkpoint_misses = cs.misses;
     stats_.checkpoint_corrupt = cs.corrupt_blobs;
     restored = stats_.doc_artifacts_recomputed == 0;
-  } else if (config_.execution == ExecutionMode::kOverlapped) {
-    build_overlapped(pool);
-  } else {
-    build_staged(pool);
   }
 
   finalize_exam_and_rag();
 
   if (embed_cache_) stats_.embed_cache = embed_cache_->stats();
   stats_.build_seconds = total.seconds();
-  MCQA_INFO("pipeline") << "built (" << execution_mode_name(config_.execution)
-                        << (restored ? ", checkpoint-restored" : "") << "): "
-                        << stats_.documents << " docs, " << stats_.chunks
-                        << " chunks, " << benchmark_.size() << " questions, "
-                        << exam_all_.size() << " exam items in "
-                        << stats_.build_seconds << "s";
-}
-
-void PipelineContext::build_staged(parallel::ThreadPool& pool) {
-  const embed::Embedder& embedder = active_embedder();
-  util::Stopwatch watch;
-
-  // --- Stage 1: adaptive parsing -------------------------------------------
-  const parse::AdaptiveParser parser(config_.parser);
-  std::vector<parse::ParseOutcome> outcomes(corpus_.documents.size());
-  parallel::parallel_for(pool, 0, corpus_.documents.size(), [&](std::size_t i) {
-    outcomes[i] = parser.parse(corpus_.documents[i].bytes);
-  });
-  std::size_t ok_docs = 0;
-  for (const auto& outcome : outcomes) ok_docs += outcome.ok ? 1 : 0;
-  parsed_.reserve(ok_docs);
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    auto& outcome = outcomes[i];
-    ++stats_.routing.total;
-    stats_.routing.compute_cost += outcome.compute_cost;
-    stats_.routing.always_accurate_cost += 8.0;  // AccurateSpdfParser::cost
-    if (outcome.route == "fast") ++stats_.routing.fast_routed;
-    else if (outcome.route == "accurate") ++stats_.routing.accurate_routed;
-    else if (outcome.route == "fast->accurate") ++stats_.routing.escalated;
-    else if (outcome.route == "markdown" || outcome.route == "text")
-      ++stats_.routing.non_spdf;
-    if (!outcome.ok) {
-      ++stats_.routing.failed;
-      ++stats_.parse_failures;
-      continue;
-    }
-    // Ensure provenance survives formats that don't embed a doc id.
-    if (outcome.document.doc_id.empty()) {
-      outcome.document.doc_id = corpus_.documents[i].doc_id;
-    }
-    parsed_.push_back(std::move(outcome.document));
-  }
-  stats_.documents = corpus_.documents.size();
-  stats_.stage_seconds.parse = watch.seconds();
-
-  // --- Stage 2: chunking ----------------------------------------------------
-  watch.reset();
-  {
-    std::unique_ptr<chunk::Chunker> chunker;
-    if (config_.semantic_chunking) {
-      chunker = std::make_unique<chunk::SemanticChunker>(embedder,
-                                                         config_.chunker);
-    } else {
-      chunker = std::make_unique<chunk::FixedSizeChunker>(config_.chunker);
-    }
-    std::vector<std::vector<chunk::Chunk>> per_doc(parsed_.size());
-    parallel::parallel_for(pool, 0, parsed_.size(), [&](std::size_t i) {
-      per_doc[i] = chunker->chunk(parsed_[i]);
-    });
-    std::size_t total_chunks = 0;
-    for (const auto& doc_chunks : per_doc) total_chunks += doc_chunks.size();
-    chunks_.reserve(total_chunks);
-    for (auto& doc_chunks : per_doc) {
-      for (auto& c : doc_chunks) chunks_.push_back(std::move(c));
-    }
-  }
-  stats_.chunks = chunks_.size();
-  stats_.stage_seconds.chunk = watch.seconds();
-
-  // --- Stage 3: embed + index the chunk store -------------------------------
-  watch.reset();
-  chunk_store_ =
-      std::make_unique<index::VectorStore>(embedder, config_.index_kind);
-  {
-    std::vector<std::string> ids;
-    std::vector<std::string> texts;
-    ids.reserve(chunks_.size());
-    texts.reserve(chunks_.size());
-    for (const auto& c : chunks_) {
-      ids.push_back(c.chunk_id);
-      texts.push_back(c.text);
-    }
-    chunk_store_->add_batch(std::move(ids), std::move(texts), pool);
-  }
-  chunk_store_->build();
-  stats_.embedding_bytes = chunk_store_->embedding_bytes();
-  stats_.stage_seconds.embed_index = watch.seconds();
-
-  // --- Stage 4: MCQ generation + quality filter ------------------------------
-  watch.reset();
-  {
-    qgen::BuilderConfig builder_cfg = config_.builder;
-    builder_cfg.threads = config_.threads;
-    const qgen::BenchmarkBuilder builder(*teacher_, builder_cfg);
-    benchmark_ = builder.build(chunks_, &stats_.funnel);
-  }
-  stats_.stage_seconds.qgen = watch.seconds();
-
-  // --- Stage 5: reasoning-trace distillation ---------------------------------
-  watch.reset();
-  {
-    trace::TraceGenConfig trace_cfg = config_.tracegen;
-    trace_cfg.threads = config_.threads;
-    const trace::TraceGenerator tracer(*teacher_, trace_cfg);
-    for (int m = 0; m < trace::kTraceModeCount; ++m) {
-      const auto mode = static_cast<trace::TraceMode>(m);
-      const auto mi = static_cast<std::size_t>(m);
-      traces_[mi] = tracer.generate_all(benchmark_, mode);
-      // Fill the Fig. 3 grading_result block; teacher predictions grade
-      // near-ceiling, so the store keeps essentially every trace, but
-      // the gate exists (and is exercised) for noisier teachers.
-      const trace::TraceGradingStats grading = trace::grade_all(traces_[mi]);
-      stats_.trace_grading_accuracy[mi] = grading.accuracy();
-      trace::filter_incorrect(traces_[mi]);
-      stats_.traces_per_mode[mi] = traces_[mi].size();
-      trace_stores_[mi] =
-          std::make_unique<index::VectorStore>(embedder, config_.index_kind);
-      {
-        std::vector<std::string> ids;
-        std::vector<std::string> texts;
-        ids.reserve(traces_[mi].size());
-        texts.reserve(traces_[mi].size());
-        for (const auto& t : traces_[mi]) {
-          ids.push_back(t.trace_id);
-          texts.push_back(t.retrieval_text());
-        }
-        trace_stores_[mi]->add_batch(std::move(ids), std::move(texts), pool);
-      }
-      trace_stores_[mi]->build();
-    }
-  }
-  stats_.stage_seconds.traces = watch.seconds();
-}
-
-void PipelineContext::build_overlapped(parallel::ThreadPool& pool) {
-  util::Stopwatch watch;
-  OverlappedBuilder(*this).run(pool);
-  stats_.stage_seconds.overlapped = watch.seconds();
+  MCQA_INFO("pipeline") << "built" << (restored ? " (checkpoint-restored)" : "")
+                        << ": " << stats_.documents << " docs, "
+                        << stats_.chunks << " chunks, " << benchmark_.size()
+                        << " questions, " << exam_all_.size()
+                        << " exam items in " << stats_.build_seconds << "s";
 }
 
 void PipelineContext::finalize_exam_and_rag() {
-  util::Stopwatch watch;
   // --- Stage 6: retrieval fact coverage + Astro exam -------------------------
   {
     // A fact is "covered" for exam purposes when the benchmark probes it:
@@ -249,7 +99,6 @@ void PipelineContext::finalize_exam_and_rag() {
     students_.push_back(
         std::make_unique<llm::StudentModel>(card, config_.sim));
   }
-  stats_.stage_seconds.exam = watch.seconds();
 }
 
 std::vector<const llm::LanguageModel*> PipelineContext::student_ptrs() const {

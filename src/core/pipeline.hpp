@@ -8,7 +8,9 @@
 //
 // PipelineContext owns every artifact and is non-movable so internal
 // references stay valid; build it once per process (it is the expensive
-// step) and share across benches/tests.
+// step) and share across benches/tests.  Stages 1-5 have one producer,
+// the dataflow in core/executor.hpp; pinned golden digests
+// (tests/golden_digest_test.cpp) anchor its bytes.
 
 #include <array>
 #include <memory>
@@ -38,22 +40,6 @@
 
 namespace mcqa::core {
 
-/// How PipelineContext schedules the build DAG.
-///
-///   kStaged     — seven fully-barriered batch stages (the classic form;
-///                 baseline for the executor bench).
-///   kOverlapped — dataflow execution on one pool: per-document
-///                 parse+chunk tasks fan out per-chunk embed and MCQ
-///                 generation tasks as soon as their document is ready,
-///                 and every accepted record immediately spawns its
-///                 three trace-mode lanes, which run concurrently.
-///
-/// Both modes produce byte-identical artifacts at any thread count
-/// (slot-indexed writes, index-ordered merges; tested).
-enum class ExecutionMode { kStaged, kOverlapped };
-
-std::string_view execution_mode_name(ExecutionMode mode);
-
 struct PipelineConfig {
   corpus::KbConfig kb;
   corpus::CorpusConfig corpus;
@@ -66,15 +52,13 @@ struct PipelineConfig {
   rag::RagConfig rag;
   index::IndexKind index_kind = index::IndexKind::kFlat;
   llm::SimulationCoefficients sim;
+  /// Build pool size (0 = hardware concurrency).  A speed knob only:
+  /// artifacts are byte-identical at any thread count (tested).
   std::size_t threads = 0;
   /// Memoize embeddings by content hash.  Purely a speed knob: the cache
   /// returns vectors computed by the same embedder for the same bytes,
   /// so every artifact is byte-identical with it on or off (tested).
   bool embed_cache = true;
-
-  /// Build scheduling (see ExecutionMode).  A speed knob only: artifacts
-  /// are byte-identical in either mode.
-  ExecutionMode execution = ExecutionMode::kOverlapped;
 
   /// Content-addressed artifact checkpoint directory; empty disables
   /// checkpointing.  Each document's build subtree (parse outcome,
@@ -83,9 +67,7 @@ struct PipelineConfig {
   /// identity, so a warm run restores every unchanged document and
   /// recomputes only the dirty ones — byte-identical to a cold build
   /// at any thread count (tested).  Never part of artifact content, so
-  /// it cannot affect results.  Checkpointed builds always run through
-  /// the overlapped dataflow tree (whose artifacts are byte-identical
-  /// to staged; tested), regardless of `execution`.
+  /// it cannot affect results.
   std::string checkpoint_dir;
 
   /// Incremental IVF-PQ rebuild policy (ignored by other index kinds):
@@ -105,19 +87,6 @@ struct PipelineConfig {
 
 /// $MCQA_CHECKPOINT_DIR, or empty (checkpointing disabled) when unset.
 std::string default_checkpoint_dir();
-
-/// Wall-clock seconds per build stage (staged mode fills every field;
-/// overlapped mode fills the phases it keeps distinct).
-struct StageTimings {
-  double kb_corpus = 0.0;   ///< knowledge base + corpus synthesis
-  double parse = 0.0;
-  double chunk = 0.0;
-  double embed_index = 0.0;  ///< chunk store embed + index build
-  double qgen = 0.0;
-  double traces = 0.0;       ///< all three mode lanes
-  double exam = 0.0;
-  double overlapped = 0.0;   ///< parse..traces when run as one dataflow
-};
 
 struct PipelineStats {
   std::size_t documents = 0;
@@ -142,7 +111,6 @@ struct PipelineStats {
   /// recomputed == K.  Both zero when checkpointing is off.
   std::size_t doc_artifacts_restored = 0;
   std::size_t doc_artifacts_recomputed = 0;
-  StageTimings stage_seconds;
   double build_seconds = 0.0;
 };
 
@@ -230,10 +198,6 @@ class PipelineContext {
  private:
   friend class OverlappedBuilder;
 
-  /// Stage 1-5 as barriered batch stages (ExecutionMode::kStaged).
-  void build_staged(parallel::ThreadPool& pool);
-  /// Stage 1-5 as one overlapped dataflow (ExecutionMode::kOverlapped).
-  void build_overlapped(parallel::ThreadPool& pool);
   /// Stages 6-7: exam synthesis, retrieval wiring, students.
   void finalize_exam_and_rag();
 

@@ -128,7 +128,7 @@ void put_str(std::string& out, std::string_view s) {
 
 std::string take_str(std::string_view blob, std::size_t& pos) {
   const std::size_t n = take_u64(blob, pos);
-  if (pos + n > blob.size()) {
+  if (n > blob.size() - pos) {
     throw std::runtime_error("VectorStore::load: truncated string");
   }
   std::string s(blob.substr(pos, n));
@@ -189,7 +189,7 @@ VectorStore VectorStore::load_parsed(const embed::Embedder& embedder,
       ++pos;
     }
   }
-  if (pos + blob_len > blob.size()) {
+  if (blob_len > blob.size() - pos) {
     throw std::runtime_error("VectorStore::load: truncated index blob");
   }
   const std::string_view index_blob = blob.substr(pos, blob_len);

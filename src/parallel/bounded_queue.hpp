@@ -1,10 +1,9 @@
 #pragma once
 // Bounded multi-producer multi-consumer queue with close semantics.
 //
-// Backs the staged Pipeline: each stage pulls from an input queue and
-// pushes to an output queue; closing propagates end-of-stream so the
-// whole pipeline drains cleanly (the same dataflow discipline a Parsl
-// DAG gives the paper's distributed pipeline).
+// Backs the serve engine's dispatch plane: the planner pushes batches
+// and pool consumers pop until the queue is closed and drained, so
+// closing propagates end-of-stream and every consumer exits cleanly.
 
 #include <condition_variable>
 #include <cstddef>

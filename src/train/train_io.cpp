@@ -48,7 +48,7 @@ void put_blob(std::string& out, std::string_view blob) {
 
 std::string_view take_blob(std::string_view blob, std::size_t& pos) {
   const std::uint64_t n = take_u64(blob, pos);
-  if (pos + n > blob.size()) {
+  if (n > blob.size() - pos) {
     throw std::runtime_error("trained-lm load: truncated section");
   }
   const std::string_view section = blob.substr(pos, n);

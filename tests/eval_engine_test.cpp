@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "core/eval_cache.hpp"
-#include "core/executor.hpp"
 #include "core/pipeline.hpp"
 #include "eval/harness.hpp"
 #include "parallel/thread_pool.hpp"
@@ -333,38 +332,6 @@ TEST(EvalCache, EvalCellSerializerRoundTrips) {
   EXPECT_EQ(back.total, cell.total);
   EXPECT_EQ(back.unparseable, cell.unparseable);
   EXPECT_THROW(core::deserialize_eval_cell("ckbench1\n"), std::runtime_error);
-}
-
-// --- grid schedule simulator -------------------------------------------------
-
-TEST(EvalEngine, GridSimulatorDeterministicAndOrdered) {
-  const PipelineContext& ctx = test_context();
-  const core::EvalGridModel model = core::eval_grid_model_from(
-      ctx, ctx.benchmark(), ctx.students().size(), eval::all_conditions());
-  ASSERT_EQ(model.retrieval.size(), eval::all_conditions().size());
-  ASSERT_FALSE(model.answer.empty());
-  EXPECT_TRUE(model.retrieval[0].empty());  // baseline never retrieves
-
-  const double shared8 = core::simulated_grid_makespan(
-      model, core::EvalGridMode::kSharedPlan, 8);
-  EXPECT_EQ(shared8, core::simulated_grid_makespan(
-                         model, core::EvalGridMode::kSharedPlan, 8));
-
-  double prev_cell = 0.0;
-  double prev_shared = 0.0;
-  for (const std::size_t w : {1u, 2u, 4u, 8u}) {
-    const double pc =
-        core::simulated_grid_makespan(model, core::EvalGridMode::kPerCell, w);
-    const double sp = core::simulated_grid_makespan(
-        model, core::EvalGridMode::kSharedPlan, w);
-    EXPECT_LE(sp, pc * 1.001) << "shared plan lost to per-cell at " << w;
-    if (w > 1u) {
-      EXPECT_LE(pc, prev_cell * 1.001);
-      EXPECT_LE(sp, prev_shared * 1.001);
-    }
-    prev_cell = pc;
-    prev_shared = sp;
-  }
 }
 
 }  // namespace

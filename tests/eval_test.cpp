@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "eval/harness.hpp"
 #include "eval/judge.hpp"
 #include "eval/paper_reference.hpp"
@@ -22,8 +25,10 @@ llm::McqTask judge_task() {
 
 // --- judge ---------------------------------------------------------------------
 
+// std::string rather than const char*: gtest prints a char pointer inside a
+// pair with its address, and ctest names each case after that printout.
 class JudgeExtraction
-    : public ::testing::TestWithParam<std::pair<const char*, int>> {};
+    : public ::testing::TestWithParam<std::pair<std::string, int>> {};
 
 TEST_P(JudgeExtraction, ExtractsExpectedOption) {
   const Judge judge;

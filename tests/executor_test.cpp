@@ -1,67 +1,47 @@
-// Executor + checkpoint determinism contract:
+// Build + checkpoint determinism contract:
 //
-//  * staged and overlapped builds produce byte-identical artifacts at
-//    any thread count, with the embedding cache on or off;
+//  * the build reproduces its pinned golden digest at any thread count,
+//    with the embedding cache on or off;
 //  * a checkpoint-restored context is byte-identical to the cold build
-//    that populated the cache, and staged/overlapped share cache keys;
-//  * the virtual-time schedule simulator is deterministic and shows the
-//    structural ordering the bench relies on.
+//    that populated the cache, and builds that differ only in speed
+//    knobs share cache keys;
+//  * the docart and manifest codecs round-trip real artifacts byte for
+//    byte and reject truncated or hostile lengths.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <string>
+#include <string_view>
 
+#include "artifact_digest.hpp"
 #include "core/checkpoint.hpp"
-#include "core/executor.hpp"
 #include "core/pipeline.hpp"
 #include "parallel/dag.hpp"
-#include "util/hash.hpp"
 
 namespace {
 
 using namespace mcqa;
 using core::ArtifactCache;
-using core::ExecutionMode;
 using core::PipelineConfig;
 using core::PipelineContext;
+using test::artifact_digest;
 
 constexpr double kTestScale = 0.008;
 
-PipelineConfig test_config(ExecutionMode mode, std::size_t threads,
-                           bool embed_cache = true,
+PipelineConfig test_config(std::size_t threads, bool embed_cache = true,
                            std::string checkpoint_dir = {}) {
   PipelineConfig cfg = PipelineConfig::paper_scale(kTestScale);
-  cfg.execution = mode;
   cfg.threads = threads;
   cfg.embed_cache = embed_cache;
   cfg.checkpoint_dir = std::move(checkpoint_dir);
   return cfg;
-}
-
-/// One digest over every artifact the build produces, via the same
-/// serializers the checkpoint uses — byte equality of the digest is
-/// byte equality of the artifacts.
-std::uint64_t artifact_digest(const PipelineContext& ctx) {
-  const auto& s = ctx.stats();
-  core::ParsedArtifact parsed{ctx.parsed(), s.routing, s.parse_failures,
-                              s.documents};
-  core::BenchmarkArtifact bench{ctx.benchmark(), s.funnel};
-  std::uint64_t h = util::fnv1a64(core::serialize_parsed(parsed));
-  h = util::hash_combine(h, util::fnv1a64(core::serialize_chunks(ctx.chunks())));
-  h = util::hash_combine(h, util::fnv1a64(ctx.chunk_store().save()));
-  h = util::hash_combine(h, util::fnv1a64(core::serialize_benchmark(bench)));
-  for (int m = 0; m < trace::kTraceModeCount; ++m) {
-    const auto mode = static_cast<trace::TraceMode>(m);
-    const auto mi = static_cast<std::size_t>(m);
-    core::TraceArtifact traces{ctx.traces(mode), {}};
-    h = util::hash_combine(h, util::fnv1a64(core::serialize_traces(traces)));
-    h = util::hash_combine(h, util::fnv1a64(ctx.trace_store(mode).save()));
-    h = util::hash_combine(h, util::fnv1a64(s.traces_per_mode[mi]));
-  }
-  return h;
 }
 
 struct TempDir {
@@ -82,36 +62,23 @@ struct TempDir {
   }
 };
 
-// --- staged vs overlapped byte identity --------------------------------------
+// --- golden byte identity ----------------------------------------------------
 
-std::uint64_t baseline_digest() {
-  static const std::uint64_t digest = [] {
-    const PipelineContext ctx(test_config(ExecutionMode::kStaged, 2));
-    return artifact_digest(ctx);
-  }();
-  return digest;
-}
-
-TEST(Executor, OverlappedMatchesStagedAcrossThreadCounts) {
+TEST(Executor, MatchesGoldenDigestAcrossThreadCounts) {
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    const PipelineContext ctx(
-        test_config(ExecutionMode::kOverlapped, threads));
-    EXPECT_EQ(artifact_digest(ctx), baseline_digest())
-        << "overlapped build diverged at " << threads << " threads";
+    const PipelineContext ctx(test_config(threads));
+    EXPECT_EQ(artifact_digest(ctx), test::kDigestScale0008)
+        << "build diverged at " << threads << " threads";
   }
 }
 
 TEST(Executor, EmbedCacheDoesNotChangeArtifacts) {
-  const PipelineContext staged(
-      test_config(ExecutionMode::kStaged, 8, /*embed_cache=*/false));
-  EXPECT_EQ(artifact_digest(staged), baseline_digest());
-  const PipelineContext overlapped(
-      test_config(ExecutionMode::kOverlapped, 4, /*embed_cache=*/false));
-  EXPECT_EQ(artifact_digest(overlapped), baseline_digest());
+  const PipelineContext ctx(test_config(8, /*embed_cache=*/false));
+  EXPECT_EQ(artifact_digest(ctx), test::kDigestScale0008);
 }
 
 TEST(Executor, PerModeStatsAreIndependent) {
-  const PipelineContext ctx(test_config(ExecutionMode::kOverlapped, 2));
+  const PipelineContext ctx(test_config(2));
   const auto& s = ctx.stats();
   for (int m = 0; m < trace::kTraceModeCount; ++m) {
     const auto mi = static_cast<std::size_t>(m);
@@ -126,17 +93,16 @@ TEST(Executor, PerModeStatsAreIndependent) {
 
 TEST(Checkpoint, WarmRestoreIsByteIdentical) {
   const TempDir dir;
-  const auto cold_cfg =
-      test_config(ExecutionMode::kOverlapped, 2, true, dir.path.string());
+  const auto cold_cfg = test_config(2, true, dir.path.string());
   const PipelineContext cold(cold_cfg);
   EXPECT_EQ(cold.stats().checkpoint_hits, 0u);
   EXPECT_GT(cold.stats().checkpoint_misses, 0u);
-  EXPECT_EQ(artifact_digest(cold), baseline_digest());
+  EXPECT_EQ(artifact_digest(cold), test::kDigestScale0008);
 
   const PipelineContext warm(cold_cfg);
   EXPECT_GT(warm.stats().checkpoint_hits, 0u);
   EXPECT_EQ(warm.stats().checkpoint_misses, 0u);
-  EXPECT_EQ(artifact_digest(warm), baseline_digest());
+  EXPECT_EQ(artifact_digest(warm), test::kDigestScale0008);
   // Restored stats blocks match the cold build's.
   EXPECT_EQ(warm.stats().documents, cold.stats().documents);
   EXPECT_EQ(warm.stats().parse_failures, cold.stats().parse_failures);
@@ -149,14 +115,13 @@ TEST(Checkpoint, WarmRestoreIsByteIdentical) {
   }
 }
 
-TEST(Checkpoint, StagedAndOverlappedShareCacheEntries) {
+TEST(Checkpoint, ThreadCountAndEmbedCacheShareCacheEntries) {
   const TempDir dir;
-  // Cold-build staged, then warm-load with an overlapped config: the
-  // execution mode is not part of the key, so the cache must hit.
-  const PipelineContext cold(
-      test_config(ExecutionMode::kStaged, 1, true, dir.path.string()));
-  const PipelineContext warm(
-      test_config(ExecutionMode::kOverlapped, 8, false, dir.path.string()));
+  // Cold-build on one thread with the embedding cache, then warm-load on
+  // eight without it: neither knob is part of the key, so every lookup
+  // must hit.
+  const PipelineContext cold(test_config(1, true, dir.path.string()));
+  const PipelineContext warm(test_config(8, false, dir.path.string()));
   EXPECT_GT(warm.stats().checkpoint_hits, 0u);
   EXPECT_EQ(warm.stats().checkpoint_misses, 0u);
   EXPECT_EQ(artifact_digest(warm), artifact_digest(cold));
@@ -164,8 +129,7 @@ TEST(Checkpoint, StagedAndOverlappedShareCacheEntries) {
 
 TEST(Checkpoint, ConfigChangeMissesAndRebuilds) {
   const TempDir dir;
-  auto cfg = test_config(ExecutionMode::kOverlapped, 2, true,
-                         dir.path.string());
+  auto cfg = test_config(2, true, dir.path.string());
   const PipelineContext cold(cfg);
   cfg.builder.quality_threshold += 0.5;  // new benchmark key chain
   const PipelineContext rebuilt(cfg);
@@ -176,8 +140,7 @@ TEST(Checkpoint, ConfigChangeMissesAndRebuilds) {
 
 TEST(Checkpoint, CorruptBlobFallsBackToBuild) {
   const TempDir dir;
-  const auto cfg =
-      test_config(ExecutionMode::kOverlapped, 2, true, dir.path.string());
+  const auto cfg = test_config(2, true, dir.path.string());
   const PipelineContext cold(cfg);
   // Truncate every cached blob; the warm path must rebuild, not crash.
   for (const auto& entry : std::filesystem::directory_iterator(dir.path)) {
@@ -190,8 +153,7 @@ TEST(Checkpoint, CorruptBlobFallsBackToBuild) {
 
 TEST(Checkpoint, UnknownIndexKindFallsBackToBuild) {
   const TempDir dir;
-  const auto cfg =
-      test_config(ExecutionMode::kOverlapped, 2, true, dir.path.string());
+  const auto cfg = test_config(2, true, dir.path.string());
   const PipelineContext cold(cfg);
   // Rewrite every index-blob magic inside the cached artifacts to an
   // unrecognized kind — the version-stamped loaders must reject it, and
@@ -223,13 +185,12 @@ TEST(Checkpoint, UnknownIndexKindFallsBackToBuild) {
 }
 
 TEST(Checkpoint, KeysIgnoreSpeedKnobsButTrackConfig) {
-  const auto base = test_config(ExecutionMode::kStaged, 1);
+  const auto base = test_config(1);
   const auto keys = core::derive_checkpoint_keys(base, 256);
 
   auto speed = base;
   speed.threads = 8;
   speed.embed_cache = false;
-  speed.execution = ExecutionMode::kOverlapped;
   const auto speed_keys = core::derive_checkpoint_keys(speed, 256);
   EXPECT_EQ(keys.parsed, speed_keys.parsed);
   EXPECT_EQ(keys.chunks, speed_keys.chunks);
@@ -260,75 +221,89 @@ TEST(Checkpoint, ArtifactCacheRoundTrip) {
   EXPECT_FALSE(cache.load("other", 42).has_value());
 }
 
-TEST(Checkpoint, SerializersRoundTrip) {
-  const PipelineContext& ctx = [] () -> const PipelineContext& {
-    static const PipelineContext c(test_config(ExecutionMode::kStaged, 2));
-    return c;
-  }();
-  const auto& s = ctx.stats();
+/// `v` as the eight little-endian bytes the checkpoint codecs write.
+std::string u64_bytes(std::uint64_t v) {
+  std::string out(8, '\0');
+  std::memcpy(out.data(), &v, 8);
+  return out;
+}
 
-  core::ParsedArtifact parsed{ctx.parsed(), s.routing, s.parse_failures,
-                              s.documents};
-  const std::string parsed_blob = core::serialize_parsed(parsed);
-  EXPECT_EQ(core::serialize_parsed(core::deserialize_parsed(parsed_blob)),
-            parsed_blob);
-
-  const std::string chunks_blob = core::serialize_chunks(ctx.chunks());
-  EXPECT_EQ(core::serialize_chunks(core::deserialize_chunks(chunks_blob)),
-            chunks_blob);
-
-  core::BenchmarkArtifact bench{ctx.benchmark(), s.funnel};
-  const std::string bench_blob = core::serialize_benchmark(bench);
-  EXPECT_EQ(
-      core::serialize_benchmark(core::deserialize_benchmark(bench_blob)),
-      bench_blob);
-
-  core::TraceArtifact traces{ctx.traces(trace::TraceMode::kDetailed), {}};
-  const std::string traces_blob = core::serialize_traces(traces);
-  EXPECT_EQ(core::serialize_traces(core::deserialize_traces(traces_blob)),
-            traces_blob);
-
-  EXPECT_THROW(core::deserialize_parsed("ckchunk1\n"), std::runtime_error);
-  EXPECT_THROW(core::deserialize_chunks("ckchunk1\n garbage"),
+/// Every blob in `blob`'s prefix family must fail to decode; strided so
+/// large blobs stay cheap, always including the last byte.
+template <typename Decode>
+void expect_truncations_throw(const std::string& blob, Decode decode) {
+  const std::size_t step = std::max<std::size_t>(1, blob.size() / 257);
+  for (std::size_t len = 0; len < blob.size(); len += step) {
+    EXPECT_THROW(decode(std::string_view(blob).substr(0, len)),
+                 std::runtime_error)
+        << "prefix of " << len << " of " << blob.size() << " bytes";
+  }
+  EXPECT_THROW(decode(std::string_view(blob).substr(0, blob.size() - 1)),
                std::runtime_error);
 }
 
-// --- schedule simulator ------------------------------------------------------
+TEST(Checkpoint, SerializersRoundTrip) {
+  // The formats the build reads back: one real per-document artifact
+  // (with a record and kept trace lanes) and the manifest.
+  const TempDir dir;
+  const auto cfg = test_config(2, true, dir.path.string());
+  const PipelineContext ctx(cfg);
+  const ArtifactCache cache(dir.path.string());
+  const std::size_t dim = ctx.embedder().dim();
 
-TEST(ScheduleSim, DeterministicAndStructurallyOrdered) {
-  const PipelineContext ctx(test_config(ExecutionMode::kOverlapped, 2));
-  const core::ScheduleModel model = core::schedule_model_from(ctx);
-  ASSERT_FALSE(model.docs.empty());
-  ASSERT_FALSE(model.chunks.empty());
-  ASSERT_FALSE(model.records.empty());
-
-  const double staged8 =
-      core::simulated_makespan(model, ExecutionMode::kStaged, 8);
-  EXPECT_EQ(staged8, core::simulated_makespan(model, ExecutionMode::kStaged, 8))
-      << "simulator must be deterministic";
-
-  // More workers never hurt, and overlap never loses to barriers.
-  double prev_staged = 0.0;
-  double prev_over = 0.0;
-  for (const std::size_t w : {1u, 2u, 4u, 8u}) {
-    const double st = core::simulated_makespan(model, ExecutionMode::kStaged, w);
-    const double ov =
-        core::simulated_makespan(model, ExecutionMode::kOverlapped, w);
-    EXPECT_LE(ov, st * 1.001) << "overlap lost to barriers at " << w;
-    if (w > 1u) {
-      EXPECT_LE(st, prev_staged * 1.001);
-      EXPECT_LE(ov, prev_over * 1.001);
+  std::optional<std::string> doc_blob;
+  for (const std::uint64_t key :
+       core::derive_doc_keys(cfg, ctx.corpus(), dim)) {
+    auto blob = cache.load("docart", key);
+    ASSERT_TRUE(blob.has_value());
+    const core::DocArtifact art = core::deserialize_docart(*blob);
+    const bool traced = std::any_of(
+        art.chunks.begin(), art.chunks.end(), [](const auto& c) {
+          return c.has_record && c.traces[0].kept;
+        });
+    if (traced) {
+      doc_blob = std::move(blob);
+      break;
     }
-    prev_staged = st;
-    prev_over = ov;
   }
+  ASSERT_TRUE(doc_blob.has_value());
+  EXPECT_EQ(core::serialize_docart(core::deserialize_docart(*doc_blob)),
+            *doc_blob);
+  expect_truncations_throw(*doc_blob, [](std::string_view b) {
+    return core::deserialize_docart(b);
+  });
 
-  // Equal total work at one worker: the schedules only rearrange tasks.
-  const double staged1 =
-      core::simulated_makespan(model, ExecutionMode::kStaged, 1);
-  const double over1 =
-      core::simulated_makespan(model, ExecutionMode::kOverlapped, 1);
-  EXPECT_NEAR(over1 / staged1, 1.0, 0.05);
+  const auto manifest_blob =
+      cache.load("manifest", core::derive_manifest_key(cfg, dim));
+  ASSERT_TRUE(manifest_blob.has_value());
+  const core::ManifestArtifact manifest =
+      core::deserialize_manifest(*manifest_blob);
+  EXPECT_EQ(manifest.doc_ids.size(), ctx.stats().documents);
+  EXPECT_EQ(core::serialize_manifest(manifest), *manifest_blob);
+  expect_truncations_throw(*manifest_blob, [](std::string_view b) {
+    return core::deserialize_manifest(b);
+  });
+}
+
+TEST(Checkpoint, HostileDocartLengthThrows) {
+  // A route length of 2^64 - pos wraps `pos + n` to zero.  The old
+  // check accepted it, took the rest of the blob as the route, rewound
+  // the read position to 0 and returned an empty failed parse.
+  std::string blob = "ckdoc1\n" + u64_bytes(0);  // magic, parsed_ok
+  const std::uint64_t pos = blob.size() + 8;
+  blob += u64_bytes(0 - pos) + std::string(64, '\0');
+  EXPECT_THROW(core::deserialize_docart(blob), std::runtime_error);
+}
+
+TEST(Checkpoint, HostileManifestLengthThrows) {
+  std::string blob = "ckmani1\n";
+  for (int k = 0; k < 4 + 2 * trace::kTraceModeCount; ++k) {
+    blob += u64_bytes(0);  // aggregate keys
+  }
+  blob += u64_bytes(1);  // one document
+  const std::uint64_t pos = blob.size() + 8;
+  blob += u64_bytes(0 - pos) + std::string(64, '\0');  // its id
+  EXPECT_THROW(core::deserialize_manifest(blob), std::runtime_error);
 }
 
 // --- dynamic task groups -----------------------------------------------------

@@ -18,20 +18,20 @@
 #include <string>
 #include <vector>
 
+#include "artifact_digest.hpp"
 #include "core/checkpoint.hpp"
 #include "core/eval_cache.hpp"
 #include "core/pipeline.hpp"
 #include "corpus/corpus_builder.hpp"
 #include "corpus/knowledge_base.hpp"
 #include "eval/harness.hpp"
-#include "util/hash.hpp"
 
 namespace {
 
 using namespace mcqa;
-using core::ExecutionMode;
 using core::PipelineConfig;
 using core::PipelineContext;
+using test::artifact_digest;
 
 constexpr double kTestScale = 0.008;
 constexpr std::size_t kEdits = 7;
@@ -39,7 +39,6 @@ constexpr std::size_t kEdits = 7;
 PipelineConfig test_config(std::size_t threads,
                            std::string checkpoint_dir = {}) {
   PipelineConfig cfg = PipelineConfig::paper_scale(kTestScale);
-  cfg.execution = ExecutionMode::kOverlapped;
   cfg.threads = threads;
   cfg.checkpoint_dir = std::move(checkpoint_dir);
   return cfg;
@@ -51,28 +50,6 @@ PipelineConfig edited_config(const PipelineConfig& base, std::size_t count,
   cfg.corpus.edits.count = count;
   cfg.corpus.edits.revision = revision;
   return cfg;
-}
-
-/// Same artifact digest as executor_test: byte equality of the digest
-/// is byte equality of every build artifact.
-std::uint64_t artifact_digest(const PipelineContext& ctx) {
-  const auto& s = ctx.stats();
-  core::ParsedArtifact parsed{ctx.parsed(), s.routing, s.parse_failures,
-                              s.documents};
-  core::BenchmarkArtifact bench{ctx.benchmark(), s.funnel};
-  std::uint64_t h = util::fnv1a64(core::serialize_parsed(parsed));
-  h = util::hash_combine(h, util::fnv1a64(core::serialize_chunks(ctx.chunks())));
-  h = util::hash_combine(h, util::fnv1a64(ctx.chunk_store().save()));
-  h = util::hash_combine(h, util::fnv1a64(core::serialize_benchmark(bench)));
-  for (int m = 0; m < trace::kTraceModeCount; ++m) {
-    const auto mode = static_cast<trace::TraceMode>(m);
-    const auto mi = static_cast<std::size_t>(m);
-    core::TraceArtifact traces{ctx.traces(mode), {}};
-    h = util::hash_combine(h, util::fnv1a64(core::serialize_traces(traces)));
-    h = util::hash_combine(h, util::fnv1a64(ctx.trace_store(mode).save()));
-    h = util::hash_combine(h, util::fnv1a64(s.traces_per_mode[mi]));
-  }
-  return h;
 }
 
 struct TempDir {

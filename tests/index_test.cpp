@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 
 #include "embed/hashed_embedder.hpp"
@@ -415,6 +416,39 @@ TEST(VectorStore, AddBatchSizeMismatchThrows) {
   VectorStore store(emb);
   EXPECT_THROW(store.add_batch({"a", "b"}, {"only one"}),
                std::invalid_argument);
+}
+
+TEST(VectorStore, HostileLengthsThrow) {
+  // A length of 2^64 - pos wraps `pos + n` to zero; the old checks
+  // accepted it.  With the index-blob length that loaded the store from
+  // the rest of the bytes; with a string length it rewound the reader.
+  const embed::HashedNGramEmbedder emb;
+  const std::vector<std::pair<std::string, std::string>> rows = {
+      {"c1", "alpha beta"}, {"c2", "gamma delta"}};
+  VectorStore store(emb, IndexKind::kFlat);
+  for (const auto& [id, text] : rows) store.add(id, text);
+  store.build();
+  const std::string blob = store.save();
+  const auto with_length = [&](std::size_t at, std::uint64_t data_pos) {
+    std::string out = blob;
+    const std::uint64_t n = 0 - data_pos;
+    std::memcpy(out.data() + at, &n, 8);
+    return out;
+  };
+
+  // vstore2 layout: magic, kind name, row count, (id, text) per row,
+  // index-blob length, zero pad to 8, index blob.
+  std::size_t pos = 8 + 8 + index_kind_name(IndexKind::kFlat).size() + 8;
+  const std::size_t first_id = pos;
+  for (const auto& [id, text] : rows) pos += 8 + id.size() + 8 + text.size();
+  std::size_t index_data = pos + 8;
+  while (index_data % 8 != 0) ++index_data;
+
+  EXPECT_NO_THROW(VectorStore::load(emb, blob));
+  EXPECT_THROW(VectorStore::load(emb, with_length(pos, index_data)),
+               std::runtime_error);
+  EXPECT_THROW(VectorStore::load(emb, with_length(first_id, first_id + 8)),
+               std::runtime_error);
 }
 
 }  // namespace

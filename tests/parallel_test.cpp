@@ -1,5 +1,4 @@
-// Unit tests for the parallel substrate: thread pool, bounded queue,
-// staged pipeline.
+// Unit tests for the parallel substrate: thread pool and bounded queue.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +8,6 @@
 #include <thread>
 
 #include "parallel/bounded_queue.hpp"
-#include "parallel/pipeline.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace mcqa::parallel {
@@ -263,49 +261,6 @@ TEST(BoundedQueue, ShutdownNoLossNoDupTwoThreads) {
 
 TEST(BoundedQueue, ShutdownNoLossNoDupEightThreads) {
   shutdown_no_loss_no_dup(8, 8);
-}
-
-TEST(RunStage, OrderStableOneToMany) {
-  std::vector<int> inputs{1, 2, 3, 4, 5};
-  const auto out = run_stage<int, int>(
-      inputs,
-      [](const int& x) { return std::vector<int>{x * 10, x * 10 + 1}; },
-      /*workers=*/4);
-  ASSERT_EQ(out.size(), 10u);
-  // Input-major order regardless of worker scheduling.
-  EXPECT_EQ(out[0], 10);
-  EXPECT_EQ(out[1], 11);
-  EXPECT_EQ(out[8], 50);
-  EXPECT_EQ(out[9], 51);
-}
-
-TEST(RunStage, EmptyOutputsAllowed) {
-  std::vector<int> inputs{1, 2, 3};
-  const auto out = run_stage<int, int>(
-      inputs,
-      [](const int& x) {
-        return x == 2 ? std::vector<int>{} : std::vector<int>{x};
-      },
-      2);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0], 1);
-  EXPECT_EQ(out[1], 3);
-}
-
-TEST(RunMapStage, OneToOne) {
-  std::vector<std::string> inputs{"a", "bb", "ccc"};
-  const auto out = run_map_stage<std::string, std::size_t>(
-      inputs, [](const std::string& s) { return s.size(); }, 3);
-  EXPECT_EQ(out, (std::vector<std::size_t>{1, 2, 3}));
-}
-
-TEST(StageStats, Throughput) {
-  StageStats s;
-  s.items_in = 100;
-  s.seconds = 2.0;
-  EXPECT_DOUBLE_EQ(s.items_per_second(), 50.0);
-  s.seconds = 0.0;
-  EXPECT_DOUBLE_EQ(s.items_per_second(), 0.0);
 }
 
 }  // namespace

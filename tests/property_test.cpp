@@ -2,14 +2,13 @@
 // invariants that hold across configurations — index recall across
 // sizes/dims, chunker invariants across configs, simulation monotonicity
 // in each behavioural dial, window budgeting across the whole model
-// registry, and batch-vs-streaming pipeline equivalence.
+// registry, and BPE compression across vocabulary budgets.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "core/pipeline.hpp"
-#include "core/streaming.hpp"
 #include "corpus/corpus_builder.hpp"
 #include "index/vector_index.hpp"
 #include "llm/student_model.hpp"
@@ -224,67 +223,6 @@ TEST_P(RegistryWindowSweep, ContextFitsEveryModelWindow) {
 
 INSTANTIATE_TEST_SUITE_P(AllModels, RegistryWindowSweep,
                          ::testing::Range<std::size_t>(0, 8));
-
-// --- batch vs streaming equivalence ---------------------------------------------------
-
-TEST(Streaming, MatchesBatchPipelineArtifacts) {
-  static const corpus::KnowledgeBase kb = corpus::KnowledgeBase::generate(
-      corpus::KbConfig{.facts_per_topic = 12, .seed = 121, .math_fraction = 0.4});
-  corpus::CorpusConfig ccfg;
-  ccfg.scale = 0.002;
-  const auto corpus = corpus::build_corpus(kb, ccfg);
-
-  const embed::HashedNGramEmbedder emb;
-  const core::StreamingResult streaming =
-      core::run_streaming_ingest(corpus.documents, emb);
-
-  // Reference: sequential batch form with identical stage configs.
-  const parse::AdaptiveParser parser;
-  const chunk::SemanticChunker chunker(emb);
-  std::vector<chunk::Chunk> reference;
-  for (const auto& raw : corpus.documents) {
-    auto outcome = parser.parse(raw.bytes);
-    if (!outcome.ok) continue;
-    if (outcome.document.doc_id.empty()) {
-      outcome.document.doc_id = raw.doc_id;
-    }
-    for (auto& c : chunker.chunk(outcome.document)) {
-      reference.push_back(std::move(c));
-    }
-  }
-
-  ASSERT_EQ(streaming.chunks.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_EQ(streaming.chunks[i].chunk_id, reference[i].chunk_id);
-    EXPECT_EQ(streaming.chunks[i].text, reference[i].text);
-  }
-  ASSERT_EQ(streaming.embeddings.size(), streaming.chunks.size());
-  for (std::size_t i = 0; i < streaming.chunks.size(); ++i) {
-    EXPECT_EQ(streaming.embeddings[i], emb.embed(streaming.chunks[i].text));
-  }
-}
-
-TEST(Streaming, WorkerCountInvariant) {
-  static const corpus::KnowledgeBase kb = corpus::KnowledgeBase::generate(
-      corpus::KbConfig{.facts_per_topic = 12, .seed = 131, .math_fraction = 0.4});
-  corpus::CorpusConfig ccfg;
-  ccfg.scale = 0.001;
-  const auto corpus = corpus::build_corpus(kb, ccfg);
-  const embed::HashedNGramEmbedder emb;
-
-  core::StreamingConfig one;
-  one.parse_workers = one.chunk_workers = one.embed_workers = 1;
-  core::StreamingConfig many;
-  many.parse_workers = many.chunk_workers = many.embed_workers = 6;
-
-  const auto a = core::run_streaming_ingest(corpus.documents, emb, one);
-  const auto b = core::run_streaming_ingest(corpus.documents, emb, many);
-  ASSERT_EQ(a.chunks.size(), b.chunks.size());
-  for (std::size_t i = 0; i < a.chunks.size(); ++i) {
-    EXPECT_EQ(a.chunks[i].chunk_id, b.chunks[i].chunk_id);
-  }
-  EXPECT_EQ(a.parse_failures, b.parse_failures);
-}
 
 // --- BPE vocab-budget sweep ------------------------------------------------------------
 

@@ -20,6 +20,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -181,6 +182,23 @@ TEST(TrainDeterminism, WarmRestoreMatchesColdTrain) {
   EXPECT_THROW(train::deserialize_trained(
                    std::string_view(blob).substr(0, blob.size() / 2)),
                std::exception);
+}
+
+TEST(TrainIo, HostileSectionLengthThrows) {
+  // Layout: magic line, then (u64 length, bytes) for the BPE section and
+  // for the model section, then the report.  A model-section length of
+  // 2^64 - pos wrapped `pos + n` to zero: the old check accepted it,
+  // loaded the model from the rest of the blob and read the report from
+  // the magic bytes.
+  std::string blob =
+      train::serialize_trained(train::train_lbl(sample_text(), small_config()));
+  const std::size_t bpe_at = blob.find('\n') + 1;
+  std::uint64_t bpe_len = 0;
+  std::memcpy(&bpe_len, blob.data() + bpe_at, 8);
+  const std::size_t model_at = bpe_at + 8 + bpe_len;
+  const std::uint64_t hostile = 0 - static_cast<std::uint64_t>(model_at + 8);
+  std::memcpy(blob.data() + model_at, &hostile, 8);
+  EXPECT_THROW(train::deserialize_trained(blob), std::runtime_error);
 }
 
 TEST(TrainDeterminism, SgdLowersHeldOutPerplexity) {
