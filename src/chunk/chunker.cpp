@@ -34,18 +34,20 @@ Chunk finish_chunk(const std::string& doc_id, std::size_t index,
 }
 
 /// Merge a trailing too-small chunk into its predecessor.  `floor` bounds
-/// the merge so it never crosses a section boundary.
-void merge_small_tail(std::vector<Chunk>& chunks, std::size_t min_words,
+/// the merge so it never crosses a section boundary.  Returns whether it
+/// merged.
+bool merge_small_tail(std::vector<Chunk>& chunks, std::size_t min_words,
                       std::size_t floor = 0) {
-  if (chunks.size() < 2 || chunks.size() - floor < 2) return;
+  if (chunks.size() < 2 || chunks.size() - floor < 2) return false;
   Chunk& tail = chunks.back();
-  if (tail.word_count >= min_words) return;
+  if (tail.word_count >= min_words) return false;
   Chunk& prev = chunks[chunks.size() - 2];
   prev.text += ' ';
   prev.text += tail.text;
   prev.word_count += tail.word_count;
   prev.sentence_count += tail.sentence_count;
   chunks.pop_back();
+  return true;
 }
 
 }  // namespace
@@ -58,6 +60,19 @@ SemanticChunker::SemanticChunker(const embed::Embedder& embedder,
 
 std::vector<Chunk> SemanticChunker::chunk(
     const parse::ParsedDocument& doc) const {
+  return split(doc, nullptr);
+}
+
+std::vector<Chunk> SemanticChunker::chunk(
+    const parse::ParsedDocument& doc,
+    std::vector<embed::Vector>& vectors) const {
+  vectors.clear();
+  return split(doc, &vectors);
+}
+
+std::vector<Chunk> SemanticChunker::split(
+    const parse::ParsedDocument& doc,
+    std::vector<embed::Vector>* vectors) const {
   std::vector<Chunk> out;
   std::size_t index = 0;
 
@@ -69,10 +84,21 @@ std::vector<Chunk> SemanticChunker::chunk(
     std::string window_text;
     std::size_t window_words = 0;
     std::size_t window_sentences = 0;
+    // The window's embedding, computed on first use after it last grew.
     embed::Vector window_vec;
+    bool window_vec_current = false;
+    const auto window_embedding = [&]() -> embed::Vector& {
+      if (!window_vec_current) {
+        window_vec = embedder_.embed(window_text);
+        window_vec_current = true;
+      }
+      return window_vec;
+    };
 
     const auto flush = [&]() {
       if (window_sentences == 0) return;
+      if (vectors != nullptr) vectors->push_back(std::move(window_embedding()));
+      window_vec_current = false;
       // Sentences join with single spaces, so the window's word count is
       // exactly the sum of the per-sentence counts already accumulated.
       out.push_back(
@@ -81,7 +107,6 @@ std::vector<Chunk> SemanticChunker::chunk(
       window_text.clear();
       window_words = 0;
       window_sentences = 0;
-      window_vec.clear();
     };
 
     for (const auto& sentence : sentences) {
@@ -95,7 +120,7 @@ std::vector<Chunk> SemanticChunker::chunk(
           // Drift test: compare the running window against the incoming
           // sentence; low cosine means the topic moved on.
           const embed::Vector next_vec = embedder_.embed(sentence.text);
-          const float sim = embed::dot(window_vec, next_vec);
+          const float sim = embed::dot(window_embedding(), next_vec);
           if (sim < static_cast<float>(config_.drift_threshold) &&
               window_words >= config_.target_words / 2) {
             boundary = true;
@@ -111,15 +136,17 @@ std::vector<Chunk> SemanticChunker::chunk(
       window_text += sentence.text;
       window_words += words;
       ++window_sentences;
-      // Re-embed the window; embedding cost is linear in window length
-      // and windows are capped, so this stays O(section length) overall
-      // up to the cap factor.
-      window_vec = embedder_.embed(window_text);
+      window_vec_current = false;
     }
     flush();
     // Tiny trailing chunks merge into their predecessor, but never
-    // across a section boundary.
-    merge_small_tail(out, config_.min_words, section_floor);
+    // across a section boundary.  The merged text is new, so its
+    // embedding is too.
+    if (merge_small_tail(out, config_.min_words, section_floor) &&
+        vectors != nullptr) {
+      vectors->pop_back();
+      vectors->back() = embedder_.embed(out.back().text);
+    }
   }
   return out;
 }

@@ -47,14 +47,26 @@ class Chunker {
 };
 
 /// Boundary at embedding drift between the accumulated window and the
-/// next sentence; sections always break.
+/// next sentence; sections always break.  The window is embedded only
+/// when a drift test reads it.
 class SemanticChunker final : public Chunker {
  public:
   SemanticChunker(const embed::Embedder& embedder, ChunkerConfig config = {});
   std::string_view name() const override { return "semantic"; }
   std::vector<Chunk> chunk(const parse::ParsedDocument& doc) const override;
 
+  /// chunk(doc), also handing over each chunk's embedding:
+  /// `vectors[i]` is embedder.embed(chunks[i].text) bit for bit, taken
+  /// from the window the chunker already embedded (only a merged tail
+  /// is embedded again).  `vectors` is replaced.
+  std::vector<Chunk> chunk(const parse::ParsedDocument& doc,
+                           std::vector<embed::Vector>& vectors) const;
+
  private:
+  /// Both chunk() forms; `vectors` is null when the caller wants none.
+  std::vector<Chunk> split(const parse::ParsedDocument& doc,
+                           std::vector<embed::Vector>* vectors) const;
+
   const embed::Embedder& embedder_;
   ChunkerConfig config_;
 };

@@ -52,28 +52,33 @@ void OverlappedBuilder::build_slots(parallel::ThreadPool& pool,
                                     const std::vector<char>& dirty) {
   PipelineContext& ctx = ctx_;
   const PipelineConfig& config = ctx.config_;
-  const embed::Embedder& embedder = ctx.active_embedder();
+  // Every build text is embedded once, so the build goes straight to
+  // the encoder; the query cache would only store vectors never asked
+  // for again.
+  const embed::Embedder& embedder = ctx.embedder();
 
   const parse::AdaptiveParser parser(config.parser);
-  std::unique_ptr<chunk::Chunker> chunker;
+  std::optional<chunk::SemanticChunker> semantic;
+  std::optional<chunk::FixedSizeChunker> fixed;
   if (config.semantic_chunking) {
-    chunker = std::make_unique<chunk::SemanticChunker>(embedder,
-                                                       config.chunker);
+    semantic.emplace(embedder, config.chunker);
   } else {
-    chunker = std::make_unique<chunk::FixedSizeChunker>(config.chunker);
+    fixed.emplace(config.chunker);
   }
   const qgen::BenchmarkBuilder builder(*ctx.teacher_, config.builder);
   const trace::TraceGenerator tracer(*ctx.teacher_, config.tracegen);
 
   const auto& docs = ctx.corpus_.documents;
 
-  // The dataflow: one task per document fans out per-chunk embed and
-  // question tasks as soon as its chunks exist; each accepted record
-  // fans out its three trace-mode tasks.  Tasks only write their own
-  // slot and only spawn — never block — so the group drains without
-  // any cross-task waiting.  Every per-item computation is a pure
-  // function of that item's content, so running the tree over any
-  // dirty subset yields the same slot bytes as running it over all.
+  // The dataflow: one task per document fans out per-chunk question
+  // tasks (and, for fixed-size chunks, embed tasks; the semantic
+  // chunker hands over its own window vectors) as soon as its chunks
+  // exist; each accepted record fans out its three trace-mode tasks.
+  // Tasks only write their own slot and only spawn — never block — so
+  // the group drains without any cross-task waiting.  Every per-item
+  // computation is a pure function of that item's content, so running
+  // the tree over any dirty subset yields the same slot bytes as
+  // running it over all.
   parallel::TaskGroup group(pool);
   for (std::size_t i = 0; i < docs.size(); ++i) {
     if (dirty[i] == 0) continue;
@@ -86,16 +91,22 @@ void OverlappedBuilder::build_slots(parallel::ThreadPool& pool,
       if (slot.outcome.document.doc_id.empty()) {
         slot.outcome.document.doc_id = docs[i].doc_id;
       }
-      slot.chunks = chunker->chunk(slot.outcome.document);
+      if (semantic) {
+        slot.chunks = semantic->chunk(slot.outcome.document, slot.vectors);
+      } else {
+        slot.chunks = fixed->chunk(slot.outcome.document);
+        slot.vectors.resize(slot.chunks.size());
+      }
       const std::size_t n = slot.chunks.size();
-      slot.vectors.resize(n);
       slot.records.resize(n);
       slot.traces.resize(n);
       for (std::size_t c = 0; c < n; ++c) {
-        group.spawn([&, i, c]() {
-          DocSlots& s = slots[i];
-          s.vectors[c] = embedder.embed(s.chunks[c].text);
-        });
+        if (fixed) {
+          group.spawn([&, i, c]() {
+            DocSlots& s = slots[i];
+            s.vectors[c] = embedder.embed(s.chunks[c].text);
+          });
+        }
         group.spawn([&, i, c]() {
           DocSlots& s = slots[i];
           s.records[c] = builder.build_one(s.chunks[c], s.funnel);
@@ -289,7 +300,8 @@ void OverlappedBuilder::run(parallel::ThreadPool& pool,
                             const ArtifactCache* cache) {
   PipelineContext& ctx = ctx_;
   const PipelineConfig& config = ctx.config_;
-  const embed::Embedder& embedder = ctx.active_embedder();
+  // The stores answer text queries through the query cache.
+  const embed::Embedder& embedder = ctx.query_embedder();
   const auto& docs = ctx.corpus_.documents;
   const std::size_t n = docs.size();
 

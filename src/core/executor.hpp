@@ -1,11 +1,13 @@
 #pragma once
 // The pipeline's one build producer.  Stages 1-5 of the build run as
 // one dataflow on a single ThreadPool.  Each document's parse+chunk
-// task spawns that document's per-chunk embed and MCQ generation tasks
-// the moment its chunks exist; every accepted record immediately
-// spawns its three trace-mode tasks (generate + grade + retrieval-text
-// embed, fused), so the detailed/focused/efficient lanes run
-// concurrently.  All results land in per-item slots and are merged in
+// task spawns that document's per-chunk MCQ generation tasks the
+// moment its chunks exist (the semantic chunker hands over each
+// chunk's vector with it; fixed-size chunks get an embed task each);
+// every accepted record immediately spawns its three trace-mode tasks
+// (generate + grade + retrieval-text embed, fused), so the
+// detailed/focused/efficient lanes run concurrently.  Build texts are
+// embedded by the raw encoder; the stores keep the query cache.  All results land in per-item slots and are merged in
 // (document, chunk, mode) order afterwards, which makes every artifact
 // byte-identical at any thread count; pinned golden digests
 // (tests/golden_digest_test.cpp) hold those bytes fixed.

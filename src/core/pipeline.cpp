@@ -30,14 +30,12 @@ PipelineContext::PipelineContext(const PipelineConfig& config)
     : config_(config),
       kb_(corpus::KnowledgeBase::generate(config.kb)),
       matcher_(kb_),
-      embedder_(embed::make_biomed_encoder()) {
+      embedder_(embed::make_biomed_encoder()),
+      query_cache_(embedder_) {
   util::Stopwatch total;
   corpus_ = corpus::build_corpus(kb_, config_.corpus, config_.threads);
 
   parallel::ThreadPool pool(config_.threads);
-  if (config_.embed_cache) {
-    embed_cache_ = std::make_unique<embed::CachingEmbedder>(embedder_);
-  }
   teacher_ = std::make_unique<llm::TeacherModel>(kb_, matcher_);
 
   // One producer for stages 1-5.  With a checkpoint directory it
@@ -58,7 +56,6 @@ PipelineContext::PipelineContext(const PipelineConfig& config)
 
   finalize_exam_and_rag();
 
-  if (embed_cache_) stats_.embed_cache = embed_cache_->stats();
   stats_.build_seconds = total.seconds();
   MCQA_INFO("pipeline") << "built" << (restored ? " (checkpoint-restored)" : "")
                         << ": " << stats_.documents << " docs, "

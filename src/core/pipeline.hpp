@@ -55,10 +55,6 @@ struct PipelineConfig {
   /// Build pool size (0 = hardware concurrency).  A speed knob only:
   /// artifacts are byte-identical at any thread count (tested).
   std::size_t threads = 0;
-  /// Memoize embeddings by content hash.  Purely a speed knob: the cache
-  /// returns vectors computed by the same embedder for the same bytes,
-  /// so every artifact is byte-identical with it on or off (tested).
-  bool embed_cache = true;
 
   /// Content-addressed artifact checkpoint directory; empty disables
   /// checkpointing.  Each document's build subtree (parse outcome,
@@ -99,7 +95,6 @@ struct PipelineStats {
   /// Teacher self-grading pass rate, indexed by TraceMode.
   std::array<double, trace::kTraceModeCount> trace_grading_accuracy{};
   std::size_t embedding_bytes = 0;  ///< chunk store, FP16 at rest
-  embed::EmbeddingCacheStats embed_cache;  ///< zeros when the cache is off
   /// Artifact checkpoint traffic (zeros when checkpointing is off).
   std::size_t checkpoint_hits = 0;
   std::size_t checkpoint_misses = 0;
@@ -129,13 +124,13 @@ class PipelineContext {
   const corpus::SyntheticCorpus& corpus() const { return corpus_; }
   const std::vector<parse::ParsedDocument>& parsed() const { return parsed_; }
   const std::vector<chunk::Chunk>& chunks() const { return chunks_; }
+  /// The encoder the build embeds every row with.
   const embed::HashedNGramEmbedder& embedder() const { return embedder_; }
-  /// The embedder the pipeline actually routes through: the content-hash
-  /// cache when `config.embed_cache` is on, the raw embedder otherwise.
-  const embed::Embedder& active_embedder() const {
-    return embed_cache_ ? static_cast<const embed::Embedder&>(*embed_cache_)
-                        : embedder_;
-  }
+  /// The embedder the stores answer text queries through: a content-hash
+  /// cache over embedder(), since the evaluation grid embeds the same
+  /// question text once per condition.  The build never uses it, so no
+  /// artifact can depend on it.
+  const embed::Embedder& query_embedder() const { return query_cache_; }
   const index::VectorStore& chunk_store() const { return *chunk_store_; }
   const index::VectorStore& trace_store(trace::TraceMode mode) const {
     return *trace_stores_[static_cast<std::size_t>(mode)];
@@ -210,7 +205,7 @@ class PipelineContext {
   std::vector<parse::ParsedDocument> parsed_;
   std::vector<chunk::Chunk> chunks_;
   embed::HashedNGramEmbedder embedder_;
-  std::unique_ptr<embed::CachingEmbedder> embed_cache_;
+  embed::CachingEmbedder query_cache_;  ///< over embedder_; declared after it
   std::unique_ptr<index::VectorStore> chunk_store_;
   std::unique_ptr<llm::TeacherModel> teacher_;
   std::vector<qgen::McqRecord> benchmark_;

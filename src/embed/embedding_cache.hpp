@@ -1,13 +1,13 @@
 #pragma once
 // Content-hash embedding cache.
 //
-// The build pipeline embeds the same byte strings repeatedly: the
-// semantic chunker's final window text is re-embedded when the chunk
-// store is built, duplicate sentences recur across synthetic documents,
-// and the evaluation harness issues one retrieval query per
-// (question x condition x model) — the same stem text dozens of times.
-// CachingEmbedder wraps any Embedder and memoizes vectors keyed by the
-// FNV-1a content hash of the text.
+// Query workloads embed the same byte strings repeatedly: the
+// evaluation grid embeds each question's query text once per retrieval
+// condition, and served requests repeat hot questions.  CachingEmbedder
+// wraps any Embedder and memoizes vectors keyed by the FNV-1a content
+// hash of the text.  PipelineContext::query_embedder() puts one in
+// front of the stores' text queries; the build embeds every text once,
+// so it uses the encoder directly.
 //
 // Determinism: a hit returns a vector computed by the wrapped embedder
 // for the *same bytes* (entries store their text; a 64-bit hash

@@ -92,7 +92,7 @@ void VectorStore::build_delta(const VectorStore* donor,
   if (kind_ == IndexKind::kIvfPq && donor != nullptr &&
       donor->kind() == IndexKind::kIvfPq && donor->built_ &&
       donor->size() > 0 && changed_fraction <= retrain_threshold) {
-    const auto* src = static_cast<const IvfPqIndex*>(donor->index());
+    const auto* src = static_cast<const IvfPqIndex*>(donor->index_.get());
     auto* dst = static_cast<IvfPqIndex*>(index_.get());
     if (src->dim() == dst->dim()) {
       dst->build_frozen(*src, parallel::ThreadPool::global());
@@ -101,6 +101,13 @@ void VectorStore::build_delta(const VectorStore* donor,
     }
   }
   build();
+}
+
+embed::Vector VectorStore::row_vector(std::size_t row) const {
+  if (const auto* flat = dynamic_cast<const FlatIndex*>(index_.get())) {
+    return flat->vector(row);
+  }
+  return embedder_.embed(texts_.at(row));
 }
 
 namespace {

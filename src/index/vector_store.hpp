@@ -112,15 +112,16 @@ class VectorStore {
   const std::string& text_of(std::size_t row) const { return texts_.at(row); }
   const std::string& id_of(std::size_t row) const { return ids_.at(row); }
 
-  /// The embedder queries go through.  Sharded serving re-embeds rows
-  /// and queries through the same embedder so shard scores stay
+  /// The embedder queries go through.  Sharded and live serving embed
+  /// queries through the same embedder so their scores stay
   /// bit-identical to this store's.
   const embed::Embedder& embedder() const { return embedder_; }
 
-  /// The underlying index.  Live serving seeds its epoch-0 base from a
-  /// frozen store; a flat index lets it copy the fp16 rows instead of
-  /// re-embedding (bit-identical either way).
-  const VectorIndex* index() const { return index_.get(); }
+  /// A vector that re-indexes `row` exactly: every index kind stores
+  /// fp16 at add, and this vector narrows to the row's fp16 bits.  A
+  /// flat index widens its stored row; other kinds re-embed the text.
+  /// Sharded and live serving seed their indexes from it.
+  embed::Vector row_vector(std::size_t row) const;
 
   /// FP16-equivalent storage footprint of the embedded vectors.
   std::size_t embedding_bytes() const {

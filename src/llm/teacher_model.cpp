@@ -13,10 +13,14 @@ TeacherModel::TeacherModel(const corpus::KnowledgeBase& kb,
 
 std::optional<McqDraft> TeacherModel::generate_mcq(
     const chunk::Chunk& chunk) const {
-  util::Rng rng(util::hash_combine(seed_, util::fnv1a64(chunk.chunk_id)));
-
   // Which KB facts survive in this chunk's text (post parse noise)?
-  const std::vector<corpus::FactId> present = matcher_.match(chunk.text);
+  return generate_mcq(chunk, matcher_.match(chunk.text));
+}
+
+std::optional<McqDraft> TeacherModel::generate_mcq(
+    const chunk::Chunk& chunk,
+    const std::vector<corpus::FactId>& present) const {
+  util::Rng rng(util::hash_combine(seed_, util::fnv1a64(chunk.chunk_id)));
   if (present.empty()) return std::nullopt;
 
   // Prefer important facts — the teacher prompt asks for educationally
@@ -111,14 +115,19 @@ ScoreCheck TeacherModel::quality_check(const McqDraft& draft,
 }
 
 ScoreCheck TeacherModel::relevance_check(const chunk::Chunk& chunk) const {
+  return relevance_check(chunk, matcher_.match(chunk.text).size());
+}
+
+ScoreCheck TeacherModel::relevance_check(const chunk::Chunk& chunk,
+                                         std::size_t fact_count) const {
   util::Rng rng(util::hash_combine(seed_ ^ 0x52e1u,
                                    util::fnv1a64(chunk.chunk_id)));
   ScoreCheck check;
-  const std::size_t facts = matcher_.match(chunk.text).size();
-  double score = 4.0 + 1.6 * static_cast<double>(std::min<std::size_t>(facts, 3));
+  double score =
+      4.0 + 1.6 * static_cast<double>(std::min<std::size_t>(fact_count, 3));
   score += rng.uniform(-0.8, 0.8);
   check.score = std::clamp(score, 1.0, 10.0);
-  check.reasoning = facts > 0
+  check.reasoning = fact_count > 0
                         ? "chunk asserts domain mechanisms relevant to "
                           "radiation and cancer biology"
                         : "chunk is methodological boilerplate with little "

@@ -54,6 +54,12 @@ class TeacherModel final : public LanguageModel {
   /// chunk carries no usable fact (pure filler / parse-damaged text).
   std::optional<McqDraft> generate_mcq(const chunk::Chunk& chunk) const;
 
+  /// generate_mcq with the chunk's fact set already known: `present`
+  /// must equal matcher().match(chunk.text).
+  std::optional<McqDraft> generate_mcq(
+      const chunk::Chunk& chunk,
+      const std::vector<corpus::FactId>& present) const;
+
   /// Second-pass quality prompt: clarity, accuracy, distractor
   /// plausibility, educational value (1-10).  The >=7 threshold is the
   /// paper's published filter.
@@ -62,6 +68,11 @@ class TeacherModel final : public LanguageModel {
 
   /// Domain-relevance prompt on the source chunk (1-10).
   ScoreCheck relevance_check(const chunk::Chunk& chunk) const;
+
+  /// relevance_check with the chunk's fact count already known:
+  /// `fact_count` must equal matcher().match(chunk.text).size().
+  ScoreCheck relevance_check(const chunk::Chunk& chunk,
+                             std::size_t fact_count) const;
 
   /// Prose explanation of a fact (used by trace distillation).
   std::string explain_fact(corpus::FactId fact) const;
@@ -74,6 +85,7 @@ class TeacherModel final : public LanguageModel {
   AnswerResult answer(const McqTask& task) const override;
 
   const corpus::KnowledgeBase& kb() const { return kb_; }
+  const corpus::FactMatcher& matcher() const { return matcher_; }
 
  private:
   const corpus::KnowledgeBase& kb_;

@@ -10,14 +10,18 @@ BenchmarkBuilder::BenchmarkBuilder(const llm::TeacherModel& teacher,
 
 std::optional<McqRecord> BenchmarkBuilder::build_one(
     const chunk::Chunk& chunk, FunnelCounters& tally) const {
-  const auto draft = teacher_.generate_mcq(chunk);
+  // The chunk's fact set, matched once for both teacher prompts.
+  const std::vector<corpus::FactId> present =
+      teacher_.matcher().match(chunk.text);
+  const auto draft = teacher_.generate_mcq(chunk, present);
   if (!draft.has_value()) {
     tally.rejected_no_fact.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
   tally.candidates.fetch_add(1, std::memory_order_relaxed);
 
-  const llm::ScoreCheck relevance = teacher_.relevance_check(chunk);
+  const llm::ScoreCheck relevance =
+      teacher_.relevance_check(chunk, present.size());
   if (relevance.score < config_.relevance_threshold) {
     tally.rejected_relevance.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;

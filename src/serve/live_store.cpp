@@ -183,7 +183,6 @@ LiveStore::LiveStore(const index::VectorStore& seed, LiveStoreConfig config)
   // Seed rows become epoch 1's base segment; a flat seed's fp16 rows
   // widen without re-embedding (bit-identical either way).
   const std::size_t n = seed.size();
-  const auto* flat = dynamic_cast<const index::FlatIndex*>(seed.index());
   auto base = std::make_shared<StoreSnapshot::Segment>();
   std::vector<embed::Vector> vecs;
   vecs.reserve(n);
@@ -192,8 +191,7 @@ LiveStore::LiveStore(const index::VectorStore& seed, LiveStoreConfig config)
   for (std::size_t row = 0; row < n; ++row) {
     base->ids.push_back(seed.id_of(row));
     base->texts.push_back(seed.text_of(row));
-    vecs.push_back(flat != nullptr ? flat->vector(row)
-                                   : embedder_->embed(seed.text_of(row)));
+    vecs.push_back(seed.row_vector(row));
     live_.emplace(seed.id_of(row), row);
   }
   auto next = std::make_shared<StoreSnapshot>();

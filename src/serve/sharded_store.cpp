@@ -55,7 +55,7 @@ ShardedStore::ShardedStore(const index::VectorStore& base, std::size_t shards,
   // tie-breaks (score desc, local row asc) agree with global ones.
   for (std::size_t row = 0; row < base.size(); ++row) {
     Shard& shard = shards_[shard_of(base.id_of(row), count)];
-    shard.index->add(base.embedder().embed(base.text_of(row)));
+    shard.index->add(base.row_vector(row));
     shard.global_rows.push_back(row);
   }
   // Quantized shards train/encode; a flat shard's build() is a no-op.

@@ -14,8 +14,9 @@
 // the same fp16 row bits and the same query vector), independent of
 // which shard holds the row.
 //
-// Shards re-embed row texts through the base store's own embedder —
-// embedding is pure, so the fp16 rows at rest are the same bits the
+// Shards take each row from VectorStore::row_vector — a flat base's
+// widened fp16 row, otherwise the text re-embedded through the base
+// store's embedder — so the fp16 rows at rest are the same bits the
 // base index holds.
 //
 // Quantized shards: shard_kind kSq8/kIvfPq swaps each shard's flat

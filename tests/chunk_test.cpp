@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
 #include "chunk/chunker.hpp"
@@ -145,6 +146,68 @@ TEST(SemanticChunker, SectionBoundariesAlwaysBreak) {
     const bool has_b = c.text.find("Second section opens") != std::string::npos;
     EXPECT_FALSE(has_a && has_b);
   }
+}
+
+/// The two-argument chunk() must return chunk() exactly, with each
+/// vector bit-identical to embedding its chunk's text.
+void expect_vectors_from_chunker(const SemanticChunker& chunker,
+                                 const embed::Embedder& emb,
+                                 const parse::ParsedDocument& doc) {
+  const auto plain = chunker.chunk(doc);
+  std::vector<embed::Vector> vectors(3, embed::Vector(emb.dim(), 1.0f));
+  const auto chunks = chunker.chunk(doc, vectors);
+  ASSERT_EQ(chunks.size(), plain.size());
+  ASSERT_EQ(vectors.size(), chunks.size());
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    EXPECT_EQ(chunks[i].chunk_id, plain[i].chunk_id);
+    EXPECT_EQ(chunks[i].text, plain[i].text);
+    EXPECT_EQ(chunks[i].index, plain[i].index);
+    EXPECT_EQ(chunks[i].word_count, plain[i].word_count);
+    EXPECT_EQ(chunks[i].sentence_count, plain[i].sentence_count);
+    const embed::Vector want = emb.embed(chunks[i].text);
+    ASSERT_EQ(vectors[i].size(), want.size());
+    EXPECT_EQ(std::memcmp(vectors[i].data(), want.data(),
+                          want.size() * sizeof(float)),
+              0)
+        << "chunk " << i << ": " << chunks[i].text;
+  }
+}
+
+TEST(SemanticChunker, VectorsEqualEmbeddedChunkText) {
+  const embed::HashedNGramEmbedder emb;
+  // A generated paper: boundaries come from drift tests and word caps.
+  expect_vectors_from_chunker(SemanticChunker(emb), emb, sample_doc());
+
+  // Every 20-word sentence overflows a 21-word cap, so each closes the
+  // window before it; the 3-word last sentence becomes a tail chunk
+  // under min_words and merges into its predecessor.
+  ChunkerConfig cfg;
+  cfg.max_words = 21;
+  cfg.target_words = 20;
+  cfg.min_words = 10;
+  const SemanticChunker chunker(emb, cfg);
+  const std::string twenty_a =
+      "Radiation induces double strand breaks that cells repair through "
+      "homologous recombination or end joining within several hours after "
+      "every exposure.";
+  const std::string twenty_b =
+      "Tumour hypoxia lowers the oxygen enhancement of damage so hypoxic "
+      "cells survive doses that kill most well oxygenated neighbours "
+      "reliably.";
+  ASSERT_EQ(text::count_words(twenty_a), 20u);
+  ASSERT_EQ(text::count_words(twenty_b), 20u);
+  parse::ParsedDocument doc;
+  doc.doc_id = "merged_tail";
+  doc.sections.push_back({"Merge", twenty_a + " " + twenty_b + " Tiny end here."});
+  doc.sections.push_back({"One", "Just one sentence in this section."});
+  doc.sections.push_back({"Empty", ""});
+  const auto chunks = chunker.chunk(doc);
+  ASSERT_EQ(chunks.size(), 3u);
+  EXPECT_EQ(chunks[0].text, twenty_a);
+  EXPECT_EQ(chunks[1].text, twenty_b + " Tiny end here.");  // merged
+  EXPECT_EQ(chunks[1].sentence_count, 2u);
+  EXPECT_EQ(chunks[2].text, "Just one sentence in this section.");
+  expect_vectors_from_chunker(chunker, emb, doc);
 }
 
 TEST(FixedSizeChunker, OverlapBetweenConsecutiveChunks) {

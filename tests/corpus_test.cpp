@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <unordered_set>
 
@@ -13,6 +14,7 @@
 #include "corpus/realization.hpp"
 #include "corpus/spdf.hpp"
 #include "corpus/term_banks.hpp"
+#include "core/pipeline.hpp"
 
 namespace mcqa::corpus {
 namespace {
@@ -419,6 +421,60 @@ TEST(FactMatcher, BrokenEntityNameNotDetected) {
   ASSERT_NE(pos, std::string::npos);
   text.erase(pos, 2);
   EXPECT_FALSE(matcher.contains(text, f.id));
+}
+
+TEST(FactMatcher, MatchesEveryRealizedStatement) {
+  // The default knowledge base: every fact, every statement variant.
+  const KnowledgeBase kb = KnowledgeBase::generate(KbConfig{});
+  const FactMatcher matcher(kb);
+  for (const Fact& f : kb.facts()) {
+    for (int variant = 0; variant < 3; ++variant) {
+      const std::string text = realize_statement(kb, f, variant);
+      const std::vector<FactId> found = matcher.match(text);
+      EXPECT_NE(std::find(found.begin(), found.end(), f.id), found.end())
+          << "fact " << f.id << " variant " << variant << ": " << text;
+    }
+  }
+}
+
+TEST(FactMatcher, ContainsAgreesWithMatchOnBuildTexts) {
+  core::PipelineConfig cfg = core::PipelineConfig::paper_scale(0.008);
+  cfg.checkpoint_dir.clear();
+  const core::PipelineContext ctx(cfg);
+  const FactMatcher& matcher = ctx.matcher();
+
+  // Chunk texts spread over the whole corpus, plus trace retrieval
+  // texts from every mode.
+  std::vector<std::string> texts;
+  const auto& chunks = ctx.chunks();
+  ASSERT_GE(chunks.size(), 100u);
+  const std::size_t stride = chunks.size() / 100;
+  for (std::size_t c = 0; c < chunks.size() && texts.size() < 100;
+       c += stride) {
+    texts.push_back(chunks[c].text);
+  }
+  for (int m = 0; m < trace::kTraceModeCount; ++m) {
+    const auto& traces = ctx.traces(static_cast<trace::TraceMode>(m));
+    for (std::size_t t = 0; t < traces.size() && t < 20; ++t) {
+      texts.push_back(traces[t].retrieval_text());
+    }
+  }
+  ASSERT_GE(texts.size(), 150u);
+
+  std::size_t matched = 0;
+  for (const std::string& text : texts) {
+    const std::vector<FactId> found = matcher.match(text);
+    for (std::size_t i = 1; i < found.size(); ++i) {
+      ASSERT_LT(found[i - 1], found[i]) << text;
+    }
+    matched += found.size();
+    const std::set<FactId> in_match(found.begin(), found.end());
+    for (const Fact& f : ctx.kb().facts()) {
+      ASSERT_EQ(matcher.contains(text, f.id), in_match.contains(f.id))
+          << "fact " << f.id << ": " << text;
+    }
+  }
+  EXPECT_GT(matched, texts.size() / 2);  // the texts do carry facts
 }
 
 }  // namespace

@@ -35,11 +35,10 @@ using test::artifact_digest;
 
 constexpr double kTestScale = 0.008;
 
-PipelineConfig test_config(std::size_t threads, bool embed_cache = true,
+PipelineConfig test_config(std::size_t threads,
                            std::string checkpoint_dir = {}) {
   PipelineConfig cfg = PipelineConfig::paper_scale(kTestScale);
   cfg.threads = threads;
-  cfg.embed_cache = embed_cache;
   cfg.checkpoint_dir = std::move(checkpoint_dir);
   return cfg;
 }
@@ -72,11 +71,6 @@ TEST(Executor, MatchesGoldenDigestAcrossThreadCounts) {
   }
 }
 
-TEST(Executor, EmbedCacheDoesNotChangeArtifacts) {
-  const PipelineContext ctx(test_config(8, /*embed_cache=*/false));
-  EXPECT_EQ(artifact_digest(ctx), test::kDigestScale0008);
-}
-
 TEST(Executor, PerModeStatsAreIndependent) {
   const PipelineContext ctx(test_config(2));
   const auto& s = ctx.stats();
@@ -93,7 +87,7 @@ TEST(Executor, PerModeStatsAreIndependent) {
 
 TEST(Checkpoint, WarmRestoreIsByteIdentical) {
   const TempDir dir;
-  const auto cold_cfg = test_config(2, true, dir.path.string());
+  const auto cold_cfg = test_config(2, dir.path.string());
   const PipelineContext cold(cold_cfg);
   EXPECT_EQ(cold.stats().checkpoint_hits, 0u);
   EXPECT_GT(cold.stats().checkpoint_misses, 0u);
@@ -115,13 +109,12 @@ TEST(Checkpoint, WarmRestoreIsByteIdentical) {
   }
 }
 
-TEST(Checkpoint, ThreadCountAndEmbedCacheShareCacheEntries) {
+TEST(Checkpoint, ThreadCountsShareCacheEntries) {
   const TempDir dir;
-  // Cold-build on one thread with the embedding cache, then warm-load on
-  // eight without it: neither knob is part of the key, so every lookup
-  // must hit.
-  const PipelineContext cold(test_config(1, true, dir.path.string()));
-  const PipelineContext warm(test_config(8, false, dir.path.string()));
+  // Cold-build on one thread, then warm-load on eight: the thread count
+  // is not part of the key, so every lookup must hit.
+  const PipelineContext cold(test_config(1, dir.path.string()));
+  const PipelineContext warm(test_config(8, dir.path.string()));
   EXPECT_GT(warm.stats().checkpoint_hits, 0u);
   EXPECT_EQ(warm.stats().checkpoint_misses, 0u);
   EXPECT_EQ(artifact_digest(warm), artifact_digest(cold));
@@ -129,7 +122,7 @@ TEST(Checkpoint, ThreadCountAndEmbedCacheShareCacheEntries) {
 
 TEST(Checkpoint, ConfigChangeMissesAndRebuilds) {
   const TempDir dir;
-  auto cfg = test_config(2, true, dir.path.string());
+  auto cfg = test_config(2, dir.path.string());
   const PipelineContext cold(cfg);
   cfg.builder.quality_threshold += 0.5;  // new benchmark key chain
   const PipelineContext rebuilt(cfg);
@@ -140,7 +133,7 @@ TEST(Checkpoint, ConfigChangeMissesAndRebuilds) {
 
 TEST(Checkpoint, CorruptBlobFallsBackToBuild) {
   const TempDir dir;
-  const auto cfg = test_config(2, true, dir.path.string());
+  const auto cfg = test_config(2, dir.path.string());
   const PipelineContext cold(cfg);
   // Truncate every cached blob; the warm path must rebuild, not crash.
   for (const auto& entry : std::filesystem::directory_iterator(dir.path)) {
@@ -153,7 +146,7 @@ TEST(Checkpoint, CorruptBlobFallsBackToBuild) {
 
 TEST(Checkpoint, UnknownIndexKindFallsBackToBuild) {
   const TempDir dir;
-  const auto cfg = test_config(2, true, dir.path.string());
+  const auto cfg = test_config(2, dir.path.string());
   const PipelineContext cold(cfg);
   // Rewrite every index-blob magic inside the cached artifacts to an
   // unrecognized kind — the version-stamped loaders must reject it, and
@@ -190,7 +183,6 @@ TEST(Checkpoint, KeysIgnoreSpeedKnobsButTrackConfig) {
 
   auto speed = base;
   speed.threads = 8;
-  speed.embed_cache = false;
   const auto speed_keys = core::derive_checkpoint_keys(speed, 256);
   EXPECT_EQ(keys.parsed, speed_keys.parsed);
   EXPECT_EQ(keys.chunks, speed_keys.chunks);
@@ -246,7 +238,7 @@ TEST(Checkpoint, SerializersRoundTrip) {
   // The formats the build reads back: one real per-document artifact
   // (with a record and kept trace lanes) and the manifest.
   const TempDir dir;
-  const auto cfg = test_config(2, true, dir.path.string());
+  const auto cfg = test_config(2, dir.path.string());
   const PipelineContext ctx(cfg);
   const ArtifactCache cache(dir.path.string());
   const std::size_t dim = ctx.embedder().dim();

@@ -1,19 +1,25 @@
-// Pinned golden artifact digests: the byte-identity anchor for the
-// build.  Each test cold-builds one configuration on 4 threads with
-// checkpointing off and compares test::artifact_digest against a
-// constant.  The constants were taken through the former staged build,
-// where staged and dataflow builds, 1 and 4 threads, scalar and AVX2
-// kernel dispatch, and checkpointed cold and warm builds all gave the
-// same bytes.  A change that moves one must say why in CHANGES.md.
+// Pinned golden digests: the byte-identity anchor for the build and
+// for the evaluation grid over it.  Each artifact test cold-builds one
+// configuration on 4 threads with checkpointing off and compares
+// test::artifact_digest against a constant.  The constants were taken
+// through the former staged build, where staged and dataflow builds, 1
+// and 4 threads, scalar and AVX2 kernel dispatch, and checkpointed cold
+// and warm builds all gave the same bytes.  The sweep test pins the
+// frozen-8 grid over three record sets of the 0.025 semantic/flat
+// build; its constants were the same at 1, 2 and 4 harness threads and
+// under scalar kernel dispatch.  A change that moves one must say why
+// in CHANGES.md.
 //
 // One TEST per configuration so `ctest -j` spreads them.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "artifact_digest.hpp"
 #include "core/pipeline.hpp"
+#include "eval/harness.hpp"
 #include "index/kernels.hpp"
 
 namespace {
@@ -90,6 +96,33 @@ TEST(GoldenDigest, Scale0025FixedFlat) {
 TEST(GoldenDigest, Scale0025FixedIvfPq) {
   EXPECT_EQ(build_digest(golden_config(0.025, false, kIvfPq)),
             0x73e9589501b8a8beULL);
+}
+
+// The frozen-8 students under all five conditions, no cell cache.  The
+// sweep reaches RagPipeline::annotate (FactMatcher::contains on every
+// prepared context), which the artifact digests do not cover.
+TEST(GoldenDigest, Scale0025FrozenEightSweeps) {
+  const PipelineContext ctx(golden_config(0.025, true, kFlat));
+  const auto models = ctx.student_ptrs();
+  const auto specs = ctx.student_specs();
+  const auto conditions = eval::all_conditions();
+  const auto digest_of = [&](const std::vector<qgen::McqRecord>& records,
+                             std::size_t threads) {
+    eval::HarnessConfig hc;
+    hc.threads = threads;
+    const eval::EvalHarness harness(ctx.rag(), hc);
+    return test::sweep_digest(
+        harness.sweep(models, specs, records, conditions));
+  };
+  ASSERT_EQ(ctx.benchmark().size(), 531u);
+  ASSERT_EQ(ctx.exam_all().size(), 335u);
+  ASSERT_EQ(ctx.exam_no_math().size(), 185u);
+
+  constexpr std::uint64_t kBenchmark = 0xe07105f4b125dbdaULL;
+  EXPECT_EQ(digest_of(ctx.benchmark(), 4), kBenchmark);
+  EXPECT_EQ(digest_of(ctx.exam_all(), 4), 0x9e8a175aa0173cf1ULL);
+  EXPECT_EQ(digest_of(ctx.exam_no_math(), 4), 0x95090db8e1f6745cULL);
+  EXPECT_EQ(digest_of(ctx.benchmark(), 1), kBenchmark) << "1 thread";
 }
 
 TEST(GoldenDigest, Scale0008SemanticFlat) {

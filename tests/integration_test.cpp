@@ -102,32 +102,6 @@ TEST(Pipeline, DeterministicAcrossRebuilds) {
   EXPECT_EQ(other.exam_all()[0].question, ctx().exam_all()[0].question);
 }
 
-TEST(Pipeline, EmbedCacheIsPurelyASpeedKnob) {
-  // Artifacts must be byte-identical with the embedding cache disabled
-  // — ctx() builds with the default (cache on).
-  auto cfg = PipelineConfig::paper_scale(kTestScale);
-  cfg.embed_cache = false;
-  const PipelineContext uncached(cfg);
-
-  ASSERT_EQ(uncached.benchmark().size(), ctx().benchmark().size());
-  for (std::size_t i = 0; i < uncached.benchmark().size(); ++i) {
-    EXPECT_EQ(uncached.benchmark()[i].to_json().dump(),
-              ctx().benchmark()[i].to_json().dump());
-  }
-  const auto& t0 = uncached.traces(trace::TraceMode::kDetailed);
-  const auto& t1 = ctx().traces(trace::TraceMode::kDetailed);
-  ASSERT_EQ(t0.size(), t1.size());
-  for (std::size_t i = 0; i < t0.size(); ++i) {
-    EXPECT_EQ(t0[i].to_json().dump(), t1[i].to_json().dump());
-  }
-
-  // And the stats reflect the knob: off -> zeros, on -> real traffic.
-  EXPECT_EQ(uncached.stats().embed_cache.hits +
-                uncached.stats().embed_cache.misses,
-            0u);
-  EXPECT_GT(ctx().stats().embed_cache.misses, 0u);
-}
-
 // --- paper result shapes ----------------------------------------------------------
 
 TEST(PaperShape, SyntheticRtBeatsChunksBeatsBaseline) {

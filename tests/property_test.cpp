@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 #include "core/pipeline.hpp"
 #include "corpus/corpus_builder.hpp"
@@ -25,6 +26,12 @@ struct IndexCase {
   std::size_t n;
   std::size_t dim;
 };
+
+// gtest would otherwise print the struct's raw bytes, padding included,
+// and those bytes change from run to run.
+void PrintTo(const IndexCase& c, std::ostream* os) {
+  *os << index::index_kind_name(c.kind) << " n=" << c.n << " dim=" << c.dim;
+}
 
 class IndexRecallSweep : public ::testing::TestWithParam<IndexCase> {};
 
