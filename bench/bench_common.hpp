@@ -111,7 +111,9 @@ inline eval::SweepResult run_full_sweep(
   std::unique_ptr<core::EvalCellCache> cell_cache;
   if (!ctx.config().checkpoint_dir.empty()) {
     cell_cache = std::make_unique<core::EvalCellCache>(
-        ctx.config().checkpoint_dir, core::EvalCellCache::sweep_key(ctx, subset));
+        ctx.config().checkpoint_dir,
+        core::EvalCellCache::sweep_key(ctx, subset),
+        core::EvalCellCache::group_base_key(ctx));
   }
   eval::HarnessConfig hc;
   hc.pool = &shared_sweep_pool();

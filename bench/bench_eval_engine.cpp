@@ -161,7 +161,8 @@ int main(int argc, char** argv) {
   // --- eval-cell cache: identity, full restore, warm speedup -----------------
   const TempDir cache_dir;
   const core::EvalCellCache cache(
-      cache_dir.path.string(), core::EvalCellCache::sweep_key(ctx, records));
+      cache_dir.path.string(), core::EvalCellCache::sweep_key(ctx, records),
+      core::EvalCellCache::group_base_key(ctx));
   eval::SweepStats cold_stats;
   const auto t_cold = std::chrono::steady_clock::now();
   const eval::SweepResult cold = grid_sweep(ctx, records, pool, &cache,

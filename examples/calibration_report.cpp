@@ -77,7 +77,8 @@ int main(int argc, char** argv) {
     if (!ctx.config().checkpoint_dir.empty()) {
       cache = std::make_unique<core::EvalCellCache>(
           ctx.config().checkpoint_dir,
-          core::EvalCellCache::sweep_key(ctx, records));
+          core::EvalCellCache::sweep_key(ctx, records),
+          core::EvalCellCache::group_base_key(ctx));
       hc.cell_cache = cache.get();
     }
     return eval::EvalHarness(ctx.rag(), hc);

@@ -91,9 +91,6 @@ std::uint64_t registered_model_fingerprint(std::string_view name) {
   return it == reg.by_name.end() ? 0 : it->second;
 }
 
-EvalCellCache::EvalCellCache(std::string dir, std::uint64_t sweep_key)
-    : cache_(std::move(dir)), sweep_key_(sweep_key) {}
-
 EvalCellCache::EvalCellCache(std::string dir, std::uint64_t sweep_key,
                              std::uint64_t group_base)
     : cache_(std::move(dir)), sweep_key_(sweep_key), group_base_(group_base) {}
@@ -228,7 +225,6 @@ std::uint64_t EvalCellCache::group_key(std::string_view model,
 std::optional<eval::Accuracy> EvalCellCache::load_group(
     std::string_view model, rag::Condition condition, std::uint64_t group_fp,
     std::size_t expected_total) const {
-  if (group_base_ == 0) return std::nullopt;
   const auto blob =
       cache_.load(kGroupBlobName, group_key(model, condition, group_fp));
   if (blob.has_value()) {
@@ -256,7 +252,6 @@ void EvalCellCache::store_group(std::string_view model,
                                 rag::Condition condition,
                                 std::uint64_t group_fp,
                                 const eval::Accuracy& accuracy) const {
-  if (group_base_ == 0) return;
   EvalCellArtifact cell;
   cell.model = std::string(model);
   cell.condition = static_cast<std::int64_t>(condition);

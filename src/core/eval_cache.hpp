@@ -49,15 +49,13 @@ std::uint64_t registered_model_fingerprint(std::string_view name);
 class EvalCellCache final : public eval::CellCache {
  public:
   /// `sweep_key` scopes every cell to one (pipeline, record set,
-  /// harness config) combination — see sweep_key().
-  EvalCellCache(std::string dir, std::uint64_t sweep_key);
-
-  /// Delta-eval variant: `group_base` (from group_base_key()) scopes
-  /// per-group tallies.  Unlike the sweep key it deliberately excludes
-  /// the benchmark/store checkpoint keys and the swept subset — a
-  /// group's own content and retrieval-hit fingerprints carry that
-  /// dependence, which is exactly what lets unchanged groups hit
-  /// across corpus revisions that would flip the sweep key.
+  /// harness config) combination — see sweep_key().  `group_base` (from
+  /// group_base_key()) scopes per-group tallies.  Unlike the sweep key
+  /// it deliberately excludes the benchmark/store checkpoint keys and
+  /// the swept subset — a group's own content and retrieval-hit
+  /// fingerprints carry that dependence, which is exactly what lets
+  /// unchanged groups hit across corpus revisions that would flip the
+  /// sweep key.
   EvalCellCache(std::string dir, std::uint64_t sweep_key,
                 std::uint64_t group_base);
 
@@ -79,7 +77,6 @@ class EvalCellCache final : public eval::CellCache {
   void store(std::string_view model, rag::Condition condition,
              const eval::Accuracy& accuracy) const override;
 
-  bool supports_groups() const override { return group_base_ != 0; }
   std::optional<eval::Accuracy> load_group(
       std::string_view model, rag::Condition condition,
       std::uint64_t group_fp, std::size_t expected_total) const override;
@@ -111,7 +108,7 @@ class EvalCellCache final : public eval::CellCache {
 
   ArtifactCache cache_;
   std::uint64_t sweep_key_;
-  std::uint64_t group_base_ = 0;  ///< 0 disables the group tier
+  std::uint64_t group_base_;
   mutable std::atomic<std::size_t> hits_{0};
   mutable std::atomic<std::size_t> misses_{0};
   mutable std::atomic<std::size_t> stores_{0};

@@ -1,10 +1,8 @@
 #include "eval/harness.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 
@@ -76,70 +74,34 @@ std::pair<rag::Condition, Accuracy> SweepResult::best_trace(
 EvalHarness::EvalHarness(const rag::RagPipeline& rag, HarnessConfig config)
     : rag_(rag), config_(config) {}
 
-namespace {
-
-/// Block size for per-record fan-out (same sizing rule as parallel_for).
-std::size_t block_grain(std::size_t n, std::size_t workers) {
-  return std::max<std::size_t>(1, n / (std::max<std::size_t>(workers, 1) * 4));
-}
-
-}  // namespace
-
 Accuracy EvalHarness::evaluate(const llm::LanguageModel& model,
                                const llm::ModelSpec& spec,
                                const std::vector<qgen::McqRecord>& records,
                                rag::Condition condition) const {
-  // Caller-owned pool when configured; the throwaway-pool path survives
-  // only for zero-config callers.
-  std::optional<parallel::ThreadPool> own_pool;
-  parallel::ThreadPool* pool = config_.pool;
-  if (pool == nullptr) {
-    own_pool.emplace(config_.threads);
-    pool = &*own_pool;
-  }
-
-  std::atomic<std::size_t> correct{0};
-  std::atomic<std::size_t> unparseable{0};
-  // Retrieval for the whole record set goes through the batched path
-  // (one VectorStore::query_batch fan-out on the pool), then answering
-  // and grading fan out over the prepared tasks.
-  const std::vector<llm::McqTask> tasks =
-      rag_.prepare_batch(records, condition, spec, *pool);
-  parallel::parallel_for(*pool, 0, tasks.size(), [&](std::size_t i) {
-    const llm::AnswerResult answer = model.answer(tasks[i]);
-    const trace::GradingResult grading = judge_.grade(tasks[i], answer.text);
-    if (grading.is_correct) correct.fetch_add(1, std::memory_order_relaxed);
-    if (grading.extracted_option_number < 0) {
-      unparseable.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-
-  Accuracy acc;
-  acc.correct = correct.load();
-  acc.total = records.size();
-  acc.unparseable = unparseable.load();
-  return acc;
+  return sweep({&model}, {spec}, records, {condition}).cells[0].accuracy;
 }
 
 namespace {
 
-/// Slot-indexed cell accumulator: answer blocks add commutative integer
-/// tallies, so the final counts are thread-count invariant.
-struct CellSlot {
-  std::atomic<std::size_t> correct{0};
-  std::atomic<std::size_t> unparseable{0};
-  bool restored = false;
-  Accuracy restored_accuracy;
-};
+/// Records per range block: about 16 blocks per worker.  A block's task
+/// carries every model's work for its records, so blocks this small keep
+/// the last tasks of a sweep short and the workers evenly loaded.
+std::size_t block_grain(std::size_t n, std::size_t workers) {
+  return std::max<std::size_t>(1,
+                               n / (std::max<std::size_t>(workers, 1) * 16));
+}
 
-/// Per-(cell, group) work item for the delta-eval path.  Each is
-/// tallied by exactly one task, so no atomics are needed; the merge
-/// sums groups in partition order (commutative integer adds — the cell
-/// counts are bitwise those of a full sweep).
-struct GroupWork {
-  bool restored = false;
-  Accuracy acc;  ///< tally over the group's records (total = group size)
-};
+/// Contiguous index ranges of `grain` records covering [0, n).
+std::vector<RecordGroup> range_blocks(std::size_t n, std::size_t grain) {
+  std::vector<RecordGroup> blocks;
+  for (std::size_t lo = 0; lo < n; lo += grain) {
+    RecordGroup& block = blocks.emplace_back();
+    for (std::size_t i = lo; i < std::min(n, lo + grain); ++i) {
+      block.indexes.push_back(i);
+    }
+  }
+  return blocks;
+}
 
 /// True iff `groups` covers every index in [0, n) exactly once.
 bool is_partition(const std::vector<RecordGroup>& groups, std::size_t n) {
@@ -178,6 +140,12 @@ std::uint64_t group_hits_fp(const rag::RetrievalPlan& plan,
   return h;
 }
 
+/// One (model, condition, block) tally, written by exactly one grid task.
+struct BlockTally {
+  Accuracy acc;           ///< over the block's records (total = its size)
+  bool restored = false;  ///< from the group cache, not evaluated
+};
+
 }  // namespace
 
 SweepResult EvalHarness::sweep(
@@ -191,244 +159,127 @@ SweepResult EvalHarness::sweep(
   const std::size_t m_count = models.size();
   const std::size_t c_count = conditions.size();
   const std::size_t n = records.size();
-
-  SweepStats tally;
-  std::vector<CellSlot> slots(m_count * c_count);
-
-  // --- cell-cache pre-pass ---------------------------------------------------
-  if (config_.cell_cache != nullptr) {
-    for (std::size_t m = 0; m < m_count; ++m) {
-      for (std::size_t ci = 0; ci < c_count; ++ci) {
-        const auto cached = config_.cell_cache->load(models[m]->name(),
-                                                     conditions[ci], n);
-        if (cached.has_value()) {
-          auto& slot = slots[m * c_count + ci];
-          slot.restored = true;
-          slot.restored_accuracy = *cached;
-          ++tally.cells_restored;
-        }
-      }
-    }
-  }
+  const CellCache* cache = config_.cell_cache;
 
   std::optional<parallel::ThreadPool> own_pool;
-  parallel::ThreadPool* pool = config_.pool;
-  if (pool == nullptr) {
-    own_pool.emplace(config_.threads);
-    pool = &*own_pool;
-  }
-  const std::size_t grain = block_grain(n, pool->thread_count());
+  parallel::ThreadPool& pool =
+      config_.pool != nullptr ? *config_.pool : own_pool.emplace();
 
-  // --- delta-eval: group-granular restore for uncached cells -----------------
-  const std::vector<RecordGroup>* groups = config_.groups;
-  const bool grouped = groups != nullptr && !groups->empty() &&
-                       config_.cell_cache != nullptr &&
-                       config_.cell_cache->supports_groups();
-  if (grouped && !is_partition(*groups, n)) {
+  std::vector<RecordGroup> ranges;
+  if (config_.groups == nullptr) {
+    ranges = range_blocks(n, block_grain(n, pool.thread_count()));
+  } else if (!is_partition(*config_.groups, n)) {
     throw std::invalid_argument("sweep: groups must partition the record set");
   }
-  if (grouped) {
-    const CellCache& cache = *config_.cell_cache;
-    const std::size_t g_count = groups->size();
+  const std::vector<RecordGroup>& blocks =
+      config_.groups != nullptr ? *config_.groups : ranges;
+  const std::size_t b_count = blocks.size();
+  const bool group_cache = config_.groups != nullptr && cache != nullptr;
 
-    // Shared retrieval plans, filled only for conditions that still
-    // have uncached cells (the same sharing the plain grid does).
-    std::vector<rag::RetrievalPlan> plans(c_count);
-    std::vector<std::vector<std::size_t>> todo(c_count);
-    for (std::size_t ci = 0; ci < c_count; ++ci) {
-      plans[ci] = rag_.make_plan(records, conditions[ci]);
-      if (plans[ci].active) tally.naive_retrieval_queries += m_count * n;
-      for (std::size_t m = 0; m < m_count; ++m) {
-        if (!slots[m * c_count + ci].restored) todo[ci].push_back(m);
-      }
-      if (todo[ci].empty() || n == 0) continue;
-      tally.cells_computed += todo[ci].size();
-      if (!plans[ci].active) continue;
-      tally.retrieval_queries += n;
-      const std::size_t blocks = (n + grain - 1) / grain;
-      parallel::parallel_for(*pool, 0, blocks, [&, ci](std::size_t b) {
-        rag_.fill_plan(plans[ci], records, b * grain,
-                       std::min(n, (b + 1) * grain));
-      });
-    }
-
-    // Combined (content, hits) fingerprint per (condition, group).
-    std::vector<std::uint64_t> group_fps(c_count * g_count, 0);
-    for (std::size_t ci = 0; ci < c_count; ++ci) {
-      if (todo[ci].empty()) continue;
-      for (std::size_t g = 0; g < g_count; ++g) {
-        group_fps[ci * g_count + g] = util::hash_combine(
-            (*groups)[g].content_fp, group_hits_fp(plans[ci], (*groups)[g]));
-      }
-    }
-
-    // Restore what the cache has; answer+grade only the dirty groups.
-    // One task per dirty (cell, group) — each writes only its own slot.
-    std::vector<GroupWork> work(m_count * c_count * g_count);
-    parallel::TaskGroup group_tasks(*pool);
-    for (std::size_t ci = 0; ci < c_count; ++ci) {
-      for (const std::size_t m : todo[ci]) {
-        for (std::size_t g = 0; g < g_count; ++g) {
-          GroupWork& w = work[(m * c_count + ci) * g_count + g];
-          const auto cached =
-              cache.load_group(models[m]->name(), conditions[ci],
-                               group_fps[ci * g_count + g],
-                               (*groups)[g].indexes.size());
-          if (cached.has_value()) {
-            w.restored = true;
-            w.acc = *cached;
-            ++tally.groups_restored;
-            continue;
-          }
-          ++tally.groups_computed;
-          tally.records_evaluated += (*groups)[g].indexes.size();
-          group_tasks.spawn([this, &work, &plans, &records, &specs, &models,
-                             groups, ci, c_count, g_count, m, g]() {
-            const RecordGroup& grp = (*groups)[g];
-            GroupWork& out = work[(m * c_count + ci) * g_count + g];
-            for (const std::size_t i : grp.indexes) {
-              const llm::McqTask task =
-                  rag_.prepare_from_plan(records[i], plans[ci], i, specs[m]);
-              const llm::AnswerResult answer = models[m]->answer(task);
-              const trace::GradingResult grading =
-                  judge_.grade(task, answer.text);
-              if (grading.is_correct) ++out.acc.correct;
-              if (grading.extracted_option_number < 0) ++out.acc.unparseable;
-            }
-            out.acc.total = grp.indexes.size();
-          });
-        }
-      }
-    }
-    group_tasks.wait();
-
-    // Merge: sum groups in partition order; store computed groups and
-    // the completed cells.
-    SweepResult out;
-    out.cells.reserve(m_count * c_count);
-    for (std::size_t m = 0; m < m_count; ++m) {
-      for (std::size_t ci = 0; ci < c_count; ++ci) {
-        auto& slot = slots[m * c_count + ci];
-        CellResult cell;
-        cell.model = std::string(models[m]->name());
-        cell.condition = conditions[ci];
-        if (slot.restored) {
-          cell.accuracy = slot.restored_accuracy;
-        } else {
-          Accuracy acc;
-          acc.total = n;
-          for (std::size_t g = 0; g < g_count; ++g) {
-            const GroupWork& w = work[(m * c_count + ci) * g_count + g];
-            acc.correct += w.acc.correct;
-            acc.unparseable += w.acc.unparseable;
-            if (!w.restored) {
-              cache.store_group(cell.model, cell.condition,
-                                group_fps[ci * g_count + g], w.acc);
-            }
-          }
-          cell.accuracy = acc;
-          cache.store(cell.model, cell.condition, cell.accuracy);
-        }
-        out.cells.push_back(std::move(cell));
-      }
-    }
-    if (stats != nullptr) *stats = tally;
-    return out;
-  }
-
-  // --- the grid: one TaskGroup, plans shared across models -------------------
-  //
-  // Per condition: plan blocks fan the (model-independent) retrieval
-  // across records; the completion of the last block spawns the
-  // condition's per-model cell blocks, which answer+grade on the same
-  // pool.  Tasks only spawn, never block (TaskGroup discipline), and
-  // every write lands in its own slot or is a commutative counter add.
+  // Whole cells the cache restores; every other cell is on its
+  // condition's todo list.  One plan per condition serves the list.
+  SweepStats tally;
+  std::vector<std::optional<Accuracy>> restored(m_count * c_count);
+  std::vector<std::vector<std::size_t>> todo(c_count);
   std::vector<rag::RetrievalPlan> plans(c_count);
-  parallel::TaskGroup group(*pool);
-
   for (std::size_t ci = 0; ci < c_count; ++ci) {
-    const rag::Condition condition = conditions[ci];
-    plans[ci] = rag_.make_plan(records, condition);
-    const rag::RetrievalPlan& plan = plans[ci];
-    if (plan.active) tally.naive_retrieval_queries += m_count * n;
-
-    auto todo = std::make_shared<std::vector<std::size_t>>();
+    plans[ci] = rag_.make_plan(records, conditions[ci]);
+    if (plans[ci].active) tally.naive_retrieval_queries += m_count * n;
     for (std::size_t m = 0; m < m_count; ++m) {
-      if (!slots[m * c_count + ci].restored) todo->push_back(m);
-    }
-    if (todo->empty()) continue;
-    tally.cells_computed += todo->size();
-    tally.records_evaluated += todo->size() * n;
-
-    const auto spawn_cells = [this, &group, &slots, &plan, &records, &specs,
-                              &models, ci, c_count, grain, n, todo]() {
-      for (const std::size_t m : *todo) {
-        for (std::size_t lo = 0; lo < n; lo += grain) {
-          const std::size_t hi = std::min(n, lo + grain);
-          group.spawn([this, &slots, &plan, &records, &specs, &models, ci,
-                       c_count, m, lo, hi]() {
-            std::size_t correct = 0;
-            std::size_t unparseable = 0;
-            for (std::size_t i = lo; i < hi; ++i) {
-              const llm::McqTask task =
-                  rag_.prepare_from_plan(records[i], plan, i, specs[m]);
-              const llm::AnswerResult answer = models[m]->answer(task);
-              const trace::GradingResult grading =
-                  judge_.grade(task, answer.text);
-              if (grading.is_correct) ++correct;
-              if (grading.extracted_option_number < 0) ++unparseable;
-            }
-            auto& slot = slots[m * c_count + ci];
-            slot.correct.fetch_add(correct, std::memory_order_relaxed);
-            slot.unparseable.fetch_add(unparseable,
-                                       std::memory_order_relaxed);
-          });
-        }
+      if (cache != nullptr) {
+        restored[m * c_count + ci] =
+            cache->load(models[m]->name(), conditions[ci], n);
       }
-    };
-
-    if (!plan.active || n == 0) {
-      spawn_cells();
-      continue;
+      if (restored[m * c_count + ci].has_value()) {
+        ++tally.cells_restored;
+      } else {
+        todo[ci].push_back(m);
+      }
     }
-    tally.retrieval_queries += n;
-    const std::size_t blocks = (n + grain - 1) / grain;
-    auto remaining = std::make_shared<std::atomic<std::size_t>>(blocks);
-    for (std::size_t lo = 0; lo < n; lo += grain) {
-      const std::size_t hi = std::min(n, lo + grain);
-      group.spawn([this, &plans, &records, ci, lo, hi, remaining,
-                   spawn_cells]() {
-        rag_.fill_plan(plans[ci], records, lo, hi);
-        if (remaining->fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          // Hits exist for every record: release this condition's cells.
-          spawn_cells();
+    tally.cells_computed += todo[ci].size();
+    if (plans[ci].active && !todo[ci].empty()) tally.retrieval_queries += n;
+  }
+
+  // The grid: one task per (condition, block).  Each task writes only
+  // its block's plan rows, its (condition, block) fingerprint and its
+  // (model, condition, block) tallies, so tasks never share a slot.
+  std::vector<BlockTally> tallies(m_count * c_count * b_count);
+  std::vector<std::uint64_t> block_fps(c_count * b_count, 0);
+  parallel::TaskGroup grid(pool);
+  for (std::size_t ci = 0; ci < c_count; ++ci) {
+    if (todo[ci].empty()) continue;
+    for (std::size_t b = 0; b < b_count; ++b) {
+      grid.spawn([&, ci, b]() {
+        const RecordGroup& block = blocks[b];
+        rag::RetrievalPlan& plan = plans[ci];
+        for (const std::size_t i : block.indexes) {
+          rag_.fill_plan(plan, records, i, i + 1);
+        }
+        if (group_cache) {
+          block_fps[ci * b_count + b] = util::hash_combine(
+              block.content_fp, group_hits_fp(plan, block));
+        }
+        for (const std::size_t m : todo[ci]) {
+          BlockTally& t = tallies[(m * c_count + ci) * b_count + b];
+          t.acc.total = block.indexes.size();
+          if (group_cache) {
+            const auto cached = cache->load_group(
+                models[m]->name(), conditions[ci],
+                block_fps[ci * b_count + b], t.acc.total);
+            if (cached.has_value()) {
+              t.acc = *cached;
+              t.restored = true;
+              continue;
+            }
+          }
+          for (const std::size_t i : block.indexes) {
+            const llm::McqTask task =
+                rag_.prepare_from_plan(records[i], plan, i, specs[m]);
+            const llm::AnswerResult answer = models[m]->answer(task);
+            const trace::GradingResult grading =
+                judge_.grade(task, answer.text);
+            if (grading.is_correct) ++t.acc.correct;
+            if (grading.extracted_option_number < 0) ++t.acc.unparseable;
+          }
         }
       });
     }
   }
-  group.wait();
+  grid.wait();
 
-  // --- merge, in (model, condition) order ------------------------------------
+  // Merge in (model, condition) order, summing blocks in partition
+  // order.  Every store happens here, on one thread: ArtifactCache
+  // names its temporary files per process.
   SweepResult out;
   out.cells.reserve(m_count * c_count);
   for (std::size_t m = 0; m < m_count; ++m) {
     for (std::size_t ci = 0; ci < c_count; ++ci) {
-      auto& slot = slots[m * c_count + ci];
-      CellResult cell;
+      CellResult& cell = out.cells.emplace_back();
       cell.model = std::string(models[m]->name());
       cell.condition = conditions[ci];
-      if (slot.restored) {
-        cell.accuracy = slot.restored_accuracy;
-      } else {
-        cell.accuracy.correct = slot.correct.load();
-        cell.accuracy.total = n;
-        cell.accuracy.unparseable = slot.unparseable.load();
-        if (config_.cell_cache != nullptr) {
-          config_.cell_cache->store(cell.model, cell.condition,
-                                    cell.accuracy);
+      if (restored[m * c_count + ci].has_value()) {
+        cell.accuracy = *restored[m * c_count + ci];
+        continue;
+      }
+      cell.accuracy.total = n;
+      for (std::size_t b = 0; b < b_count; ++b) {
+        const BlockTally& t = tallies[(m * c_count + ci) * b_count + b];
+        cell.accuracy.correct += t.acc.correct;
+        cell.accuracy.unparseable += t.acc.unparseable;
+        if (t.restored) {
+          ++tally.groups_restored;
+          continue;
+        }
+        tally.records_evaluated += t.acc.total;
+        if (config_.groups != nullptr) ++tally.groups_computed;
+        if (group_cache) {
+          cache->store_group(cell.model, cell.condition,
+                             block_fps[ci * b_count + b], t.acc);
         }
       }
-      out.cells.push_back(std::move(cell));
+      if (cache != nullptr) {
+        cache->store(cell.model, cell.condition, cell.accuracy);
+      }
     }
   }
   if (stats != nullptr) *stats = tally;

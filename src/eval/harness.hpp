@@ -2,25 +2,23 @@
 // Evaluation harness: model x condition accuracy sweeps (the engine
 // behind Tables 2-4 and Figures 4-6).
 //
-// sweep() runs as a memoized cell-parallel grid on one thread pool:
+// sweep() is one grid on one thread pool.  The records split into
+// blocks — the caller's RecordGroups when HarnessConfig::groups is set,
+// contiguous index ranges otherwise — and one parallel::TaskGroup task
+// per (condition, block):
 //
-//   * retrieval hits for a (records, condition) pair are computed once
-//     into a rag::RetrievalPlan and shared by every model's cell (hits
-//     never depend on the model — with 8 models that removes 7/8 of all
-//     retrieval work versus per-cell prepare_batch);
-//   * the grid is one parallel::TaskGroup on a single shared pool: each
-//     condition's plan fans out across records, the completion of the
-//     last plan block spawns that condition's per-model cell tasks, and
-//     cells fan out per-record answer+grade blocks on the same workers
-//     (no per-cell pool construction, no serial double loop);
-//   * an optional content-addressed CellCache (core::EvalCellCache)
-//     restores finished cells wholesale, so warm re-runs of the
-//     table/figure benches skip evaluation entirely.
+//   * fills that block's rows of the condition's rag::RetrievalPlan
+//     (hits never depend on the model, so one plan serves every model:
+//     with 8 models that removes 7/8 of all retrieval work);
+//   * then, for each model whose cell the CellCache did not restore
+//     whole, restores the block's tally from the cache (groups and a
+//     cache only) or runs the prepare -> answer -> grade loop over the
+//     block's records.
 //
-// Accuracy tallies are commutative integer sums into slot-indexed
-// cells merged in (model, condition) order, so the SweepResult is
-// bitwise-identical to the seed's serial double loop at any thread
-// count, with the cell cache on or off (tested).
+// A serial merge sums the blocks of each cell in partition order and
+// does every cache store.  Tallies are integer sums, so the SweepResult
+// is bitwise-identical at any thread count, with or without the cache
+// and groups (tested).  evaluate() is the 1 x 1 sweep.
 
 #include <cstdint>
 #include <optional>
@@ -91,11 +89,12 @@ struct RecordGroup {
   std::vector<std::size_t> indexes;  ///< into the swept record vector
 };
 
-/// Content-addressed per-cell accuracy cache.  The harness only sees
-/// load/store; the concrete implementation (core::EvalCellCache) keys
-/// cells by the fnv1a chain over the benchmark/store checkpoint keys,
-/// the swept record set, the model fingerprint, the condition and the
-/// judge/RAG/simulation config fingerprints.
+/// Content-addressed accuracy cache.  The harness only sees load/store;
+/// the concrete implementation (core::EvalCellCache) keys cells by the
+/// fnv1a chain over the benchmark/store checkpoint keys, the swept
+/// record set, the model fingerprint, the condition and the
+/// judge/RAG/simulation config fingerprints, and group tallies by a
+/// revision-stable base plus the harness's (content, hits) fingerprint.
 class CellCache {
  public:
   virtual ~CellCache() = default;
@@ -110,28 +109,16 @@ class CellCache {
   virtual void store(std::string_view model, rag::Condition condition,
                      const Accuracy& accuracy) const = 0;
 
-  /// Group-granular tallies (delta eval): default implementations make
-  /// the feature opt-in per cache.  `group_fp` is the harness-combined
-  /// (content, hits) fingerprint; `expected_total` the group size.
-  virtual bool supports_groups() const { return false; }
-  virtual std::optional<Accuracy> load_group(std::string_view model,
-                                             rag::Condition condition,
-                                             std::uint64_t group_fp,
-                                             std::size_t expected_total) const {
-    (void)model;
-    (void)condition;
-    (void)group_fp;
-    (void)expected_total;
-    return std::nullopt;
-  }
+  /// Group-granular tallies (delta eval).  `group_fp` is the
+  /// harness-combined (content, hits) fingerprint; `expected_total` the
+  /// group size.  load_group is called concurrently from grid tasks;
+  /// store_group and store only from the serial merge.
+  virtual std::optional<Accuracy> load_group(
+      std::string_view model, rag::Condition condition,
+      std::uint64_t group_fp, std::size_t expected_total) const = 0;
   virtual void store_group(std::string_view model, rag::Condition condition,
                            std::uint64_t group_fp,
-                           const Accuracy& accuracy) const {
-    (void)model;
-    (void)condition;
-    (void)group_fp;
-    (void)accuracy;
-  }
+                           const Accuracy& accuracy) const = 0;
 };
 
 /// Work accounting for one sweep() call (cache effectiveness and the
@@ -140,36 +127,34 @@ struct SweepStats {
   /// Store queries this sweep actually issued (once per record for each
   /// retrieval-active condition that had at least one uncached cell).
   std::size_t retrieval_queries = 0;
-  /// Queries the seed's per-cell prepare path would have issued for the
-  /// same grid (once per record per *cell* under retrieval conditions).
+  /// Queries a per-cell prepare path would have issued for the same
+  /// grid (once per record per *cell* under retrieval conditions).
   std::size_t naive_retrieval_queries = 0;
   std::size_t cells_computed = 0;
   std::size_t cells_restored = 0;  ///< filled from the cell cache
-  /// Delta-eval accounting (zeros when the grouped path is off): per
+  /// Delta-eval accounting (zeros without HarnessConfig::groups): per
   /// uncached cell, how many record groups were restored from the
-  /// cache versus answered+graded, and the total (cell, record)
-  /// evaluations actually executed.
+  /// cache versus answered+graded.
   std::size_t groups_restored = 0;
   std::size_t groups_computed = 0;
+  /// (cell, record) evaluations actually executed.
   std::size_t records_evaluated = 0;
 };
 
 struct HarnessConfig {
-  /// Worker count for harness-owned pools (0 = hardware concurrency).
-  /// Ignored when `pool` is set.
-  std::size_t threads = 0;
-  /// Caller-owned pool; evaluate()/sweep() run on it instead of
-  /// constructing their own, so nested or repeated calls never
-  /// oversubscribe the machine.  Not owned; must outlive the harness
-  /// calls that use it.
+  /// Caller-owned pool; evaluate()/sweep() run on it, so nested or
+  /// repeated calls never oversubscribe the machine.  Not owned; must
+  /// outlive the harness calls that use it.  When null, each call runs
+  /// on its own hardware-sized pool.
   parallel::ThreadPool* pool = nullptr;
   /// Optional content-addressed eval-cell cache (not owned).
   const CellCache* cell_cache = nullptr;
   /// Optional delta-eval partition of the swept record set (not owned;
-  /// must cover every record index exactly once).  When set and the
-  /// cache supports_groups(), an uncached cell restores its unchanged
-  /// groups' tallies and answers only the dirty groups — the summed
-  /// counts are bitwise-identical to a full sweep at any thread count.
+  /// must cover every record index exactly once).  When set, the grid's
+  /// blocks are these groups, and with a cell_cache an uncached cell
+  /// restores its unchanged groups' tallies and answers only the dirty
+  /// groups — the summed counts are bitwise-identical to a sweep
+  /// without groups or cache, at any thread count.
   const std::vector<RecordGroup>* groups = nullptr;
 };
 
@@ -177,7 +162,8 @@ class EvalHarness {
  public:
   EvalHarness(const rag::RagPipeline& rag, HarnessConfig config = {});
 
-  /// Accuracy of one model under one condition over the records.
+  /// Accuracy of one model under one condition over the records: the
+  /// 1 x 1 sweep under the same config (pool, cache and groups).
   Accuracy evaluate(const llm::LanguageModel& model,
                     const llm::ModelSpec& spec,
                     const std::vector<qgen::McqRecord>& records,

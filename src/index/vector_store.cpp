@@ -179,6 +179,11 @@ VectorStore VectorStore::load_parsed(const embed::Embedder& embedder,
 
   VectorStore store(embedder, kind);
   const std::size_t n = take_u64(blob, pos);
+  // Each row carries two 8-byte length fields, so a count the remaining
+  // bytes cannot hold is hostile; reject it before reserving for it.
+  if (n > (blob.size() - pos) / 16) {
+    throw std::runtime_error("VectorStore::load: implausible row count");
+  }
   store.ids_.reserve(n);
   store.texts_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "parallel/thread_pool.hpp"
 #include "text/normalize.hpp"
 #include "text/sentence.hpp"
 #include "text/tokenizer.hpp"
@@ -274,38 +273,12 @@ void RagPipeline::fill_plan(RetrievalPlan& plan,
   }
 }
 
-RetrievalPlan RagPipeline::plan_retrieval(
-    const std::vector<qgen::McqRecord>& records, Condition condition,
-    parallel::ThreadPool& pool) const {
-  RetrievalPlan plan = make_plan(records, condition);
-  if (!plan.active) return plan;
-  const index::VectorStore* store = stores_.store_for(condition);
-  std::vector<std::string> queries;
-  queries.reserve(records.size());
-  for (const auto& record : records) {
-    queries.push_back(query_for(record, condition));
-  }
-  plan.hits = store->query_batch(queries, config_.top_k_for(condition), pool);
-  return plan;
-}
-
 llm::McqTask RagPipeline::prepare_from_plan(const qgen::McqRecord& record,
                                             const RetrievalPlan& plan,
                                             std::size_t i,
                                             const llm::ModelSpec& spec) const {
   if (!plan.active) return record.to_task();
   return prepare_from_hits(record, plan.condition, spec, plan.hits.at(i));
-}
-
-std::vector<llm::McqTask> RagPipeline::prepare_batch(
-    const std::vector<qgen::McqRecord>& records, Condition condition,
-    const llm::ModelSpec& spec, parallel::ThreadPool& pool) const {
-  const RetrievalPlan plan = plan_retrieval(records, condition, pool);
-  std::vector<llm::McqTask> tasks(records.size());
-  parallel::parallel_for(pool, 0, records.size(), [&](std::size_t i) {
-    tasks[i] = prepare_from_plan(records[i], plan, i, spec);
-  });
-  return tasks;
 }
 
 }  // namespace mcqa::rag

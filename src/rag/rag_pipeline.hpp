@@ -30,10 +30,6 @@
 #include "qgen/mcq_record.hpp"
 #include "trace/trace_record.hpp"
 
-namespace mcqa::parallel {
-class ThreadPool;
-}
-
 namespace mcqa::rag {
 
 enum class Condition {
@@ -96,18 +92,10 @@ class RagPipeline {
   llm::McqTask prepare(const qgen::McqRecord& record, Condition condition,
                        const llm::ModelSpec& spec) const;
 
-  /// Batched prepare: retrieval for all records goes through the
-  /// store's batched query path on `pool`, then assembly/annotation
-  /// fans out across the same workers.  Element i is identical to
-  /// prepare(records[i], condition, spec) at any thread count.
-  std::vector<llm::McqTask> prepare_batch(
-      const std::vector<qgen::McqRecord>& records, Condition condition,
-      const llm::ModelSpec& spec, parallel::ThreadPool& pool) const;
-
   /// Empty plan for (records, condition): condition resolved against the
   /// stores (`active`) and `hits` sized to the record set, no queries
   /// issued yet.  Fill with fill_plan (range-wise, e.g. from spawned
-  /// tasks) or use plan_retrieval for the blocking batched form.
+  /// tasks).
   RetrievalPlan make_plan(const std::vector<qgen::McqRecord>& records,
                           Condition condition) const;
 
@@ -117,12 +105,6 @@ class RagPipeline {
   void fill_plan(RetrievalPlan& plan,
                  const std::vector<qgen::McqRecord>& records, std::size_t lo,
                  std::size_t hi) const;
-
-  /// One batched retrieval pass for the whole record set (query_batch on
-  /// `pool`): the shared plan the evaluation grid hands to every model.
-  RetrievalPlan plan_retrieval(const std::vector<qgen::McqRecord>& records,
-                               Condition condition,
-                               parallel::ThreadPool& pool) const;
 
   /// Assembly + annotation of record i against a shared plan.  Equal to
   /// prepare(records[i], plan.condition, spec) fieldwise — the plan only
@@ -140,7 +122,7 @@ class RagPipeline {
                         Condition condition) const;
 
   /// Assembly + annotation for retrieval hits computed elsewhere (the
-  /// non-retrieval tail of prepare, shared with the batched path).
+  /// non-retrieval tail of prepare, shared with the plan path).
   /// The serving engine's entry point after sharded retrieval:
   /// prepare(r, c, s) == prepare_from_hits(r, c, s,
   /// store->query(query_for(r, c), k)) by construction.

@@ -1,11 +1,12 @@
 // Memoized cell-parallel evaluation engine contract:
 //
-//  * a shared RetrievalPlan produces tasks fieldwise-identical to the
-//    per-cell prepare_batch path (the plan only hoists the
-//    model-independent retrieval);
-//  * EvalHarness::sweep is identical to the seed's serial double loop
-//    over evaluate(), at any thread count, with the eval-cell cache on
-//    or off;
+//  * a shared RetrievalPlan produces tasks fieldwise-identical to
+//    RagPipeline::prepare (the plan only hoists the model-independent
+//    retrieval), and plan rows filled in any ranges equal the store's
+//    own query;
+//  * EvalHarness::sweep is identical to a serial prepare -> answer ->
+//    grade double loop, at any thread count, with the eval-cell cache
+//    on or off;
 //  * the cell cache restores every cell on a warm sweep, keys cells by
 //    model/condition/record-set, and a corrupt blob falls back to
 //    recompute.
@@ -16,6 +17,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -78,13 +81,11 @@ bool sweeps_equal(const eval::SweepResult& a, const eval::SweepResult& b) {
   return true;
 }
 
-/// The seed semantics: serial double loop, one evaluate() per cell.
-eval::SweepResult reference_sweep(const PipelineContext& ctx,
-                                  const std::vector<qgen::McqRecord>& records,
-                                  parallel::ThreadPool& pool) {
-  eval::HarnessConfig hc;
-  hc.pool = &pool;
-  const eval::EvalHarness harness(ctx.rag(), hc);
+/// The reference semantics: a serial double loop over cells, each a
+/// serial prepare -> answer -> grade loop over the records.
+eval::SweepResult reference_sweep(
+    const PipelineContext& ctx, const std::vector<qgen::McqRecord>& records) {
+  const eval::Judge judge;
   const auto models = ctx.student_ptrs();
   const auto specs = ctx.student_specs();
   eval::SweepResult out;
@@ -93,7 +94,14 @@ eval::SweepResult reference_sweep(const PipelineContext& ctx,
       eval::CellResult cell;
       cell.model = std::string(models[m]->name());
       cell.condition = c;
-      cell.accuracy = harness.evaluate(*models[m], specs[m], records, c);
+      cell.accuracy.total = records.size();
+      for (const auto& record : records) {
+        const llm::McqTask task = ctx.rag().prepare(record, c, specs[m]);
+        const trace::GradingResult grading =
+            judge.grade(task, models[m]->answer(task).text);
+        if (grading.is_correct) ++cell.accuracy.correct;
+        if (grading.extracted_option_number < 0) ++cell.accuracy.unparseable;
+      }
       out.cells.push_back(std::move(cell));
     }
   }
@@ -137,49 +145,57 @@ void expect_tasks_equal(const llm::McqTask& a, const llm::McqTask& b) {
 
 // --- shared retrieval plans --------------------------------------------------
 
-TEST(EvalEngine, PlanTasksMatchPrepareBatchFieldwise) {
+TEST(EvalEngine, PlanTasksMatchPrepareFieldwise) {
   const PipelineContext& ctx = test_context();
   const auto& records = ctx.benchmark();
   ASSERT_FALSE(records.empty());
-  parallel::ThreadPool pool(4);
   const auto specs = ctx.student_specs();
 
   for (const rag::Condition c : eval::all_conditions()) {
-    const rag::RetrievalPlan plan =
-        ctx.rag().plan_retrieval(records, c, pool);
+    rag::RetrievalPlan plan = ctx.rag().make_plan(records, c);
+    ctx.rag().fill_plan(plan, records, 0, records.size());
     // One plan serves every model's spec.
     for (const auto& spec : {specs.front(), specs.back()}) {
-      const std::vector<llm::McqTask> batch =
-          ctx.rag().prepare_batch(records, c, spec, pool);
-      ASSERT_EQ(batch.size(), records.size());
       for (std::size_t i = 0; i < records.size(); ++i) {
         const llm::McqTask from_plan =
             ctx.rag().prepare_from_plan(records[i], plan, i, spec);
-        expect_tasks_equal(from_plan, batch[i]);
+        expect_tasks_equal(from_plan, ctx.rag().prepare(records[i], c, spec));
       }
     }
   }
 }
 
-TEST(EvalEngine, FillPlanRangesMatchBatchedPlan) {
+TEST(EvalEngine, FillPlanRangesMatchStoreQuery) {
   const PipelineContext& ctx = test_context();
   const auto& records = ctx.benchmark();
-  parallel::ThreadPool pool(2);
-  const rag::Condition c = rag::Condition::kChunks;
+  rag::RetrievalStores stores;
+  stores.chunks = &ctx.chunk_store();
+  for (std::size_t m = 0; m < stores.traces.size(); ++m) {
+    stores.traces[m] = &ctx.trace_store(static_cast<trace::TraceMode>(m));
+  }
 
-  const rag::RetrievalPlan batched = ctx.rag().plan_retrieval(records, c, pool);
-  rag::RetrievalPlan ranged = ctx.rag().make_plan(records, c);
-  ASSERT_EQ(ranged.active, batched.active);
-  // Fill in uneven disjoint ranges, as the grid's plan tasks do.
-  const std::size_t mid = records.size() / 3;
-  ctx.rag().fill_plan(ranged, records, mid, records.size());
-  ctx.rag().fill_plan(ranged, records, 0, mid);
-  ASSERT_EQ(ranged.hits.size(), batched.hits.size());
-  for (std::size_t i = 0; i < ranged.hits.size(); ++i) {
-    ASSERT_EQ(ranged.hits[i].size(), batched.hits[i].size()) << "record " << i;
-    for (std::size_t k = 0; k < ranged.hits[i].size(); ++k) {
-      EXPECT_EQ(ranged.hits[i][k].id, batched.hits[i][k].id);
-      EXPECT_EQ(ranged.hits[i][k].score, batched.hits[i][k].score);
+  for (const rag::Condition c : eval::all_conditions()) {
+    rag::RetrievalPlan plan = ctx.rag().make_plan(records, c);
+    if (c == rag::Condition::kBaseline) {
+      EXPECT_FALSE(plan.active);
+      continue;
+    }
+    ASSERT_TRUE(plan.active);
+    // Fill in uneven disjoint ranges, out of order, as grid blocks may.
+    const std::size_t mid = records.size() / 3;
+    ctx.rag().fill_plan(plan, records, mid, records.size());
+    ctx.rag().fill_plan(plan, records, 0, mid);
+    ASSERT_EQ(plan.hits.size(), records.size());
+    const std::size_t k = ctx.rag().config().top_k_for(c);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      const auto want = stores.store_for(c)->query(
+          ctx.rag().query_for(records[i], c), k);
+      ASSERT_EQ(plan.hits[i].size(), want.size()) << "record " << i;
+      for (std::size_t h = 0; h < want.size(); ++h) {
+        EXPECT_EQ(plan.hits[i][h].id, want[h].id);
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(plan.hits[i][h].score),
+                  std::bit_cast<std::uint32_t>(want[h].score));
+      }
     }
   }
 }
@@ -189,9 +205,7 @@ TEST(EvalEngine, FillPlanRangesMatchBatchedPlan) {
 TEST(EvalEngine, SweepMatchesSerialReferenceAcrossThreadCounts) {
   const PipelineContext& ctx = test_context();
   const auto& records = ctx.benchmark();
-  parallel::ThreadPool ref_pool(2);
-  const eval::SweepResult reference =
-      reference_sweep(ctx, records, ref_pool);
+  const eval::SweepResult reference = reference_sweep(ctx, records);
 
   for (const std::size_t threads : {1u, 2u, 8u}) {
     parallel::ThreadPool pool(threads);
@@ -249,7 +263,8 @@ TEST(EvalCache, WarmSweepRestoresEveryCellIdentically) {
   parallel::ThreadPool pool(4);
   const TempDir dir;
   const core::EvalCellCache cache(
-      dir.path.string(), core::EvalCellCache::sweep_key(ctx, records));
+      dir.path.string(), core::EvalCellCache::sweep_key(ctx, records),
+      core::EvalCellCache::group_base_key(ctx));
 
   eval::SweepStats cold_stats;
   const eval::SweepResult cold =
@@ -283,7 +298,8 @@ TEST(EvalCache, RecordSubsetKeysSeparately) {
   parallel::ThreadPool pool(2);
   const TempDir dir;
   const core::EvalCellCache cache(
-      dir.path.string(), core::EvalCellCache::sweep_key(ctx, subset));
+      dir.path.string(), core::EvalCellCache::sweep_key(ctx, subset),
+      core::EvalCellCache::group_base_key(ctx));
   grid_sweep(ctx, subset, pool, &cache);
   EXPECT_FALSE(cache
                    .load(std::string(ctx.student_ptrs()[0]->name()),
@@ -297,7 +313,8 @@ TEST(EvalCache, CorruptBlobFallsBackToRecompute) {
   parallel::ThreadPool pool(4);
   const TempDir dir;
   const core::EvalCellCache cache(
-      dir.path.string(), core::EvalCellCache::sweep_key(ctx, records));
+      dir.path.string(), core::EvalCellCache::sweep_key(ctx, records),
+      core::EvalCellCache::group_base_key(ctx));
 
   const eval::SweepResult cold = grid_sweep(ctx, records, pool, &cache);
   // Corrupt every cached cell blob; the warm sweep must recompute and

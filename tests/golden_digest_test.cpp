@@ -21,6 +21,7 @@
 #include "core/pipeline.hpp"
 #include "eval/harness.hpp"
 #include "index/kernels.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace {
 
@@ -108,8 +109,9 @@ TEST(GoldenDigest, Scale0025FrozenEightSweeps) {
   const auto conditions = eval::all_conditions();
   const auto digest_of = [&](const std::vector<qgen::McqRecord>& records,
                              std::size_t threads) {
+    parallel::ThreadPool pool(threads);
     eval::HarnessConfig hc;
-    hc.threads = threads;
+    hc.pool = &pool;
     const eval::EvalHarness harness(ctx.rag(), hc);
     return test::sweep_digest(
         harness.sweep(models, specs, records, conditions));

@@ -6,14 +6,17 @@
 //  * corrupt per-document blobs are recomputed silently (and counted);
 //  * prune_cache keeps the current manifest's blobs reachable — a warm
 //    run after pruning restores everything;
-//  * the grouped (delta) eval sweep is bitwise-identical to the plain
-//    grid and restores unchanged groups instead of re-answering them.
+//  * a sweep with groups and a cache (the delta eval) is bitwise-equal
+//    to the same sweep without them, across chained revisions sharing
+//    one cache directory, and restores unchanged groups instead of
+//    re-answering them.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -25,6 +28,7 @@
 #include "corpus/corpus_builder.hpp"
 #include "corpus/knowledge_base.hpp"
 #include "eval/harness.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace {
 
@@ -280,7 +284,8 @@ TEST(IncrementalEval, GroupedSweepMatchesPlainAndRestoresGroups) {
                                           all_specs.begin() + 2);
   const auto conditions = eval::all_conditions();
 
-  const eval::EvalHarness plain(ctx.rag(), {.threads = 2});
+  parallel::ThreadPool pool(2);
+  const eval::EvalHarness plain(ctx.rag(), {.pool = &pool});
   const eval::SweepResult reference =
       plain.sweep(models, specs, records, conditions);
 
@@ -295,9 +300,8 @@ TEST(IncrementalEval, GroupedSweepMatchesPlainAndRestoresGroups) {
   // Cold grouped sweep: every group computed, result identical.
   {
     const core::EvalCellCache cache(dir.path.string(), sweep_key, group_base);
-    ASSERT_TRUE(cache.supports_groups());
     eval::HarnessConfig hc;
-    hc.threads = 2;
+    hc.pool = &pool;
     hc.cell_cache = &cache;
     hc.groups = &groups;
     const eval::EvalHarness harness(ctx.rag(), hc);
@@ -320,8 +324,9 @@ TEST(IncrementalEval, GroupedSweepMatchesPlainAndRestoresGroups) {
     const core::EvalCellCache cache(dir.path.string(),
                                     sweep_key ^ (0x5a5au + threads),
                                     group_base);
+    parallel::ThreadPool sized(threads);
     eval::HarnessConfig hc;
-    hc.threads = threads;
+    hc.pool = &sized;
     hc.cell_cache = &cache;
     hc.groups = &groups;
     const eval::EvalHarness harness(ctx.rag(), hc);
@@ -334,6 +339,64 @@ TEST(IncrementalEval, GroupedSweepMatchesPlainAndRestoresGroups) {
     EXPECT_EQ(stats.records_evaluated, 0u);
     EXPECT_EQ(stats.groups_restored,
               groups.size() * models.size() * conditions.size());
+  }
+}
+
+TEST(IncrementalEval, GroupedSweepMatchesUncachedAcrossChainedRevisions) {
+  // Revision 0 is the unedited corpus; revisions 1 and 2 each edit
+  // kEdits documents, so each one's benchmark (and sweep key) moves.
+  const PipelineConfig base = test_config(2);
+  std::vector<std::unique_ptr<PipelineContext>> revs;
+  revs.push_back(std::make_unique<PipelineContext>(base));
+  for (const std::uint64_t revision : {1u, 2u}) {
+    revs.push_back(std::make_unique<PipelineContext>(
+        edited_config(base, kEdits, revision)));
+  }
+  const auto conditions = eval::all_conditions();
+  const auto two = [](const auto& all) {
+    return std::vector(all.begin(), all.begin() + 2);
+  };
+
+  // The uncached sweep of each revision: no groups, no cache.
+  parallel::ThreadPool ref_pool(2);
+  std::vector<eval::SweepResult> uncached;
+  for (const auto& ctx : revs) {
+    uncached.push_back(eval::EvalHarness(ctx->rag(), {.pool = &ref_pool})
+                           .sweep(two(ctx->student_ptrs()),
+                                  two(ctx->student_specs()), ctx->benchmark(),
+                                  conditions));
+  }
+
+  for (const std::size_t threads : {1u, 8u}) {
+    parallel::ThreadPool pool(threads);
+    const TempDir dir;  // one cache directory for the whole chain
+    for (std::size_t r = 0; r < revs.size(); ++r) {
+      const PipelineContext& ctx = *revs[r];
+      const auto& records = ctx.benchmark();
+      const auto groups = core::record_groups(ctx, records);
+      const core::EvalCellCache cache(
+          dir.path.string(), core::EvalCellCache::sweep_key(ctx, records),
+          core::EvalCellCache::group_base_key(ctx));
+      eval::HarnessConfig hc;
+      hc.pool = &pool;
+      hc.cell_cache = &cache;
+      hc.groups = &groups;
+      eval::SweepStats stats;
+      const auto grouped = eval::EvalHarness(ctx.rag(), hc).sweep(
+          two(ctx.student_ptrs()), two(ctx.student_specs()), records,
+          conditions, &stats);
+      EXPECT_TRUE(sweeps_equal(grouped, uncached[r]))
+          << "revision " << r << " at " << threads << " threads";
+      EXPECT_EQ(stats.cells_restored, 0u) << "revision " << r;
+      const std::size_t full = records.size() * 2 * conditions.size();
+      if (r == 0) {
+        EXPECT_EQ(stats.groups_restored, 0u);
+        EXPECT_EQ(stats.records_evaluated, full);
+      } else {
+        EXPECT_GT(stats.groups_restored, 0u) << "revision " << r;
+        EXPECT_LT(stats.records_evaluated, full) << "revision " << r;
+      }
+    }
   }
 }
 

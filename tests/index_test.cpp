@@ -449,6 +449,14 @@ TEST(VectorStore, HostileLengthsThrow) {
                std::runtime_error);
   EXPECT_THROW(VectorStore::load(emb, with_length(first_id, first_id + 8)),
                std::runtime_error);
+
+  // A row count of 2^40 must be rejected before anything is reserved
+  // for it (it used to reach reserve() and throw std::bad_alloc).
+  std::string huge = blob;
+  const std::size_t rows_at = first_id - 8;
+  const std::uint64_t count = std::uint64_t{1} << 40;
+  std::memcpy(huge.data() + rows_at, &count, 8);
+  EXPECT_THROW(VectorStore::load(emb, huge), std::runtime_error);
 }
 
 }  // namespace

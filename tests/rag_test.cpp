@@ -10,7 +10,6 @@
 #include "embed/hashed_embedder.hpp"
 #include "index/vector_store.hpp"
 #include "llm/model_spec.hpp"
-#include "parallel/thread_pool.hpp"
 #include "rag/rag_pipeline.hpp"
 #include "text/tokenizer.hpp"
 
@@ -109,10 +108,10 @@ class RagFixture : public ::testing::Test {
   llm::ModelSpec spec_;
 };
 
-TEST_F(RagFixture, PrepareBatchMatchesSequentialPrepare) {
+TEST_F(RagFixture, PlanPathMatchesSequentialPrepare) {
   const RagPipeline rag = make_pipeline();
   // A small mixed set: the fixture record plus shuffled-option variants
-  // so the batch carries distinct retrieval keys.
+  // so the plan carries distinct retrieval keys.
   std::vector<qgen::McqRecord> records(4, record_);
   for (std::size_t i = 1; i < records.size(); ++i) {
     records[i].record_id = "q_fixture_" + std::to_string(i);
@@ -128,27 +127,21 @@ TEST_F(RagFixture, PrepareBatchMatchesSequentialPrepare) {
 
   for (int c = 0; c < kConditionCount; ++c) {
     const auto condition = static_cast<Condition>(c);
-    std::vector<llm::McqTask> want;
-    for (const auto& r : records) {
-      want.push_back(rag.prepare(r, condition, spec_));
-    }
-    for (const std::size_t threads : {1u, 3u}) {
-      parallel::ThreadPool pool(threads);
-      const auto got = rag.prepare_batch(records, condition, spec_, pool);
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].context, want[i].context)
-            << condition_name(condition) << " threads=" << threads;
-        EXPECT_EQ(got[i].correct_index, want[i].correct_index);
-        EXPECT_EQ(got[i].context_has_fact, want[i].context_has_fact);
-        EXPECT_EQ(got[i].context_saliency, want[i].context_saliency);
-        EXPECT_EQ(got[i].context_has_elimination,
-                  want[i].context_has_elimination);
-        EXPECT_EQ(got[i].context_misleading_options,
-                  want[i].context_misleading_options);
-        EXPECT_EQ(got[i].context_mislead_strength,
-                  want[i].context_mislead_strength);
-      }
+    RetrievalPlan plan = rag.make_plan(records, condition);
+    rag.fill_plan(plan, records, 1, records.size());
+    rag.fill_plan(plan, records, 0, 1);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      const llm::McqTask want = rag.prepare(records[i], condition, spec_);
+      const llm::McqTask got =
+          rag.prepare_from_plan(records[i], plan, i, spec_);
+      EXPECT_EQ(got.context, want.context) << condition_name(condition);
+      EXPECT_EQ(got.correct_index, want.correct_index);
+      EXPECT_EQ(got.context_has_fact, want.context_has_fact);
+      EXPECT_EQ(got.context_saliency, want.context_saliency);
+      EXPECT_EQ(got.context_has_elimination, want.context_has_elimination);
+      EXPECT_EQ(got.context_misleading_options,
+                want.context_misleading_options);
+      EXPECT_EQ(got.context_mislead_strength, want.context_mislead_strength);
     }
   }
 }

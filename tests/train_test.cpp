@@ -279,7 +279,8 @@ TEST(TrainCellKeys, FingerprintTracksConfigAndData) {
 
 TEST(TrainCellKeys, FlipTrainingDocInvalidatesOnlyTrainableCells) {
   TempDir dir;
-  const core::EvalCellCache cache(dir.path.string(), /*sweep_key=*/42);
+  const core::EvalCellCache cache(dir.path.string(), /*sweep_key=*/42,
+                                  /*group_base=*/43);
   eval::Accuracy acc;
   acc.correct = 3;
   acc.total = 5;

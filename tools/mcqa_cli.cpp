@@ -216,13 +216,24 @@ int cmd_eval(const Args& args) {
   for (const auto c : conditions) {
     headers.emplace_back(rag::condition_name(c));
   }
+  // One sweep over the selected models x conditions, so each
+  // condition's retrieval plan is shared by every model.
+  std::vector<std::unique_ptr<llm::StudentModel>> models;
+  std::vector<const llm::LanguageModel*> model_ptrs;
+  std::vector<llm::ModelSpec> specs;
+  for (const auto* card : cards) {
+    models.push_back(std::make_unique<llm::StudentModel>(*card));
+    model_ptrs.push_back(models.back().get());
+    specs.push_back(card->spec);
+  }
+  const eval::SweepResult sweep =
+      harness.sweep(model_ptrs, specs, records, conditions);
+
   eval::TableWriter table(std::move(headers));
   for (const auto* card : cards) {
-    const llm::StudentModel model(*card);
     std::vector<std::string> row{card->spec.name};
     for (const auto c : conditions) {
-      const eval::Accuracy acc =
-          harness.evaluate(model, card->spec, records, c);
+      const eval::Accuracy& acc = sweep.at(card->spec.name, c);
       row.push_back(eval::fmt_acc(acc.value()) + " ±" +
                     eval::fmt_acc(acc.ci95_halfwidth()));
     }
