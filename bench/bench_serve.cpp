@@ -1,47 +1,39 @@
-// Online serving engine benchmark: the offline pipeline's stores turned
-// into a deterministic query service (serve/engine.hpp).  Verifies the
-// serving-layer contracts as shape checks and, in full mode, sweeps
-//   * shard count x batch cutoff at fixed load (scan vs merge vs wait),
-//   * offered load vs shed/expiry (admission control past capacity),
-//   * worker slots vs tail latency (p99 monotone nonincreasing),
-// writing BENCH_serve.json so later PRs can track the trajectory.
+// Online serving benchmark: the offline pipeline's stores answering
+// requests through the serve engine (serve/engine.hpp) and the live
+// tier (serve/live_store.hpp).
 //
 // Shape checks (smoke and full):
 //   * sharded scatter-gather top-k bit-identical to the unsharded store
 //     for shard counts {1,2,4,8} (chunk store and a trace store),
 //   * served tasks fieldwise-identical to RagPipeline::prepare,
-//   * statuses/latencies/metrics identical across runs and pool thread
-//     counts {1,4},
-//   * p99 latency monotone nonincreasing as workers grow at fixed load,
-//   * shed count zero under light load, positive past capacity.
-//
-// Live-tier shape checks (smoke and full; DESIGN.md §15):
+//   * served tasks identical across pool widths {1,2,4},
 //   * every published LiveStore epoch bit-identical to a from-scratch
-//     rebuild of its live rows, queried from 1/2/8 concurrent readers,
-//   * hedged p99.9 <= 0.5x unhedged under injected replica slowdown,
-//     with hedges accounted exactly once (wins + cancels + failed),
-//   * interactive-lane p99 <= 1.1x the uncontended run under a
-//     saturating batch-class flood (reserved slots + capped admission).
-// Full mode adds hedge/lane sweeps and a sustained rolling-update run
-// (staleness: pending mutations, epoch age, compactions) to the JSON.
+//     rebuild of its live rows, queried from 1/2/8 concurrent readers
+//     (DESIGN.md §15).
+// No check reads a clock.  Full mode adds steady-clock rows (wall
+// time, requests/s, median tile time) at pool widths {1,2,4} and the
+// live store's per-publish staleness rows to BENCH_serve.json.  For
+// serving measured under a concurrent writer, see perfbench's
+// serve_mixed workload.
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
-#include <iterator>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "index/kernels.hpp"
 #include "json/json.hpp"
 #include "parallel/thread_pool.hpp"
 #include "serve/engine.hpp"
 #include "serve/live_store.hpp"
-#include "serve/metrics.hpp"
 #include "serve/sharded_store.hpp"
+#include "util/histogram.hpp"
+#include "util/stopwatch.hpp"
 
 namespace {
 
@@ -121,167 +113,45 @@ void check_shard_exactness(const core::PipelineContext& ctx,
         traces_ok);
 }
 
-serve::WorkloadConfig base_workload(std::size_t records) {
+serve::WorkloadConfig workload() {
   serve::WorkloadConfig wl;
   wl.requests = bench::smoke() ? 160 : 512;
-  wl.offered_qps = 400.0;
-  (void)records;
   return wl;
 }
 
 /// Served tasks must be fieldwise-identical to the offline prepare().
 void check_task_identity(const core::PipelineContext& ctx,
-                         const rag::RetrievalStores& stores,
+                         const serve::QueryEngine& engine,
                          const std::vector<qgen::McqRecord>& records,
                          const llm::ModelSpec& spec) {
-  serve::ServeConfig cfg;
-  cfg.deadline_ms = 1e7;  // relaxed: every request completes
-  cfg.queue_capacity = 1 << 20;
-  const serve::QueryEngine engine(ctx.rag(), stores, spec, cfg);
-  serve::WorkloadConfig wl = base_workload(records.size());
-  wl.requests = bench::smoke() ? 64 : 256;
-  const auto requests = serve::synth_workload(wl, records.size());
-  serve::ServerMetrics metrics;
-  const auto results = engine.serve(records, requests, &metrics);
-  bool ok = metrics.completed == requests.size();
+  const auto requests = serve::synth_workload(workload(), records.size());
+  parallel::ThreadPool pool(4);
+  const auto results = engine.serve(records, requests, pool);
+  bool ok = results.size() == requests.size();
   for (std::size_t i = 0; ok && i < results.size(); ++i) {
-    ok = results[i].status == serve::RequestStatus::kOk &&
-         same_task(results[i].task,
+    ok = same_task(results[i].task,
                    ctx.rag().prepare(records[requests[i].record],
                                      requests[i].condition, spec));
   }
   check("served tasks fieldwise == RagPipeline::prepare", ok);
 }
 
-/// Same statuses, latencies (bitwise) and metrics across runs and pool
-/// thread counts.
-void check_determinism(const core::PipelineContext& ctx,
-                       const rag::RetrievalStores& stores,
-                       const std::vector<qgen::McqRecord>& records,
-                       const llm::ModelSpec& spec) {
-  serve::ServeConfig cfg;
-  cfg.deadline_ms = 30.0;
-  cfg.transient_failure_rate = 0.15;
-  cfg.max_retries = 2;
-  cfg.queue_capacity = 32;
-  const serve::QueryEngine engine(ctx.rag(), stores, spec, cfg);
-  serve::WorkloadConfig wl = base_workload(records.size());
-  wl.offered_qps = 2000.0;  // stressed: sheds, expiries and retries
-  const auto requests = serve::synth_workload(wl, records.size());
-
+/// Same tasks across runs and pool widths.
+void check_pool_widths(const serve::QueryEngine& engine,
+                       const std::vector<qgen::McqRecord>& records) {
+  const auto requests = serve::synth_workload(workload(), records.size());
   parallel::ThreadPool pool_1(1);
-  parallel::ThreadPool pool_4(4);
-  serve::ServerMetrics m_a, m_b;
-  const auto a = engine.serve(records, requests, pool_1, &m_a);
-  const auto b = engine.serve(records, requests, pool_4, &m_b);
-  bool ok = a.size() == b.size();
-  for (std::size_t i = 0; ok && i < a.size(); ++i) {
-    ok = a[i].status == b[i].status && a[i].attempts == b[i].attempts &&
-         a[i].latency_ms == b[i].latency_ms &&
-         a[i].enqueue_wait_ms == b[i].enqueue_wait_ms &&
-         (a[i].status != serve::RequestStatus::kOk ||
-          same_task(a[i].task, b[i].task));
-  }
-  ok = ok && m_a.completed == m_b.completed &&
-       m_a.rejected == m_b.rejected && m_a.expired == m_b.expired &&
-       m_a.failed == m_b.failed && m_a.retries == m_b.retries &&
-       m_a.batches == m_b.batches &&
-       m_a.lane_serviced == m_b.lane_serviced &&
-       m_a.latency.p99() == m_b.latency.p99() &&
-       m_a.makespan_ms == m_b.makespan_ms;
-  check("serve identical across runs and pool threads {1,4}", ok);
-}
-
-/// Worker sweep at fixed load: with no transient failures the serviced
-/// sample set is worker-independent, so p99 must be monotone
-/// nonincreasing as slots are added.
-std::vector<serve::ServerMetrics> worker_sweep(
-    const core::PipelineContext& ctx, const rag::RetrievalStores& stores,
-    const std::vector<qgen::McqRecord>& records, const llm::ModelSpec& spec,
-    const std::vector<std::size_t>& workers) {
-  serve::WorkloadConfig wl = base_workload(records.size());
-  wl.offered_qps = 1200.0;  // saturates one worker, relaxes with more
-  const auto requests = serve::synth_workload(wl, records.size());
-  std::vector<serve::ServerMetrics> sweep;
-  for (const std::size_t w : workers) {
-    serve::ServeConfig cfg;
-    cfg.workers = w;
-    cfg.transient_failure_rate = 0.0;
-    cfg.max_retries = 0;
-    cfg.queue_capacity = wl.requests;  // nothing sheds at any width
-    cfg.deadline_ms = 1e7;             // nothing expires either
-    const serve::QueryEngine engine(ctx.rag(), stores, spec, cfg);
-    serve::ServerMetrics metrics;
-    engine.serve(records, requests, &metrics);
-    sweep.push_back(std::move(metrics));
-  }
-  return sweep;
-}
-
-void check_worker_monotonicity(
-    const std::vector<std::size_t>& workers,
-    const std::vector<serve::ServerMetrics>& sweep) {
-  bool monotone = true;
-  bool all_served = true;
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    if (i > 0) {
-      monotone =
-          monotone && sweep[i].latency.p99() <= sweep[i - 1].latency.p99();
+  const auto want = engine.serve(records, requests, pool_1);
+  bool ok = true;
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    parallel::ThreadPool pool(threads);
+    const auto got = engine.serve(records, requests, pool);
+    ok = ok && got.size() == want.size();
+    for (std::size_t i = 0; ok && i < got.size(); ++i) {
+      ok = same_task(got[i].task, want[i].task);
     }
-    all_served = all_served && sweep[i].rejected == 0 &&
-                 sweep[i].completed == sweep[i].offered;
   }
-  (void)workers;
-  check("p99 monotone nonincreasing over workers {1,2,4,8}", monotone);
-  check("worker sweep sheds nothing (sample sets comparable)", all_served);
-}
-
-/// Admission control: zero shed under light load, positive shed past
-/// configured capacity.
-void check_shedding(const core::PipelineContext& ctx,
-                    const rag::RetrievalStores& stores,
-                    const std::vector<qgen::McqRecord>& records,
-                    const llm::ModelSpec& spec) {
-  serve::WorkloadConfig wl = base_workload(records.size());
-  wl.requests = bench::smoke() ? 128 : 384;
-
-  serve::ServeConfig light;
-  light.queue_capacity = 64;
-  const serve::QueryEngine light_engine(ctx.rag(), stores, spec, light);
-  wl.offered_qps = 100.0;
-  serve::ServerMetrics m_light;
-  light_engine.serve(records, serve::synth_workload(wl, records.size()),
-                     &m_light);
-  check("no shed under light load", m_light.rejected == 0);
-
-  serve::ServeConfig heavy;
-  heavy.queue_capacity = 16;
-  heavy.workers = 1;
-  const serve::QueryEngine heavy_engine(ctx.rag(), stores, spec, heavy);
-  wl.offered_qps = 20000.0;
-  serve::ServerMetrics m_heavy;
-  heavy_engine.serve(records, serve::synth_workload(wl, records.size()),
-                     &m_heavy);
-  check("shed > 0 past configured capacity", m_heavy.rejected > 0);
-  check("terminal statuses partition offered requests",
-        m_heavy.completed + m_heavy.rejected + m_heavy.expired +
-                m_heavy.failed ==
-            m_heavy.offered);
-}
-
-json::Value metrics_row(const serve::ServerMetrics& m) {
-  json::Value v = json::Value::object();
-  v["completed"] = m.completed;
-  v["rejected"] = m.rejected;
-  v["expired"] = m.expired;
-  v["failed"] = m.failed;
-  v["p50_ms"] = m.latency.p50();
-  v["p99_ms"] = m.latency.p99();
-  v["p999_ms"] = m.latency.p999();
-  v["mean_batch_fill"] = m.mean_batch_fill();
-  v["throughput_qps"] = m.throughput_qps();
-  v["utilization"] = m.utilization();
-  return v;
+  check("served tasks identical across runs and pool widths {1,2,4}", ok);
 }
 
 // --- live tier ---------------------------------------------------------------
@@ -377,85 +247,6 @@ json::Array check_live_epoch_identity(
   return staleness_rows;
 }
 
-/// Hedged vs unhedged tails under injected replica slowdown.  Returns
-/// (plain, hedged) metrics for the full-mode report.
-std::pair<serve::ServerMetrics, serve::ServerMetrics> check_hedging_tail(
-    const core::PipelineContext& ctx, const rag::RetrievalStores& stores,
-    const std::vector<qgen::McqRecord>& records, const llm::ModelSpec& spec) {
-  // The slow rate keeps the unhedged tail saturated with injections
-  // (~1.4% of dispatches) while the both-replicas-slow probability —
-  // the only tail a hedge cannot beat — stays under the p99.9 rank.
-  serve::ServeConfig plain;
-  plain.workers = 4;
-  plain.replicas = 2;
-  plain.replica_slow_rate = 0.01;
-  plain.replica_slow_factor = 10.0;
-  plain.queue_capacity = 1u << 20;
-  plain.deadline_ms = 1e7;
-  serve::ServeConfig hedged = plain;
-  hedged.hedge = true;
-  serve::WorkloadConfig wl;
-  wl.requests = bench::smoke() ? 256 : 1024;
-  wl.offered_qps = 150.0;  // light load: the tail is injection, not queueing
-  const auto requests = serve::synth_workload(wl, records.size());
-  serve::ServerMetrics m_plain, m_hedged;
-  serve::QueryEngine(ctx.rag(), stores, spec, plain)
-      .serve(records, requests, &m_plain);
-  serve::QueryEngine(ctx.rag(), stores, spec, hedged)
-      .serve(records, requests, &m_hedged);
-  check("hedged p99.9 <= 0.5x unhedged under injected slowdown",
-        m_hedged.hedges > 0 &&
-            m_hedged.latency.p999() <= 0.5 * m_plain.latency.p999());
-  check("hedges accounted exactly once (wins + cancels + failed)",
-        m_hedged.hedges == m_hedged.hedge_wins + m_hedged.hedge_cancels +
-                               m_hedged.hedge_failed);
-  return {std::move(m_plain), std::move(m_hedged)};
-}
-
-/// Interactive tail with and without a saturating batch-class flood.
-/// Returns (alone, under_flood) metrics for the full-mode report.
-std::pair<serve::ServerMetrics, serve::ServerMetrics> check_lane_isolation(
-    const core::PipelineContext& ctx, const rag::RetrievalStores& stores,
-    const std::vector<qgen::McqRecord>& records, const llm::ModelSpec& spec) {
-  serve::ServeConfig cfg;
-  cfg.workers = 4;
-  cfg.reserved_interactive_slots = 2;
-  cfg.queue_capacity = 1u << 20;
-  cfg.deadline_ms = 1e7;
-  const serve::QueryEngine engine(ctx.rag(), stores, spec, cfg);
-
-  serve::WorkloadConfig wl;
-  wl.requests = bench::smoke() ? 160 : 640;
-  wl.offered_qps = 400.0;
-  const auto interactive = serve::synth_workload(wl, records.size());
-
-  serve::WorkloadConfig flood_cfg;
-  flood_cfg.requests = 2 * wl.requests;
-  flood_cfg.offered_qps = 4000.0;  // saturating bulk traffic
-  flood_cfg.seed = 0xb17eULL;
-  auto flood = serve::synth_workload(flood_cfg, records.size());
-  for (std::size_t i = 0; i < flood.size(); ++i) {
-    flood[i].request_id = "bq_" + std::to_string(i);
-    flood[i].klass = serve::RequestClass::kBatch;
-  }
-  std::vector<serve::QueryRequest> merged;
-  merged.reserve(interactive.size() + flood.size());
-  std::merge(interactive.begin(), interactive.end(), flood.begin(),
-             flood.end(), std::back_inserter(merged),
-             [](const serve::QueryRequest& x, const serve::QueryRequest& y) {
-               return x.arrival_ms < y.arrival_ms;
-             });
-
-  serve::ServerMetrics alone, under_flood;
-  engine.serve(records, interactive, &alone);
-  engine.serve(records, merged, &under_flood);
-  check("interactive p99 <= 1.1x uncontended under batch-class flood",
-        under_flood.batch_latency.count() > 0 &&
-            under_flood.interactive_latency.p99() <=
-                1.1 * alone.interactive_latency.p99());
-  return {std::move(alone), std::move(under_flood)};
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -469,17 +260,10 @@ int main(int argc, char** argv) {
       llm::student_card("Llama-3.1-8B-Instruct").spec;
 
   check_shard_exactness(ctx, records);
-  check_task_identity(ctx, stores, records, spec);
-  check_determinism(ctx, stores, records, spec);
-  const std::vector<std::size_t> workers{1, 2, 4, 8};
-  const auto sweep = worker_sweep(ctx, stores, records, spec, workers);
-  check_worker_monotonicity(workers, sweep);
-  check_shedding(ctx, stores, records, spec);
+  const serve::QueryEngine engine(ctx.rag(), stores, spec, 4);
+  check_task_identity(ctx, engine, records, spec);
+  check_pool_widths(engine, records);
   json::Array staleness_rows = check_live_epoch_identity(ctx, records);
-  const auto [hedge_plain, hedge_on] =
-      check_hedging_tail(ctx, stores, records, spec);
-  const auto [lane_alone, lane_flood] =
-      check_lane_isolation(ctx, stores, records, spec);
 
   if (bench::smoke()) return g_all_pass ? 0 : 1;
 
@@ -489,162 +273,35 @@ int main(int argc, char** argv) {
   report["records"] = records.size();
   report["chunk_rows"] = ctx.chunk_store().size();
 
-  // Worker sweep table (the monotonicity data).
-  std::printf("\nWorker sweep (1200 qps offered, batch<=8 or 4ms):\n\n");
-  eval::TableWriter worker_table(
-      {"Workers", "p50 latency", "p99 latency", "Throughput", "Utilization"});
-  json::Array worker_rows;
-  for (std::size_t i = 0; i < workers.size(); ++i) {
-    const auto& m = sweep[i];
-    worker_table.add_row({std::to_string(workers[i]),
-                          eval::fmt_acc(m.latency.p50()) + " ms",
-                          eval::fmt_acc(m.latency.p99()) + " ms",
-                          eval::fmt_acc(m.throughput_qps()) + " qps",
-                          eval::fmt_pct(100.0 * m.utilization())});
-    json::Value row = metrics_row(m);
-    row["workers"] = workers[i];
-    worker_rows.push_back(std::move(row));
+  // Steady-clock rows: one serve of the workload per pool width.
+  const auto requests = serve::synth_workload(workload(), records.size());
+  std::printf("\nMeasured serving (%zu requests, 4 shards, tiles of %zu):"
+              "\n\n",
+              requests.size(), index::kernels::kTileQ);
+  eval::TableWriter pool_table(
+      {"Pool threads", "Wall", "Requests/s", "Median tile"});
+  json::Array pool_rows;
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    parallel::ThreadPool pool(threads);
+    const util::Stopwatch watch;
+    const auto results = engine.serve(records, requests, pool);
+    const double wall_s = watch.seconds();
+    util::Histogram tile_ms(0.0, 1.0, 1);  // exact quantiles ignore the bins
+    for (const auto& r : results) tile_ms.add(r.tile_ms);
+    const double per_s = static_cast<double>(results.size()) / wall_s;
+    pool_table.add_row({std::to_string(threads),
+                        eval::fmt_acc(wall_s * 1e3) + " ms",
+                        eval::fmt_acc(per_s),
+                        eval::fmt_acc(tile_ms.p50()) + " ms"});
+    json::Value row = json::Value::object();
+    row["pool_threads"] = threads;
+    row["wall_s"] = wall_s;
+    row["requests_per_s"] = per_s;
+    row["tile_ms_p50"] = tile_ms.p50();
+    pool_rows.push_back(std::move(row));
   }
-  std::printf("%s\n", worker_table.render().c_str());
-  report["worker_sweep"] = json::Value(std::move(worker_rows));
-
-  // Shards x batch cutoff at fixed load: scan shrinks with shards,
-  // merge grows, and the cutoff trades batching wait against fill.
-  std::printf("Shard x cutoff sweep (400 qps offered, 512 requests):\n\n");
-  eval::TableWriter shard_table(
-      {"Shards", "Cutoff", "p50 latency", "p99 latency", "Mean fill"});
-  json::Array shard_rows;
-  serve::WorkloadConfig wl = base_workload(records.size());
-  const auto requests = serve::synth_workload(wl, records.size());
-  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-    for (const double cutoff : {1.0, 4.0, 16.0}) {
-      serve::ServeConfig cfg;
-      cfg.shards = shards;
-      cfg.batch_cutoff_ms = cutoff;
-      cfg.queue_capacity = wl.requests;
-      const serve::QueryEngine engine(ctx.rag(), stores, spec, cfg);
-      serve::ServerMetrics m;
-      engine.serve(records, requests, &m);
-      shard_table.add_row({std::to_string(shards), eval::fmt_acc(cutoff),
-                           eval::fmt_acc(m.latency.p50()) + " ms",
-                           eval::fmt_acc(m.latency.p99()) + " ms",
-                           eval::fmt_acc(m.mean_batch_fill())});
-      json::Value row = metrics_row(m);
-      row["shards"] = shards;
-      row["cutoff_ms"] = cutoff;
-      shard_rows.push_back(std::move(row));
-    }
-  }
-  std::printf("%s\n", shard_table.render().c_str());
-  report["shard_cutoff_sweep"] = json::Value(std::move(shard_rows));
-
-  // Offered-load sweep: completion holds, then admission sheds.
-  std::printf("Offered-load sweep (capacity 64, 4 workers):\n\n");
-  eval::TableWriter load_table(
-      {"Offered qps", "Completed", "Rejected", "Expired", "p99 latency"});
-  json::Array load_rows;
-  for (const double qps : {100.0, 400.0, 1600.0, 6400.0, 25600.0}) {
-    serve::ServeConfig cfg;
-    cfg.deadline_ms = 250.0;
-    const serve::QueryEngine engine(ctx.rag(), stores, spec, cfg);
-    serve::WorkloadConfig load_wl = base_workload(records.size());
-    load_wl.offered_qps = qps;
-    serve::ServerMetrics m;
-    engine.serve(records, serve::synth_workload(load_wl, records.size()),
-                 &m);
-    load_table.add_row({eval::fmt_acc(qps), std::to_string(m.completed),
-                        std::to_string(m.rejected),
-                        std::to_string(m.expired),
-                        eval::fmt_acc(m.latency.p99()) + " ms"});
-    json::Value row = metrics_row(m);
-    row["offered_qps"] = qps;
-    load_rows.push_back(std::move(row));
-  }
-  std::printf("%s\n", load_table.render().c_str());
-  report["load_sweep"] = json::Value(std::move(load_rows));
-
-  // Hedge sweep: replica slowdown injection with hedging off/on.
-  std::printf("Hedge sweep (2 replicas, 4 workers each, 150 qps):\n\n");
-  eval::TableWriter hedge_table({"Slow rate", "Hedge", "p50 latency",
-                                 "p99 latency", "p99.9 latency", "Hedges",
-                                 "Wins"});
-  json::Array hedge_rows;
-  {
-    serve::WorkloadConfig hwl;
-    hwl.requests = 1024;
-    hwl.offered_qps = 150.0;
-    const auto hedge_requests = serve::synth_workload(hwl, records.size());
-    for (const double rate : {0.0, 0.01, 0.05}) {
-      for (const bool hedge : {false, true}) {
-        serve::ServeConfig cfg;
-        cfg.workers = 4;
-        cfg.replicas = 2;
-        cfg.hedge = hedge;
-        cfg.replica_slow_rate = rate;
-        cfg.replica_slow_factor = 10.0;
-        cfg.queue_capacity = 1u << 20;
-        cfg.deadline_ms = 1e7;
-        const serve::QueryEngine engine(ctx.rag(), stores, spec, cfg);
-        serve::ServerMetrics m;
-        engine.serve(records, hedge_requests, &m);
-        hedge_table.add_row({eval::fmt_acc(rate), hedge ? "on" : "off",
-                             eval::fmt_acc(m.latency.p50()) + " ms",
-                             eval::fmt_acc(m.latency.p99()) + " ms",
-                             eval::fmt_acc(m.latency.p999()) + " ms",
-                             std::to_string(m.hedges),
-                             std::to_string(m.hedge_wins)});
-        json::Value row = metrics_row(m);
-        row["replica_slow_rate"] = rate;
-        row["hedge"] = hedge;
-        row["hedges"] = m.hedges;
-        row["hedge_wins"] = m.hedge_wins;
-        row["hedge_cancels"] = m.hedge_cancels;
-        row["hedge_failed"] = m.hedge_failed;
-        hedge_rows.push_back(std::move(row));
-      }
-    }
-  }
-  std::printf("%s\n", hedge_table.render().c_str());
-  report["hedge_sweep"] = json::Value(std::move(hedge_rows));
-
-  // Lane isolation: the interactive tail with and without the flood.
-  std::printf("Priority lanes (4 workers, 2 reserved, batch flood):\n\n");
-  eval::TableWriter lane_table({"Scenario", "Interactive p99",
-                                "Interactive p99.9", "Batch p99",
-                                "Completed"});
-  const auto lane_row = [&](const char* name,
-                            const serve::ServerMetrics& m) {
-    lane_table.add_row(
-        {name, eval::fmt_acc(m.interactive_latency.p99()) + " ms",
-         eval::fmt_acc(m.interactive_latency.p999()) + " ms",
-         m.batch_latency.count() > 0
-             ? eval::fmt_acc(m.batch_latency.p99()) + " ms"
-             : "-",
-         std::to_string(m.completed)});
-    json::Value row = metrics_row(m);
-    row["scenario"] = name;
-    row["interactive_p99_ms"] = m.interactive_latency.p99();
-    row["interactive_p999_ms"] = m.interactive_latency.p999();
-    row["batch_p99_ms"] = m.batch_latency.p99();
-    return row;
-  };
-  json::Array lane_rows;
-  lane_rows.push_back(lane_row("interactive alone", lane_alone));
-  lane_rows.push_back(lane_row("with batch flood", lane_flood));
-  std::printf("%s\n", lane_table.render().c_str());
-  report["lane_isolation"] = json::Value(std::move(lane_rows));
-
-  // Hedge headline numbers from the shape-check run.
-  {
-    json::Value h = json::Value::object();
-    h["unhedged"] = metrics_row(hedge_plain);
-    h["hedged"] = metrics_row(hedge_on);
-    h["p999_ratio"] =
-        hedge_plain.latency.p999() > 0.0
-            ? hedge_on.latency.p999() / hedge_plain.latency.p999()
-            : 0.0;
-    report["hedged_tail"] = std::move(h);
-  }
+  std::printf("%s\n", pool_table.render().c_str());
+  report["pool_widths"] = json::Value(std::move(pool_rows));
 
   // Sustained rolling updates: staleness of the live store per publish.
   std::printf("Live store rolling updates (8 appends/tick, publish each "
@@ -665,15 +322,6 @@ int main(int argc, char** argv) {
 
   std::ofstream out("BENCH_serve.json");
   out << report.dump(2) << "\n";
-  std::printf(
-      "Reading: sharding trades scan time against merge overhead, the "
-      "cutoff trades batching wait against fill, and admission control "
-      "converts overload into explicit sheds instead of unbounded "
-      "queueing; hedging trades duplicate work for the injected tail, "
-      "reserved slots keep the interactive tail flat under a batch "
-      "flood, and live epochs stay bit-identical to rebuilds while the "
-      "corpus mutates — all on a simulated clock, so every number above "
-      "is bit-reproducible.\n");
   std::printf("wrote BENCH_serve.json\n");
   return g_all_pass ? 0 : 1;
 }

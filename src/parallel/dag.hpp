@@ -12,7 +12,6 @@
 // work only a worker can run).  The single wait() lives on the caller's
 // thread, outside the pool.
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
@@ -35,13 +34,17 @@ class TaskGroup {
   /// group open until it returns, so the count can never hit zero
   /// between a parent observing data and spawning its continuation.
   void spawn(std::function<void()> fn) {
-    pending_.fetch_add(1, std::memory_order_relaxed);
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      ++pending_;
+    }
     pool_.enqueue([this, fn = std::move(fn)]() {
       fn();
-      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        cv_.notify_all();
-      }
+      // Decrement and notify under the lock: a waiter sees zero only
+      // after this task's last touch of the group, so it may destroy
+      // the group the moment wait() returns.
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (--pending_ == 0) cv_.notify_all();
     });
   }
 
@@ -49,15 +52,13 @@ class TaskGroup {
   /// has finished.  Call from outside the pool only.
   void wait() {
     std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [this]() {
-      return pending_.load(std::memory_order_acquire) == 0;
-    });
+    cv_.wait(lock, [this]() { return pending_ == 0; });
   }
 
  private:
   ThreadPool& pool_;
-  std::atomic<std::size_t> pending_{0};
   std::mutex mutex_;
+  std::size_t pending_ = 0;  ///< guarded by mutex_
   std::condition_variable cv_;
 };
 

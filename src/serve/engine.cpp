@@ -1,32 +1,17 @@
 #include "serve/engine.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <functional>
-#include <future>
-#include <queue>
+#include <span>
 #include <stdexcept>
+#include <string>
 
-#include "parallel/bounded_queue.hpp"
+#include "index/kernels.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
+#include "util/stopwatch.hpp"
 
 namespace mcqa::serve {
-
-std::string_view status_name(RequestStatus status) {
-  switch (status) {
-    case RequestStatus::kOk: return "ok";
-    case RequestStatus::kRejected: return "rejected";
-    case RequestStatus::kExpired: return "expired";
-    case RequestStatus::kFailed: return "failed";
-  }
-  return "unknown";
-}
-
-std::string_view class_name(RequestClass klass) {
-  return klass == RequestClass::kInteractive ? "interactive" : "batch";
-}
 
 // --- workload ----------------------------------------------------------------
 
@@ -37,15 +22,12 @@ std::vector<QueryRequest> synth_workload(const WorkloadConfig& config,
   const util::Rng base(config.seed);
   const std::vector<double> weights(config.condition_weights.begin(),
                                     config.condition_weights.end());
-  const double mean_gap_ms =
-      config.offered_qps > 0.0 ? 1000.0 / config.offered_qps : 0.0;
-  double clock_ms = 0.0;
   for (std::size_t i = 0; i < config.requests; ++i) {
     util::Rng rng = base.fork(i);
-    // Exponential inter-arrival; uniform() < 1 keeps the log finite.
-    clock_ms += mean_gap_ms * -std::log(1.0 - rng.uniform());
+    // The first draw is discarded: it keeps every (record, condition)
+    // pair on the sequence WorkloadTest.RequestSequenceIsPinned pins.
+    (void)rng.uniform();
     QueryRequest r;
-    r.request_id = "rq_" + std::to_string(i);
     r.record = records == 0
                    ? 0
                    : rng.bounded(static_cast<std::uint32_t>(
@@ -55,599 +37,80 @@ std::vector<QueryRequest> synth_workload(const WorkloadConfig& config,
       pick = static_cast<std::size_t>(rag::Condition::kChunks);
     }
     r.condition = static_cast<rag::Condition>(pick);
-    r.arrival_ms = clock_ms;
-    // Class and hot-key draws come from streams independent of the
-    // arrival/record/condition sequence, so the defaults (all
-    // interactive, no hot key) reproduce pre-lane workloads bit-for-bit.
-    if (config.interactive_fraction < 1.0) {
-      util::Rng crng(util::hash_combine(config.seed, 0xc1a55ULL), i);
-      if (crng.uniform() >= config.interactive_fraction) {
-        r.klass = RequestClass::kBatch;
-      }
-    }
     if (config.hot_fraction > 0.0 && records > 0) {
       util::Rng hrng(util::hash_combine(config.seed, 0x407ULL), i);
       if (hrng.uniform() < config.hot_fraction) r.record = 0;
     }
-    out.push_back(std::move(r));
+    out.push_back(r);
   }
   return out;
-}
-
-// --- micro-batcher -----------------------------------------------------------
-
-std::vector<MicroBatcher::Item> MicroBatcher::take_batch() {
-  const std::size_t n = std::min(batch_max_, waiting_.size());
-  std::vector<Item> batch(waiting_.begin(),
-                          waiting_.begin() + static_cast<std::ptrdiff_t>(n));
-  waiting_.erase(waiting_.begin(),
-                 waiting_.begin() + static_cast<std::ptrdiff_t>(n));
-  return batch;
 }
 
 // --- engine ------------------------------------------------------------------
 
 QueryEngine::QueryEngine(const rag::RagPipeline& rag,
                          const rag::RetrievalStores& stores,
-                         const llm::ModelSpec& spec, ServeConfig config)
-    : rag_(&rag),
-      spec_(spec),
-      config_(config),
-      router_(stores, config.shards) {}
+                         const llm::ModelSpec& spec, std::size_t shards)
+    : rag_(&rag), spec_(spec), router_(stores, shards) {}
 
-double QueryEngine::jitter(std::string_view request_id,
-                           std::string_view stage, double amplitude) const {
-  util::Rng rng(util::hash_combine(config_.seed, util::fnv1a64(request_id)),
-                util::fnv1a64(stage));
-  return amplitude * rng.uniform();
-}
-
-double QueryEngine::embed_cost_ms(const QueryRequest& request) const {
-  return config_.embed_base_ms +
-         jitter(request.request_id, "embed", config_.embed_jitter_ms);
-}
-
-double QueryEngine::retrieve_cost_ms(const QueryRequest& request) const {
-  const ShardedStore* store = router_.store_for(request.condition);
-  if (store == nullptr || store->rows() == 0) return 0.0;
-  // Shards scan in parallel: per-query scan cost covers the largest
-  // partition (ceil(rows/shards)); the exact merge grows with the
-  // number of per-shard candidate lists.
-  const std::size_t shards = router_.shard_count();
-  const std::size_t partition = (store->rows() + shards - 1) / shards;
-  return config_.retrieve_scan_ms_per_kilorow *
-             (static_cast<double>(partition) / 1000.0) +
-         config_.retrieve_merge_ms_per_shard *
-             static_cast<double>(shards) +
-         jitter(request.request_id, "retrieve", config_.retrieve_jitter_ms);
-}
-
-double QueryEngine::assemble_cost_ms(const QueryRequest& request) const {
-  return config_.assemble_base_ms +
-         jitter(request.request_id, "assemble", config_.assemble_jitter_ms);
-}
-
-bool QueryEngine::attempt_fails(std::string_view request_id,
-                                std::size_t attempt) const {
-  // Same derivation as BatchTeacherClient::attempt_fails: one odd-stream
-  // probe per (id, attempt).
-  util::Rng probe(
-      util::hash_combine(config_.seed, util::fnv1a64(request_id)),
-      attempt * 2 + 1);
-  return probe.uniform() < config_.transient_failure_rate;
-}
-
-bool QueryEngine::replica_slow(std::size_t replica,
-                               std::string_view request_id) const {
-  util::Rng probe(util::hash_combine(config_.seed ^ 0x510dULL, replica),
-                  util::fnv1a64(request_id));
-  return probe.uniform() < config_.replica_slow_rate;
-}
-
-bool QueryEngine::replica_fails(std::size_t replica,
-                                std::string_view request_id) const {
-  util::Rng probe(util::hash_combine(config_.seed ^ 0xfa11ULL, replica),
-                  util::fnv1a64(request_id));
-  return probe.uniform() < config_.replica_failure_rate;
-}
-
-double QueryEngine::deadline_ms_for(RequestClass klass) const {
-  if (klass == RequestClass::kInteractive) {
-    return config_.interactive_deadline_ms >= 0.0
-               ? config_.interactive_deadline_ms
-               : config_.deadline_ms;
-  }
-  return config_.batch_deadline_ms >= 0.0 ? config_.batch_deadline_ms
-                                          : 4.0 * config_.deadline_ms;
-}
-
-double QueryEngine::hedge_delay_for(
-    const std::vector<QueryRequest>& requests) const {
-  if (config_.hedge_delay_ms >= 0.0) return config_.hedge_delay_ms;
-  if (requests.empty()) return 0.0;
-  // The "hedge at p-tail" policy: the delay is a quantile of the
-  // workload's own nominal dispatch costs, so it adapts to the cost
-  // model without ever consulting a clock.
-  util::Histogram nominal(0.0, 1.0, 1);  // exact quantiles ignore bins
-  for (const QueryRequest& r : requests) {
-    nominal.add(config_.batch_overhead_ms + embed_cost_ms(r) +
-                retrieve_cost_ms(r) + assemble_cost_ms(r));
-  }
-  return nominal.exact_quantile(config_.hedge_delay_quantile);
-}
-
-struct QueryEngine::BatchExec {
-  /// Requests whose *succeeding* attempt this batch carries; the
-  /// execution plane assembles exactly these tasks.
-  std::vector<std::size_t> ok_members;
-};
-
-std::vector<QueryEngine::BatchExec> QueryEngine::simulate(
+std::vector<QueryResult> QueryEngine::serve(
+    const std::vector<qgen::McqRecord>& records,
     const std::vector<QueryRequest>& requests,
-    std::vector<QueryResult>& results, ServerMetrics& metrics) const {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const std::size_t n = requests.size();
-  for (std::size_t i = 1; i < n; ++i) {
-    if (requests[i].arrival_ms < requests[i - 1].arrival_ms) {
-      throw std::invalid_argument(
-          "QueryEngine::serve: arrivals must be nondecreasing");
+    parallel::ThreadPool& pool) const {
+  std::array<std::vector<std::size_t>, rag::kConditionCount> by_condition;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    if (requests[i].record >= records.size()) {
+      throw std::out_of_range("QueryEngine::serve: record index");
+    }
+    by_condition[static_cast<std::size_t>(requests[i].condition)].push_back(i);
+  }
+  struct Tile {
+    rag::Condition condition;
+    std::span<const std::size_t> members;  ///< request indexes
+  };
+  std::vector<Tile> tiles;
+  for (int c = 0; c < rag::kConditionCount; ++c) {
+    const std::vector<std::size_t>& members =
+        by_condition[static_cast<std::size_t>(c)];
+    for (std::size_t lo = 0; lo < members.size();
+         lo += index::kernels::kTileQ) {
+      tiles.push_back(Tile{
+          static_cast<rag::Condition>(c),
+          std::span(members).subspan(
+              lo, std::min(index::kernels::kTileQ, members.size() - lo))});
     }
   }
 
-  const std::size_t workers = std::max<std::size_t>(1, config_.workers);
-  const std::size_t replicas = std::max<std::size_t>(1, config_.replicas);
-  metrics = ServerMetrics(config_.deadline_ms * 4.0, workers * replicas);
-  metrics.offered = n;
-  metrics.lane_serviced.assign(router_.shard_count(), 0);
-  metrics.replica_serviced.assign(replicas, 0);
-
-  AdmissionController admission(config_.queue_capacity);
-  const auto batch_capacity = static_cast<std::size_t>(
-      static_cast<double>(config_.queue_capacity) *
-      std::clamp(config_.batch_admission_fraction, 0.0, 1.0));
-  // One micro-batcher per priority lane; batches never mix classes.
-  // The batch lane tolerates a wider cutoff (bulk traffic prefers full
-  // batches over formation latency).
-  MicroBatcher interactive_lane(config_.batch_max, config_.batch_cutoff_ms);
-  MicroBatcher batch_lane(config_.batch_max,
-                          config_.batch_lane_cutoff_ms >= 0.0
-                              ? config_.batch_lane_cutoff_ms
-                              : 4.0 * config_.batch_cutoff_ms);
-  const auto lane_for = [&](RequestClass klass) -> MicroBatcher& {
-    return klass == RequestClass::kInteractive ? interactive_lane : batch_lane;
-  };
-  using Item = MicroBatcher::Item;
-  const auto later = [](const Item& a, const Item& b) {
-    if (a.ready_ms != b.ready_ms) return a.ready_ms > b.ready_ms;
-    return a.req > b.req;
-  };
-  std::priority_queue<Item, std::vector<Item>, decltype(later)> retry_queue(
-      later);
-  // Replicated service slots: slot_free[replica * workers + w].
-  // Batch-class dispatches are confined to the non-reserved tail of
-  // each replica, so interactive batches always find a slot the batch
-  // lane cannot have taken.
-  std::vector<double> slot_free(replicas * workers, 0.0);
-  const std::size_t reserved =
-      std::min(config_.reserved_interactive_slots, workers - 1);
-  struct SlotPick {
-    std::size_t replica = 0;
-    std::size_t slot = 0;  ///< index into slot_free
-    double free_ms = 0.0;
-  };
-  // Earliest eligible slot, first minimum wins (stable).  `exclude`
-  // keeps a hedge off the primary's replica.
-  const auto pick_slot = [&](RequestClass klass,
-                             std::size_t exclude) -> SlotPick {
-    SlotPick best;
-    bool found = false;
-    for (std::size_t r = 0; r < replicas; ++r) {
-      if (r == exclude) continue;
-      const std::size_t lo = klass == RequestClass::kBatch ? reserved : 0;
-      for (std::size_t w = lo; w < workers; ++w) {
-        const std::size_t s = r * workers + w;
-        if (!found || slot_free[s] < best.free_ms) {
-          best = SlotPick{r, s, slot_free[s]};
-          found = true;
-        }
-      }
-    }
-    return best;
-  };
-  const double hedge_delay = hedge_delay_for(requests);
-  const bool hedging = config_.hedge && replicas >= 2;
-  std::vector<BatchExec> plan;
-
-  // Shard-heat window: serviced requests bump their salted record-lane;
-  // a lane running heat_imbalance x the mean bumps the salt (the
-  // deterministic stand-in for migrating shard ownership).
-  std::uint64_t heat_salt = 0;
-  std::vector<std::size_t> heat(router_.shard_count(), 0);
-  std::size_t heat_seen = 0;
-  const auto note_heat = [&](std::size_t record) {
-    if (config_.heat_window == 0) return;
-    const std::string key = "rec_" + std::to_string(record);
-    ++heat[router_.lane_of(key, heat_salt)];
-    if (++heat_seen < config_.heat_window) return;
-    std::size_t hottest = 0;
-    for (const std::size_t h : heat) hottest = std::max(hottest, h);
-    const double mean = static_cast<double>(heat_seen) /
-                        static_cast<double>(heat.size());
-    if (static_cast<double>(hottest) > config_.heat_imbalance * mean) {
-      ++heat_salt;
-      ++metrics.rebalances;
-    }
-    std::fill(heat.begin(), heat.end(), 0);
-    heat_seen = 0;
-  };
-
-  // Admission bounds *outstanding* work: requests waiting in the
-  // batcher plus members of formed batches still waiting for a slot.
-  // When workers saturate, formed batches back up, occupancy climbs to
-  // capacity, and fresh arrivals shed — which is what makes shed > 0 a
-  // pure function of offered load vs service capacity.  Backlog release
-  // times are known at formation (list scheduling), so the heap drains
-  // lazily as the event clock advances.
-  using Release = std::pair<double, std::size_t>;  // (start_ms, members)
-  std::priority_queue<Release, std::vector<Release>, std::greater<>>
-      backlog_releases;
-  std::size_t backlog = 0;
-  const auto occupancy_at = [&](double now_ms) {
-    while (!backlog_releases.empty() &&
-           backlog_releases.top().first <= now_ms) {
-      backlog -= backlog_releases.top().second;
-      backlog_releases.pop();
-    }
-    return interactive_lane.waiting() + batch_lane.waiting() + backlog;
-  };
-
-  const auto deadline_of = [&](std::size_t req) {
-    return requests[req].arrival_ms + deadline_ms_for(requests[req].klass);
-  };
-  // Per-stage simulated costs are stable per request id; memoized so
-  // retries and the service sum reuse one evaluation.
-  std::vector<double> cost_embed(n), cost_retrieve(n), cost_assemble(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    cost_embed[i] = embed_cost_ms(requests[i]);
-    cost_retrieve[i] = retrieve_cost_ms(requests[i]);
-    cost_assemble[i] = assemble_cost_ms(requests[i]);
-    results[i].lane = router_.lane_of(requests[i].request_id);
-    results[i].klass = requests[i].klass;
-  }
-
-  const auto record_stage_times = [&](QueryResult& res, std::size_t req) {
-    res.embed_ms = cost_embed[req];
-    res.retrieve_ms = cost_retrieve[req];
-    res.assemble_ms = cost_assemble[req];
-    metrics.embed.add(cost_embed[req]);
-    metrics.retrieve.add(cost_retrieve[req]);
-    metrics.assemble.add(cost_assemble[req]);
-  };
-  const auto record_latency = [&](std::size_t req, double latency_ms) {
-    metrics.latency.add(latency_ms);
-    (requests[req].klass == RequestClass::kInteractive
-         ? metrics.interactive_latency
-         : metrics.batch_latency)
-        .add(latency_ms);
-  };
-
-  const auto service_batch = [&](RequestClass klass, double form_ms) {
-    BatchExec exec;
-    const std::vector<Item> items = lane_for(klass).take_batch();
-    // Deadline check at dispatch: an expired waiter never reaches a
-    // slot (it would waste service on an answer nobody is waiting for).
-    // `>=` pins the formation-tick tie: service time is strictly
-    // positive, so a request whose deadline falls exactly on the tick
-    // can never finish in time — it expires here, not after consuming
-    // a slot.
-    std::vector<Item> live;
-    live.reserve(items.size());
-    for (const Item& item : items) {
-      if (form_ms >= deadline_of(item.req)) {
-        QueryResult& res = results[item.req];
-        res.status = RequestStatus::kExpired;
-        res.attempts = item.attempt;
-        res.enqueue_wait_ms = form_ms - item.ready_ms;
-        res.latency_ms = form_ms - requests[item.req].arrival_ms;
-        ++metrics.expired;
-        metrics.enqueue_wait.add(res.enqueue_wait_ms);
-        record_latency(item.req, res.latency_ms);
-        continue;
-      }
-      live.push_back(item);
-    }
-    if (live.empty()) return;
-
-    double service_ms = config_.batch_overhead_ms;
-    for (const Item& item : live) {
-      service_ms +=
-          cost_embed[item.req] + cost_retrieve[item.req] +
-          cost_assemble[item.req];
-    }
-    // Per-(replica, batch) injections: any afflicted member afflicts
-    // the whole dispatch (the batch shares one service call).
-    const auto dispatch_slow = [&](std::size_t replica) {
-      for (const Item& item : live) {
-        if (replica_slow(replica, requests[item.req].request_id)) return true;
-      }
-      return false;
-    };
-    const auto dispatch_fails = [&](std::size_t replica) {
-      for (const Item& item : live) {
-        if (replica_fails(replica, requests[item.req].request_id)) return true;
-      }
-      return false;
-    };
-    const auto service_on = [&](std::size_t replica) {
-      return dispatch_slow(replica) ? service_ms * config_.replica_slow_factor
-                                    : service_ms;
-    };
-
-    // Primary dispatch: list scheduling onto the earliest eligible slot.
-    const SlotPick primary = pick_slot(klass, replicas);
-    const double start_p = std::max(form_ms, primary.free_ms);
-    const double service_p = service_on(primary.replica);
-    const double done_p = start_p + service_p;
-    const bool slow_p = service_p != service_ms;
-    const bool fail_p = dispatch_fails(primary.replica);
-    if (slow_p) ++metrics.replica_slow;
-    if (fail_p) ++metrics.replica_failures;
-
-    // Hedge: duplicate to a second replica once the primary has not
-    // answered by form + hedge_delay (a primary failure surfacing
-    // earlier triggers the failover immediately).
-    bool hedged = false;
-    SlotPick secondary;
-    double start_q = 0.0, done_q = 0.0;
-    bool fail_q = false;
-    if (hedging) {
-      const double hedge_at =
-          fail_p ? std::min(form_ms + hedge_delay, done_p)
-                 : form_ms + hedge_delay;
-      if (fail_p || done_p > hedge_at) {
-        hedged = true;
-        ++metrics.hedges;
-        secondary = pick_slot(klass, primary.replica);
-        start_q = std::max(hedge_at, secondary.free_ms);
-        const double service_q = service_on(secondary.replica);
-        done_q = start_q + service_q;
-        if (service_q != service_ms) ++metrics.replica_slow;
-        fail_q = dispatch_fails(secondary.replica);
-        if (fail_q) ++metrics.replica_failures;
-      }
-    }
-
-    // Race resolution: first valid completion wins; the loser's slot
-    // frees at the winning instant (cancellation) — unless it never
-    // started, in which case it keeps its prior free time.
-    const auto cancel_at = [&](const SlotPick& pick, double started,
-                               double done, double t) {
-      slot_free[pick.slot] = t <= started ? pick.free_ms : std::min(done, t);
-    };
-    double done_ms = 0.0;
-    std::size_t winner = primary.replica;
-    bool dispatch_failed = false;
-    if (!fail_p && (!hedged || fail_q || done_p <= done_q)) {
-      done_ms = done_p;
-      slot_free[primary.slot] = done_p;
-      if (hedged) {
-        ++metrics.hedge_cancels;
-        cancel_at(secondary, start_q, done_q, done_ms);
-      }
-    } else if (hedged && !fail_q) {
-      done_ms = done_q;
-      winner = secondary.replica;
-      ++metrics.hedge_wins;
-      slot_free[secondary.slot] = done_q;
-      // A failed primary holds its slot until the failure surfaces.
-      if (fail_p) {
-        slot_free[primary.slot] = done_p;
-      } else {
-        cancel_at(primary, start_p, done_p, done_ms);
-      }
-    } else {
-      // Every dispatched path failed: the attempt fails as a whole and
-      // the members fall back to the retry path (failover by retry).
-      dispatch_failed = true;
-      done_ms = hedged ? std::max(done_p, done_q) : done_p;
-      slot_free[primary.slot] = done_p;
-      if (hedged) {
-        ++metrics.hedge_failed;
-        slot_free[secondary.slot] = done_q;
-      }
-    }
-
-    if (start_p > form_ms) {
-      backlog += live.size();
-      backlog_releases.emplace(start_p, live.size());
-    }
-    ++metrics.batches;
-    metrics.busy_ms += std::max(0.0, slot_free[primary.slot] - start_p);
-    if (hedged) {
-      metrics.busy_ms += std::max(0.0, slot_free[secondary.slot] - start_q);
-    }
-    metrics.makespan_ms = std::max(metrics.makespan_ms, done_ms);
-    metrics.batch_fill.add(static_cast<double>(live.size()));
-
-    for (const Item& item : live) {
-      QueryResult& res = results[item.req];
-      const QueryRequest& req = requests[item.req];
-      ++metrics.serviced;
-      ++metrics.lane_serviced[res.lane];
-      ++metrics.replica_serviced[winner];
-      note_heat(req.record);
-      res.attempts = item.attempt + 1;
-      res.replica = winner;
-      res.hedged = hedged;
-      res.enqueue_wait_ms = start_p - item.ready_ms;
-      res.latency_ms = done_ms - req.arrival_ms;
-      if (dispatch_failed || attempt_fails(req.request_id, item.attempt)) {
-        if (item.attempt < config_.max_retries) {
-          ++metrics.retries;
-          const double backoff =
-              config_.backoff_base_ms *
-              static_cast<double>(
-                  1u << std::min<std::size_t>(item.attempt, 10));
-          retry_queue.push(
-              Item{item.req, item.attempt + 1, done_ms + backoff});
-          continue;  // not terminal yet
-        }
-        res.status = RequestStatus::kFailed;
-        ++metrics.failed;
-      } else if (done_ms > deadline_of(item.req)) {
-        res.status = RequestStatus::kExpired;
-        ++metrics.expired;
-      } else {
-        res.status = RequestStatus::kOk;
-        ++metrics.completed;
-        exec.ok_members.push_back(item.req);
-      }
-      record_stage_times(res, item.req);
-      metrics.enqueue_wait.add(res.enqueue_wait_ms);
-      record_latency(item.req, res.latency_ms);
-    }
-    if (!exec.ok_members.empty()) plan.push_back(std::move(exec));
-  };
-
-  // Discrete-event loop.  Fixed tie order: cutoff flushes fire before a
-  // same-instant admission, the interactive lane flushing before the
-  // batch lane (the weighted-drain priority); a retry re-enters before
-  // a same-instant fresh arrival (it has been waiting longer).
-  std::size_t next_arrival = 0;
-  while (true) {
-    const double t_cut_i = interactive_lane.cutoff_at();
-    const double t_cut_b = batch_lane.cutoff_at();
-    const double t_arrival =
-        next_arrival < n ? requests[next_arrival].arrival_ms : kInf;
-    const double t_retry =
-        retry_queue.empty() ? kInf : retry_queue.top().ready_ms;
-    const double t = std::min({t_cut_i, t_cut_b, t_arrival, t_retry});
-    if (t == kInf) break;
-    if (t_cut_i <= t) {
-      service_batch(RequestClass::kInteractive, t_cut_i);
-      continue;
-    }
-    if (t_cut_b <= t) {
-      service_batch(RequestClass::kBatch, t_cut_b);
-      continue;
-    }
-    Item item;
-    if (t_retry <= t_arrival) {
-      item = retry_queue.top();
-      retry_queue.pop();
-    } else {
-      item = Item{next_arrival, 0, t_arrival};
-      ++next_arrival;
-    }
-    QueryResult& res = results[item.req];
-    const RequestClass klass = requests[item.req].klass;
-    if (item.ready_ms > deadline_of(item.req)) {
-      // Backoff outlived the deadline: terminal expiry, never re-queued.
-      res.status = RequestStatus::kExpired;
-      res.attempts = item.attempt;
-      res.latency_ms = item.ready_ms - requests[item.req].arrival_ms;
-      ++metrics.expired;
-      record_latency(item.req, res.latency_ms);
-      continue;
-    }
-    const std::size_t capacity = klass == RequestClass::kBatch
-                                     ? batch_capacity
-                                     : admission.capacity();
-    if (!admission.try_admit(occupancy_at(item.ready_ms), capacity)) {
-      res.status = RequestStatus::kRejected;
-      res.attempts = item.attempt;
-      res.latency_ms = item.ready_ms - requests[item.req].arrival_ms;
-      ++metrics.rejected;
-      continue;
-    }
-    lane_for(klass).push(item);
-    if (lane_for(klass).size_ready()) service_batch(klass, item.ready_ms);
-  }
-
-  metrics.admitted = admission.admitted();
-  return plan;
-}
-
-std::vector<QueryResult> QueryEngine::serve(
-    const std::vector<qgen::McqRecord>& records,
-    const std::vector<QueryRequest>& requests, parallel::ThreadPool& pool,
-    ServerMetrics* metrics) const {
   std::vector<QueryResult> results(requests.size());
-  ServerMetrics local;
-  const std::vector<BatchExec> plan = simulate(requests, results, local);
-
-  // Execution plane: formed batches flow through a bounded queue to
-  // pool workers, which run the real sharded retrieval + assembly.
-  // Writes land in disjoint result slots, so output is independent of
-  // the drain order and the pool width.
-  const auto execute = [&](const BatchExec& batch) {
-    // Group the batch's retrieval members by condition: each group then
-    // queries its sharded store as ONE tiled batch, so shard rows are
-    // decoded once per kTileQ-query tile instead of once per member.
-    // Bit-identical to per-member query() calls (tile-kernel contract),
-    // and group order is condition enum order — deterministic.
-    std::array<std::vector<std::size_t>, rag::kConditionCount> groups;
-    for (const std::size_t i : batch.ok_members) {
-      const QueryRequest& req = requests[i];
-      if (req.record >= records.size()) {
-        throw std::out_of_range("QueryEngine::serve: record index");
+  const auto run_tile = [&](std::size_t t) {
+    const util::Stopwatch watch;
+    const Tile& tile = tiles[t];
+    const ShardedStore* store = router_.store_for(tile.condition);
+    if (store == nullptr || store->rows() == 0) {
+      // RagPipeline::prepare's baseline / empty-store path.
+      for (const std::size_t i : tile.members) {
+        results[i].task = records[requests[i].record].to_task();
       }
-      const ShardedStore* store = router_.store_for(req.condition);
-      if (req.condition == rag::Condition::kBaseline || store == nullptr ||
-          store->rows() == 0) {
-        // Mirrors RagPipeline::prepare's baseline/empty-store path.
-        results[i].task = records[req.record].to_task();
-        continue;
-      }
-      groups[static_cast<std::size_t>(req.condition)].push_back(i);
-    }
-    for (int c = 0; c < rag::kConditionCount; ++c) {
-      const std::vector<std::size_t>& members =
-          groups[static_cast<std::size_t>(c)];
-      if (members.empty()) continue;
-      const auto condition = static_cast<rag::Condition>(c);
-      const ShardedStore* store = router_.store_for(condition);
+    } else {
       std::vector<std::string> texts;
-      texts.reserve(members.size());
-      for (const std::size_t i : members) {
+      texts.reserve(tile.members.size());
+      for (const std::size_t i : tile.members) {
         texts.push_back(
-            rag_->query_for(records[requests[i].record], condition));
+            rag_->query_for(records[requests[i].record], tile.condition));
       }
-      const auto hits = store->query_batch(
-          texts, rag_->config().top_k_for(condition));
-      for (std::size_t j = 0; j < members.size(); ++j) {
-        const std::size_t i = members[j];
+      const auto hits =
+          store->query_batch(texts, rag_->config().top_k_for(tile.condition));
+      for (std::size_t j = 0; j < tile.members.size(); ++j) {
+        const std::size_t i = tile.members[j];
         results[i].task = rag_->prepare_from_hits(
-            records[requests[i].record], condition, spec_, hits[j]);
+            records[requests[i].record], tile.condition, spec_, hits[j]);
       }
     }
+    const double ms = watch.millis();
+    for (const std::size_t i : tile.members) results[i].tile_ms = ms;
   };
-
-  if (!plan.empty()) {
-    parallel::BoundedQueue<const BatchExec*> dispatch(
-        std::max<std::size_t>(1, config_.queue_capacity));
-    const std::size_t consumers =
-        std::max<std::size_t>(1, std::min(pool.thread_count(), plan.size()));
-    std::vector<std::future<void>> drained;
-    drained.reserve(consumers);
-    for (std::size_t c = 0; c < consumers; ++c) {
-      drained.push_back(pool.submit([&] {
-        while (const auto batch = dispatch.pop()) execute(**batch);
-      }));
-    }
-    for (const BatchExec& batch : plan) dispatch.push(&batch);
-    dispatch.close();
-    for (auto& f : drained) f.get();
-  }
-
-  if (metrics != nullptr) *metrics = local;
+  parallel::parallel_for(pool, 0, tiles.size(), run_tile, 1);
   return results;
-}
-
-std::vector<QueryResult> QueryEngine::serve(
-    const std::vector<qgen::McqRecord>& records,
-    const std::vector<QueryRequest>& requests, ServerMetrics* metrics) const {
-  return serve(records, requests, parallel::ThreadPool::global(), metrics);
 }
 
 }  // namespace mcqa::serve

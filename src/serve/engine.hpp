@@ -1,51 +1,26 @@
 #pragma once
-// Deterministic online RAG query-serving engine.
+// Online RAG query serving: the offline pipeline's stores answering
+// batches of requests on a pool.
 //
-// Turns the offline pipeline (stores + RagPipeline) into a query
-// service: requests arrive on a synthetic trace, pass admission control
-// (bounded queue with explicit shed accounting), micro-batch by
-// size-or-deadline cutoff, fan out across worker slots, and produce
-// assembled llm::McqTask results — with per-request deadlines, bounded
-// retry on transient failure, and typed error results (a request is
-// never dropped silently).
-//
-// Determinism contract (the Argo-proxy pattern, argo_proxy.hpp, scaled
-// up to a full service): the engine separates a *simulated time plane*
-// from an *execution plane*.
-//
-//   Time plane   — arrival times, per-stage service costs and transient
-//                  failures are hash-derived from stable request ids; a
-//                  single-threaded discrete-event loop replays
-//                  admission, batching, list-scheduled worker slots,
-//                  deadlines and retries on that simulated clock.
-//                  Every latency number, queue decision and batch
-//                  composition is a pure function of (config,
-//                  workload), identical across runs and thread counts.
-//
-//   Execution    — the batches the time plane formed are pushed through
-//   plane          a parallel::BoundedQueue and drained by pool
-//                  workers, which run the *real* retrieval (sharded
-//                  scatter-gather through QueryRouter) and assembly
-//                  (RagPipeline::prepare_from_hits).  The pool changes
-//                  only when work runs, never what it computes, so
-//                  tasks are bit-identical at any thread count.
-//
-// This mirrors how the paper's batch proxy makes batching/retry logic
-// testable without wall-clock sleeps, extended with the knobs an online
-// front-end needs: shards, admission capacity, batch cutoff, deadlines.
+// QueryEngine::serve splits the requests by condition, keeping request
+// order within each condition, cuts each condition's list into tiles of
+// index::kernels::kTileQ requests and runs the tiles with
+// parallel::parallel_for.  A tile is one ShardedStore::query_batch (the
+// shards scan the tile's queries together) followed by one
+// RagPipeline::prepare_from_hits per member, written into the member's
+// own result slot.  Tiled scatter-gather is bit-identical to the
+// per-query scan and slots are disjoint, so every task equals
+// RagPipeline::prepare for the same (record, condition, spec) at any
+// pool width.  The one timing a result carries is the steady-clock
+// time of its tile.
 
 #include <array>
 #include <cstdint>
-#include <deque>
-#include <limits>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "llm/model_spec.hpp"
 #include "qgen/mcq_record.hpp"
 #include "rag/rag_pipeline.hpp"
-#include "serve/metrics.hpp"
 #include "serve/sharded_store.hpp"
 
 namespace mcqa::parallel {
@@ -54,277 +29,52 @@ class ThreadPool;
 
 namespace mcqa::serve {
 
-/// Terminal outcome of one request.  Exactly one per offered request.
-enum class RequestStatus {
-  kOk,        ///< task assembled within the deadline
-  kRejected,  ///< shed at admission (queue at capacity)
-  kExpired,   ///< deadline passed while queued or in service
-  kFailed,    ///< transient failures exhausted the retry budget
-};
-
-std::string_view status_name(RequestStatus status);
-
-/// Priority class: interactive traffic batches and drains ahead of
-/// bulk/batch traffic (tighter cutoff and deadline, reserved slots).
-enum class RequestClass { kInteractive, kBatch };
-
-std::string_view class_name(RequestClass klass);
-
 struct QueryRequest {
-  std::string request_id;  ///< stable id; keys costs, failures, lanes
   std::size_t record = 0;  ///< index into the served record set
   rag::Condition condition = rag::Condition::kChunks;
-  double arrival_ms = 0.0;  ///< simulated arrival (nondecreasing)
-  RequestClass klass = RequestClass::kInteractive;
 };
 
 struct QueryResult {
-  RequestStatus status = RequestStatus::kRejected;
-  std::size_t attempts = 0;  ///< service attempts consumed
-  std::size_t lane = 0;      ///< QueryRouter::lane_of(request_id)
-  RequestClass klass = RequestClass::kInteractive;
-  std::size_t replica = 0;  ///< replica whose dispatch won the final attempt
-  bool hedged = false;      ///< final attempt launched a hedge
-  // Simulated per-stage times of the final attempt (ms).
-  double enqueue_wait_ms = 0.0;
-  double embed_ms = 0.0;
-  double retrieve_ms = 0.0;
-  double assemble_ms = 0.0;
-  /// Completion (or shed/expiry instant) minus arrival.
-  double latency_ms = 0.0;
-  /// Assembled task; meaningful only when status == kOk.
   llm::McqTask task;
-};
-
-struct ServeConfig {
-  std::size_t shards = 4;
-  std::size_t queue_capacity = 64;  ///< admission bound (waiting requests)
-  std::size_t batch_max = 8;        ///< size cutoff
-  double batch_cutoff_ms = 4.0;     ///< deadline cutoff from oldest waiting
-  std::size_t workers = 4;          ///< simulated service slots
-  double deadline_ms = 250.0;       ///< per-request, from arrival
-  std::size_t max_retries = 1;      ///< per request, after the first attempt
-  /// P(attempt fails transiently); hash-resolved per (id, attempt).
-  double transient_failure_rate = 0.0;
-  double backoff_base_ms = 2.0;  ///< retry k backs off base * 2^(k-1)
-
-  // Simulated per-stage cost model (ms).  Retrieval models a parallel
-  // scan of this condition's shard partition plus a merge that grows
-  // with shard count — so the shard sweep trades scan time against
-  // merge overhead.
-  double batch_overhead_ms = 0.6;
-  double embed_base_ms = 0.08;
-  double embed_jitter_ms = 0.06;
-  double retrieve_scan_ms_per_kilorow = 0.9;
-  double retrieve_merge_ms_per_shard = 0.05;
-  double retrieve_jitter_ms = 0.2;
-  double assemble_base_ms = 0.25;
-  double assemble_jitter_ms = 0.2;
-
-  // --- live tier: replicas + hedged requests ---------------------------------
-  // Each replica is an independent group of `workers` slots serving the
-  // same snapshot.  Slowdowns/failures are injected per (replica,
-  // request) from hash probes, so a hedge to a second replica sees
-  // independent tail behavior — the hedging win the bench measures.
-  std::size_t replicas = 1;
-  /// Duplicate a dispatched batch to a second replica once the primary
-  /// has not answered by the hedge delay; first completion wins and the
-  /// loser is cancelled (its slot frees at the winner's instant).
-  /// Needs replicas >= 2.
-  bool hedge = false;
-  /// Hedge delay; < 0 derives it as hedge_delay_quantile of the
-  /// workload's nominal per-request service cost (the classic
-  /// "hedge at p95" policy, computed deterministically).
-  double hedge_delay_ms = -1.0;
-  double hedge_delay_quantile = 0.95;
-  /// P(batch dispatch on a replica is slowed / hard-fails); resolved
-  /// per (replica, request id) and aggregated per batch (any member
-  /// firing afflicts the whole dispatch).
-  double replica_slow_rate = 0.0;
-  double replica_slow_factor = 4.0;  ///< service multiplier when slow
-  double replica_failure_rate = 0.0;
-
-  // --- live tier: priority lanes ---------------------------------------------
-  // Interactive and batch-class requests never share a micro-batch.
-  // Interactive batches may use every slot; batch-class dispatches only
-  // the non-reserved tail, so a saturating batch lane cannot occupy the
-  // slots interactive tails depend on.
-  std::size_t reserved_interactive_slots = 0;  ///< per replica, clamped < workers
-  double interactive_deadline_ms = -1.0;  ///< < 0: deadline_ms
-  double batch_deadline_ms = -1.0;        ///< < 0: 4 * deadline_ms
-  double batch_lane_cutoff_ms = -1.0;     ///< < 0: 4 * batch_cutoff_ms
-  /// Admission for batch-class requests sheds above this fraction of
-  /// queue_capacity (interactive uses the full capacity).
-  double batch_admission_fraction = 0.5;
-
-  // --- live tier: shard heat -------------------------------------------------
-  /// Serviced-request window for heat tracking; 0 disables.  When one
-  /// salted record-lane exceeds heat_imbalance x the window mean, the
-  /// lane salt bumps deterministically (metrics.rebalances) and the
-  /// window restarts — the hook a deployment would use to migrate
-  /// shard ownership.  Keep heat_imbalance < shards: the hottest lane
-  /// can carry at most shards x the mean.
-  std::size_t heat_window = 0;
-  double heat_imbalance = 2.0;
-
-  std::uint64_t seed = 0x5e59eULL;
+  /// Steady-clock milliseconds the request's tile took (retrieval plus
+  /// assembly of every member).
+  double tile_ms = 0.0;
 };
 
 struct WorkloadConfig {
   std::size_t requests = 512;
-  double offered_qps = 400.0;  ///< mean arrival rate (exponential gaps)
   /// Condition mix, indexed by rag::Condition.
   std::array<double, rag::kConditionCount> condition_weights{
       0.10, 0.40, 0.20, 0.15, 0.15};
-  /// Fraction of requests in the interactive class.  Drawn from a
-  /// stream independent of the arrival/record/condition draws, so 1.0
-  /// (the default) reproduces the pre-lane workloads bit-for-bit.
-  double interactive_fraction = 1.0;
-  /// Fraction of requests redirected to record 0 (a hot key) — the
-  /// skew that drives shard-heat rebalancing.  Independent stream; 0.0
-  /// leaves the record picks untouched.
+  /// Fraction of requests redirected to record 0 (a hot key).  Drawn
+  /// from an independent stream; 0.0 leaves the record picks untouched.
   double hot_fraction = 0.0;
   std::uint64_t seed = 0x10ad5ULL;
 };
 
-/// Deterministic synthetic request trace: exponential inter-arrivals at
-/// offered_qps; record and condition hash-picked per request index from
-/// forked Rng streams.  `records` is the size of the served record set.
+/// Deterministic synthetic request list: record and condition picked
+/// per request index from forked Rng streams.  `records` is the size of
+/// the served record set.
 std::vector<QueryRequest> synth_workload(const WorkloadConfig& config,
                                          std::size_t records);
-
-/// Bounded-queue admission with explicit shed accounting.  Decisions
-/// are a pure function of the simulated queue occupancy (requests
-/// waiting to batch plus batched requests still waiting for a worker
-/// slot), so the admitted/shed split is deterministic.
-class AdmissionController {
- public:
-  explicit AdmissionController(std::size_t capacity) : capacity_(capacity) {}
-
-  /// Admit when occupancy `waiting` is under capacity; otherwise count
-  /// a shed.
-  bool try_admit(std::size_t waiting) { return try_admit(waiting, capacity_); }
-
-  /// Class-capped admission: the batch lane admits against a lower
-  /// effective capacity so bulk traffic cannot fill the whole queue.
-  bool try_admit(std::size_t waiting, std::size_t capacity) {
-    if (waiting >= capacity) {
-      ++shed_;
-      return false;
-    }
-    ++admitted_;
-    return true;
-  }
-
-  std::size_t capacity() const { return capacity_; }
-  std::size_t admitted() const { return admitted_; }
-  std::size_t shed() const { return shed_; }
-
- private:
-  std::size_t capacity_;
-  std::size_t admitted_ = 0;
-  std::size_t shed_ = 0;
-};
-
-/// Size-or-deadline micro-batching over a simulated clock: a batch
-/// forms the moment batch_max requests wait, or when the oldest waiting
-/// request has waited cutoff_ms.
-class MicroBatcher {
- public:
-  struct Item {
-    std::size_t req = 0;      ///< request index
-    std::size_t attempt = 0;  ///< 0-based service attempt
-    double ready_ms = 0.0;    ///< arrival, or retry-backoff expiry
-  };
-
-  MicroBatcher(std::size_t batch_max, double cutoff_ms)
-      : batch_max_(std::max<std::size_t>(1, batch_max)),
-        cutoff_ms_(cutoff_ms) {}
-
-  /// Items must arrive in nondecreasing ready_ms order (the event loop
-  /// guarantees it).
-  void push(Item item) { waiting_.push_back(item); }
-
-  std::size_t waiting() const { return waiting_.size(); }
-  std::size_t batch_max() const { return batch_max_; }
-  bool size_ready() const { return waiting_.size() >= batch_max_; }
-
-  /// Simulated instant the oldest waiting item forces a flush;
-  /// +infinity when nothing waits.
-  double cutoff_at() const {
-    return waiting_.empty() ? std::numeric_limits<double>::infinity()
-                            : waiting_.front().ready_ms + cutoff_ms_;
-  }
-
-  /// Pop the up-to-batch_max oldest waiting items.
-  std::vector<Item> take_batch();
-
- private:
-  std::size_t batch_max_;
-  double cutoff_ms_;
-  std::deque<Item> waiting_;
-};
 
 class QueryEngine {
  public:
   /// `stores` must outlive the engine (shards reference their base
   /// stores); `rag` assembles tasks from the sharded hits.
   QueryEngine(const rag::RagPipeline& rag, const rag::RetrievalStores& stores,
-              const llm::ModelSpec& spec, ServeConfig config = {});
+              const llm::ModelSpec& spec, std::size_t shards);
 
-  /// Serve `requests` against `records`.  Result i corresponds to
-  /// requests[i].  Metrics, statuses and all simulated timings are
-  /// identical across runs and pool thread counts; tasks are
-  /// bit-identical to RagPipeline::prepare for the same (record,
-  /// condition, spec).
+  /// Serve `requests` against `records` on `pool`.  Result i belongs to
+  /// requests[i]; its task equals RagPipeline::prepare for the same
+  /// (record, condition, spec) at any pool width.
   std::vector<QueryResult> serve(const std::vector<qgen::McqRecord>& records,
                                  const std::vector<QueryRequest>& requests,
-                                 parallel::ThreadPool& pool,
-                                 ServerMetrics* metrics = nullptr) const;
-
-  /// Serve on the process-wide default pool.
-  std::vector<QueryResult> serve(const std::vector<qgen::McqRecord>& records,
-                                 const std::vector<QueryRequest>& requests,
-                                 ServerMetrics* metrics = nullptr) const;
-
-  const ServeConfig& config() const { return config_; }
-  const QueryRouter& router() const { return router_; }
-
-  /// Hash-derived per-request simulated stage costs (ms).  Public so
-  /// tests can reconstruct expected latencies.
-  double embed_cost_ms(const QueryRequest& request) const;
-  double retrieve_cost_ms(const QueryRequest& request) const;
-  double assemble_cost_ms(const QueryRequest& request) const;
-  /// Does attempt `attempt` (0-based) of `request_id` fail transiently?
-  bool attempt_fails(std::string_view request_id, std::size_t attempt) const;
-
-  /// Hash-derived per-(replica, request) injections — public so tests
-  /// can reconstruct hedge outcomes.
-  bool replica_slow(std::size_t replica, std::string_view request_id) const;
-  bool replica_fails(std::size_t replica, std::string_view request_id) const;
-  /// Effective per-class deadline (resolves the < 0 defaults).
-  double deadline_ms_for(RequestClass klass) const;
-  /// Effective hedge delay: config value, or the configured quantile of
-  /// the workload's nominal service costs when hedge_delay_ms < 0.
-  double hedge_delay_for(const std::vector<QueryRequest>& requests) const;
+                                 parallel::ThreadPool& pool) const;
 
  private:
-  struct BatchExec;
-
-  /// The single-threaded discrete-event time plane: fills statuses and
-  /// timings in `results`, aggregates `metrics`, and returns the batch
-  /// plan (members whose succeeding attempt each batch carries) for the
-  /// execution plane.
-  std::vector<BatchExec> simulate(
-      const std::vector<QueryRequest>& requests,
-      std::vector<QueryResult>& results, ServerMetrics& metrics) const;
-
-  double jitter(std::string_view request_id, std::string_view stage,
-                double amplitude) const;
-
   const rag::RagPipeline* rag_;
   llm::ModelSpec spec_;
-  ServeConfig config_;
   QueryRouter router_;
 };
 

@@ -40,8 +40,8 @@
 //
 // Determinism: publish/compaction decisions are pure functions of the
 // mutation sequence and config — no wall-clock, no thread-count
-// dependence.  The simulated-time stamp on each snapshot is caller
-// provided (the serving engine's simulated clock), never measured.
+// dependence.  The time stamp on each snapshot is caller provided (a
+// logical time such as bench_serve's publish ticks), never measured.
 
 #include <atomic>
 #include <cstdint>
@@ -148,7 +148,8 @@ class LiveStore {
   /// Buffer a tombstone.  False when `id` is not live.
   bool tombstone(std::string_view id);
   /// Seal buffered mutations into a new immutable snapshot and swap the
-  /// epoch pointer.  `sim_now_ms` stamps the snapshot (simulated clock).
+  /// epoch pointer.  `sim_now_ms` stamps the snapshot (caller-provided
+  /// logical time, never read from a clock).
   /// Compacts when deltas + tombstones reach config.compact_threshold.
   /// Publishing with nothing buffered still advances the epoch.
   std::shared_ptr<const StoreSnapshot> publish(double sim_now_ms = 0.0);

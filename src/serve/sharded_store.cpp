@@ -159,17 +159,6 @@ QueryRouter::QueryRouter(const rag::RetrievalStores& stores,
   }
 }
 
-std::size_t QueryRouter::lane_of(std::string_view request_id) const {
-  return ShardedStore::shard_of(request_id, shard_count_);
-}
-
-std::size_t QueryRouter::lane_of(std::string_view key,
-                                 std::uint64_t salt) const {
-  if (salt == 0) return lane_of(key);  // bit-compatible with the unsalted map
-  return static_cast<std::size_t>(
-      util::hash_combine(salt, util::fnv1a64(key)) % shard_count_);
-}
-
 const ShardedStore* QueryRouter::store_for(rag::Condition condition) const {
   switch (condition) {
     case rag::Condition::kBaseline: return nullptr;
@@ -185,23 +174,6 @@ const ShardedStore* QueryRouter::store_for(rag::Condition condition) const {
           .get();
   }
   return nullptr;
-}
-
-std::vector<index::Hit> QueryRouter::query(rag::Condition condition,
-                                           std::string_view text,
-                                           std::size_t k) const {
-  const ShardedStore* store = store_for(condition);
-  return store == nullptr ? std::vector<index::Hit>{} : store->query(text, k);
-}
-
-std::vector<std::vector<index::Hit>> QueryRouter::query_batch(
-    rag::Condition condition, const std::vector<std::string>& texts,
-    std::size_t k) const {
-  const ShardedStore* store = store_for(condition);
-  if (store == nullptr) {
-    return std::vector<std::vector<index::Hit>>(texts.size());
-  }
-  return store->query_batch(texts, k);
 }
 
 }  // namespace mcqa::serve

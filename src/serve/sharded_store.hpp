@@ -29,8 +29,8 @@
 // cell so coverage is governed by the same candidate-count knob).
 //
 // QueryRouter bundles one ShardedStore per retrieval condition (chunk
-// store + the three trace stores) and supplies the request-id -> lane
-// hash the engine uses for per-shard accounting.
+// store + the three trace stores); the engine and callers that serve
+// requests themselves resolve a condition's store through store_for.
 
 #include <array>
 #include <cstdint>
@@ -96,30 +96,9 @@ class QueryRouter {
 
   std::size_t shard_count() const { return shard_count_; }
 
-  /// Shard lane a request id hashes to (stable; used for per-lane
-  /// accounting in ServerMetrics).
-  std::size_t lane_of(std::string_view request_id) const;
-
-  /// Salted lane: salt 0 is the unsalted mapping above; a nonzero salt
-  /// re-keys the partition (the engine's deterministic heat rebalance
-  /// bumps it when one lane runs hot).
-  std::size_t lane_of(std::string_view key, std::uint64_t salt) const;
-
   /// Sharded store backing `condition`; nullptr for Baseline or when
   /// the bundle carries no store for it.
   const ShardedStore* store_for(rag::Condition condition) const;
-
-  /// Scatter-gather query against the condition's store.  Empty when
-  /// store_for(condition) is null.
-  std::vector<index::Hit> query(rag::Condition condition,
-                                std::string_view text, std::size_t k) const;
-
-  /// Tiled batch variant: entry i is bit-identical to
-  /// query(condition, texts[i], k).  All-empty when the condition has
-  /// no store.
-  std::vector<std::vector<index::Hit>> query_batch(
-      rag::Condition condition, const std::vector<std::string>& texts,
-      std::size_t k) const;
 
  private:
   std::size_t shard_count_;

@@ -1,7 +1,7 @@
 #pragma once
 // Streaming summary statistics + fixed-bin histogram.  Used for chunk
-// length distributions, quality-score distributions, and retrieval
-// similarity diagnostics.
+// length distributions, quality-score distributions, retrieval
+// similarity diagnostics and the median of measured serve tile times.
 
 #include <cstddef>
 #include <string>
@@ -45,16 +45,15 @@ class Histogram {
 
   /// Exact quantile over the retained samples (nearest-rank: the
   /// ceil(q*n)-th smallest, with q=0 mapping to the minimum).  Unlike
-  /// quantile(), this does not round to a bin midpoint — ServerMetrics
-  /// uses it for tail latencies, where bin-midpoint error would swamp
-  /// p95/p99/p99.9 differences.  Returns 0.0 on an empty histogram
-  /// (never NaN); with one sample every q returns that sample.
+  /// quantile(), this does not round to a bin midpoint, so a median or
+  /// tail of measured times is one of the measured values.  Returns 0.0
+  /// on an empty histogram (never NaN); with one sample every q returns
+  /// that sample.
   double exact_quantile(double q) const;
   double p50() const { return exact_quantile(0.50); }
   double p95() const { return exact_quantile(0.95); }
   double p99() const { return exact_quantile(0.99); }
-  /// The serving tier's headline tail (live-serving bench): nearest-rank
-  /// p99.9, i.e. the max until the sample count reaches 1000.
+  /// Nearest-rank p99.9: the maximum until the sample count reaches 1000.
   double p999() const { return exact_quantile(0.999); }
 
   /// Simple ASCII rendering for bench output.

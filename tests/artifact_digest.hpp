@@ -5,17 +5,22 @@
 // parsed documents, chunks, benchmark, per-mode traces and all four
 // stores.  sweep_digest chains every cell of an evaluation sweep.  Both
 // formulas match perfbench's, so pinned values carry across.
+// task_digest chains every field of a list of assembled tasks.
 //
 // Lives in a test header on purpose: a `core::artifact_digest` taking
 // a PipelineContext, or an `eval::sweep_digest` taking a SweepResult,
 // would make perfbench's unqualified calls to its own helpers ambiguous
 // through argument-dependent lookup.
 
+#include <bit>
 #include <cstdint>
+#include <string_view>
+#include <vector>
 
 #include "core/checkpoint.hpp"
 #include "core/pipeline.hpp"
 #include "eval/harness.hpp"
+#include "llm/language_model.hpp"
 #include "util/hash.hpp"
 
 namespace mcqa::test {
@@ -56,6 +61,47 @@ inline std::uint64_t sweep_digest(const eval::SweepResult& sweep) {
     h = util::hash_combine(h, util::fnv1a64(cell.accuracy.correct));
     h = util::hash_combine(h, util::fnv1a64(cell.accuracy.total));
     h = util::hash_combine(h, util::fnv1a64(cell.accuracy.unparseable));
+  }
+  return h;
+}
+
+/// Digest of assembled tasks, in order: every prompt- and
+/// simulation-layer field the serve-tier task equality compares.
+/// Doubles enter by bit pattern and lists by length then elements.
+inline std::uint64_t task_digest(const std::vector<llm::McqTask>& tasks) {
+  std::uint64_t h = util::fnv1a64("tasks");
+  const auto word = [&h](std::uint64_t v) {
+    h = util::hash_combine(h, util::fnv1a64(v));
+  };
+  const auto text = [&h](std::string_view s) {
+    h = util::hash_combine(h, util::fnv1a64(s));
+  };
+  const auto real = [&word](double x) { word(std::bit_cast<std::uint64_t>(x)); };
+  const auto integer = [&word](int v) {
+    word(static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
+  };
+  for (const llm::McqTask& t : tasks) {
+    text(t.id);
+    text(t.stem);
+    word(t.options.size());
+    for (const std::string& option : t.options) text(option);
+    text(t.context);
+    integer(t.correct_index);
+    word(t.fact);
+    word(t.has_fact);
+    word(t.math);
+    real(t.fact_importance);
+    real(t.ambiguity);
+    word(t.exam_item);
+    word(t.context_is_trace);
+    word(t.context_is_terse);
+    word(t.context_has_fact);
+    real(t.context_saliency);
+    word(t.context_has_elimination);
+    word(t.context_has_worked_math);
+    word(t.context_misleading_options.size());
+    for (const int option : t.context_misleading_options) integer(option);
+    real(t.context_mislead_strength);
   }
   return h;
 }

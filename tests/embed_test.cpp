@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "embed/embedding_cache.hpp"
-#include "embed/embedding_store.hpp"
 #include "embed/hashed_embedder.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/rng.hpp"
@@ -112,67 +111,6 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple("homologous recombination repairs strand breaks",
                         "strand breaks are repaired by homologous "
                         "recombination")));
-
-TEST(EmbeddingStore, AddAndRetrieve) {
-  const HashedNGramEmbedder emb;
-  EmbeddingStore store(emb.dim());
-  const Vector v = emb.embed("alpha particles");
-  store.add("chunk_1", v);
-  EXPECT_EQ(store.size(), 1u);
-  EXPECT_EQ(store.id(0), "chunk_1");
-  const Vector back = store.vector(0);
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    EXPECT_NEAR(back[i], v[i], 2e-3f);
-  }
-}
-
-TEST(EmbeddingStore, DimMismatchRejected) {
-  EmbeddingStore store(16);
-  EXPECT_THROW(store.add("x", Vector(8, 0.0f)), std::invalid_argument);
-}
-
-TEST(EmbeddingStore, OutOfRangeRowThrows) {
-  EmbeddingStore store(4);
-  EXPECT_THROW(store.vector(0), std::out_of_range);
-}
-
-TEST(EmbeddingStore, StorageBytesAreFp16) {
-  EmbeddingStore store(256);
-  store.add("a", Vector(256, 0.5f));
-  store.add("b", Vector(256, 0.25f));
-  EXPECT_EQ(store.storage_bytes(), 2u * 256u * 2u);
-}
-
-TEST(EmbeddingStore, SaveLoadRoundTrip) {
-  const HashedNGramEmbedder emb;
-  EmbeddingStore store(emb.dim());
-  store.add("first", emb.embed("dose fractionation"));
-  store.add("second", emb.embed("tumor hypoxia"));
-  const EmbeddingStore loaded = EmbeddingStore::load(store.save());
-  ASSERT_EQ(loaded.size(), 2u);
-  EXPECT_EQ(loaded.id(1), "second");
-  EXPECT_EQ(loaded.vector(0), store.vector(0));
-}
-
-TEST(EmbeddingStore, LoadRejectsCorruptBlobs) {
-  EXPECT_THROW(EmbeddingStore::load("garbage"), std::runtime_error);
-  EXPECT_THROW(EmbeddingStore::load("embst1\n4 2\nonly_one_id\n"),
-               std::runtime_error);
-  // Truncated payload.
-  const HashedNGramEmbedder emb;
-  EmbeddingStore store(emb.dim());
-  store.add("x", emb.embed("text"));
-  std::string blob = store.save();
-  blob.resize(blob.size() - 10);
-  EXPECT_THROW(EmbeddingStore::load(blob), std::runtime_error);
-}
-
-TEST(EmbeddingStore, QuantizationErrorBounded) {
-  const HashedNGramEmbedder emb;
-  const Vector v = emb.embed("relative biological effectiveness of carbon");
-  // Unit-norm components are < 1; fp16 error there is < 2^-11.
-  EXPECT_LT(EmbeddingStore::quantization_error(v), 0x1.0p-10f);
-}
 
 // --- streaming kernel vs string-materializing reference ------------------------
 

@@ -16,6 +16,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -317,6 +318,26 @@ TEST(TaskGroup, DrainsNestedSpawns) {
     group.wait();
     EXPECT_EQ(count.load(), 48);
   }
+}
+
+// Every owner destroys its group as soon as wait() returns, so the last
+// task's completion must not touch the group once a waiter can see the
+// drained count.  Heap groups put a freed mutex under ASan's eye and
+// the delete under TSan's.
+TEST(TaskGroup, DestroyedRightAfterWait) {
+  parallel::ThreadPool pool(4);
+  std::atomic<int> count{0};
+  constexpr int kRounds = 2000;
+  constexpr int kTasks = 4;
+  for (int round = 0; round < kRounds; ++round) {
+    auto group = std::make_unique<parallel::TaskGroup>(pool);
+    for (int i = 0; i < kTasks; ++i) {
+      group->spawn([&count]() { count.fetch_add(1); });
+    }
+    group->wait();
+    group.reset();
+  }
+  EXPECT_EQ(count.load(), kRounds * kTasks);
 }
 
 TEST(TaskGroup, WaitOnEmptyGroupReturns) {

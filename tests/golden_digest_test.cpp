@@ -7,8 +7,11 @@
 // and warm builds all gave the same bytes.  The sweep test pins the
 // frozen-8 grid over three record sets of the 0.025 semantic/flat
 // build; its constants were the same at 1, 2 and 4 harness threads and
-// under scalar kernel dispatch.  A change that moves one must say why
-// in CHANGES.md.
+// under scalar kernel dispatch.  The served-task test pins the tasks
+// the serve engine assembles over that build; its constant was taken
+// through the engine's former simulated-clock batch plan, with every
+// request completing, at 1, 2 and 4 pool threads and under scalar
+// dispatch.  A change that moves one must say why in CHANGES.md.
 //
 // One TEST per configuration so `ctest -j` spreads them.
 
@@ -22,6 +25,7 @@
 #include "eval/harness.hpp"
 #include "index/kernels.hpp"
 #include "parallel/thread_pool.hpp"
+#include "serve/engine.hpp"
 
 namespace {
 
@@ -125,6 +129,45 @@ TEST(GoldenDigest, Scale0025FrozenEightSweeps) {
   EXPECT_EQ(digest_of(ctx.exam_all(), 4), 0x9e8a175aa0173cf1ULL);
   EXPECT_EQ(digest_of(ctx.exam_no_math(), 4), 0x95090db8e1f6745cULL);
   EXPECT_EQ(digest_of(ctx.benchmark(), 1), kBenchmark) << "1 thread";
+}
+
+// Tasks served through serve::QueryEngine over 4 shards: 512 seeded
+// synth_workload requests, a tenth of them on one hot record.  Every
+// served task equals RagPipeline::prepare's, so the digest depends on
+// the build and the request sequence only, never on the pool width.
+TEST(GoldenDigest, Scale0025ServedTasks) {
+  const PipelineContext ctx(golden_config(0.025, true, kFlat));
+  rag::RetrievalStores stores;
+  stores.chunks = &ctx.chunk_store();
+  for (int m = 0; m < trace::kTraceModeCount; ++m) {
+    stores.traces[static_cast<std::size_t>(m)] =
+        &ctx.trace_store(static_cast<trace::TraceMode>(m));
+  }
+  serve::WorkloadConfig wl;
+  wl.requests = 512;
+  wl.hot_fraction = 0.1;
+  const auto requests = serve::synth_workload(wl, ctx.benchmark().size());
+  const serve::QueryEngine engine(ctx.rag(), stores,
+                                  ctx.student_specs().front(), 4);
+  const auto digest_at = [&](std::size_t threads) {
+    parallel::ThreadPool pool(threads);
+    std::vector<llm::McqTask> tasks;
+    for (auto& r : engine.serve(ctx.benchmark(), requests, pool)) {
+      tasks.push_back(std::move(r.task));
+    }
+    return test::task_digest(tasks);
+  };
+
+  constexpr std::uint64_t kGolden = 0x3242e44a93de44f8ULL;
+  EXPECT_EQ(digest_at(4), kGolden);
+  EXPECT_EQ(digest_at(1), kGolden) << "1 thread";
+  EXPECT_EQ(digest_at(2), kGolden) << "2 threads";
+  namespace kernels = index::kernels;
+  const kernels::KernelIsa active = kernels::dispatched_isa();
+  ASSERT_TRUE(kernels::set_dispatch_for_testing(kernels::KernelIsa::kScalar));
+  const std::uint64_t scalar = digest_at(4);
+  kernels::set_dispatch_for_testing(active);
+  EXPECT_EQ(scalar, kGolden) << "scalar dispatch";
 }
 
 TEST(GoldenDigest, Scale0008SemanticFlat) {

@@ -4,8 +4,9 @@
 //   mcqa eval     [--scale S] [--model NAME] [--set SET] [--condition C]
 //   mcqa inspect  [--scale S] [--id RECORD_ID | --n INDEX]
 //   mcqa models                                 list the registry
-//   mcqa serve    [--qps Q] [--shards K] ...    replay a workload trace
-//                                               through the serving engine
+//   mcqa serve    [--requests N] [--shards K] [--workers W]
+//                                               serve a synthetic workload
+//                                               on a pool, measured
 //   mcqa train    [--scale S] [--source traces|chunks] [--epochs N]
 //                 [--dim D] [--context W] [--minibatch B] [--out PATH]
 //                                               train the log-bilinear
@@ -36,7 +37,11 @@
 #include "eval/judge.hpp"
 #include "eval/report.hpp"
 #include "index/kernels.hpp"
+#include "json/json.hpp"
+#include "parallel/thread_pool.hpp"
 #include "serve/engine.hpp"
+#include "util/histogram.hpp"
+#include "util/stopwatch.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -77,14 +82,9 @@ int usage() {
       "[--set synthetic|astro|astro-nomath] [--condition C|all]\n"
       "  mcqa inspect  [--scale S] [--n INDEX | --id RECORD_ID]\n"
       "  mcqa provenance [--scale S] [--n INDEX | --id RECORD_ID]\n"
-      "  mcqa serve    [--scale S] [--model NAME] [--requests N] [--qps Q]\n"
-      "                [--shards K] [--batch B] [--cutoff MS] [--workers W]\n"
-      "                [--capacity N] [--deadline MS] [--retries N]\n"
-      "                [--failure P] [--replicas R] [--hedge 0|1]\n"
-      "                [--hedge-delay MS] [--slow-rate P] [--slow-factor X]\n"
-      "                [--replica-failure P] [--reserved N]\n"
-      "                [--interactive F] [--hot F] [--heat-window N]\n"
-      "                [--json PATH]\n"
+      "  mcqa serve    [--scale S] [--model NAME] [--requests N] "
+      "[--shards K]\n"
+      "                [--workers W] [--json PATH]\n"
       "  mcqa train    [--scale S] [--source traces|chunks] [--epochs N]\n"
       "                [--dim D] [--context W] [--minibatch B] "
       "[--out PATH]\n"
@@ -338,9 +338,9 @@ int cmd_provenance(const Args& args) {
   return 0;
 }
 
-// Replay a synthetic workload trace through the serving engine and
-// report the shed/latency accounting.  Every number is deterministic
-// for a given flag set (simulated clock; see serve/engine.hpp).
+// Serve a seeded synthetic workload through the engine on a pool of
+// --workers threads and report what the steady clock saw.  The tasks
+// are deterministic; the timings are measurements and vary run to run.
 int cmd_serve(const Args& args) {
   const double scale = args.get_double("scale", 0.01);
   const std::string model_name = args.get("model", "Llama-3.1-8B-Instruct");
@@ -352,35 +352,10 @@ int cmd_serve(const Args& args) {
     std::fprintf(stderr, "unknown model: %s\n", model_name.c_str());
     return 2;
   }
-
-  serve::ServeConfig cfg;
-  cfg.shards = static_cast<std::size_t>(args.get_double("shards", 4));
-  cfg.batch_max = static_cast<std::size_t>(args.get_double("batch", 8));
-  cfg.batch_cutoff_ms = args.get_double("cutoff", 4.0);
-  cfg.workers = static_cast<std::size_t>(args.get_double("workers", 4));
-  cfg.queue_capacity =
-      static_cast<std::size_t>(args.get_double("capacity", 64));
-  cfg.deadline_ms = args.get_double("deadline", 250.0);
-  cfg.max_retries = static_cast<std::size_t>(args.get_double("retries", 1));
-  cfg.transient_failure_rate = args.get_double("failure", 0.0);
-  // Live tier (DESIGN.md §15): replicas, hedged dispatch, priority
-  // lanes, shard-heat rebalancing.
-  cfg.replicas = static_cast<std::size_t>(args.get_double("replicas", 1));
-  cfg.hedge = args.get_double("hedge", 0.0) != 0.0;
-  cfg.hedge_delay_ms = args.get_double("hedge-delay", -1.0);
-  cfg.replica_slow_rate = args.get_double("slow-rate", 0.0);
-  cfg.replica_slow_factor = args.get_double("slow-factor", 4.0);
-  cfg.replica_failure_rate = args.get_double("replica-failure", 0.0);
-  cfg.reserved_interactive_slots =
-      static_cast<std::size_t>(args.get_double("reserved", 0));
-  cfg.heat_window =
-      static_cast<std::size_t>(args.get_double("heat-window", 0));
-
+  const auto shards = static_cast<std::size_t>(args.get_double("shards", 4));
+  const auto workers = static_cast<std::size_t>(args.get_double("workers", 4));
   serve::WorkloadConfig wl;
   wl.requests = static_cast<std::size_t>(args.get_double("requests", 512));
-  wl.offered_qps = args.get_double("qps", 400.0);
-  wl.interactive_fraction = args.get_double("interactive", 1.0);
-  wl.hot_fraction = args.get_double("hot", 0.0);
 
   const core::PipelineContext ctx(core::PipelineConfig::paper_scale(scale));
   rag::RetrievalStores stores;
@@ -389,45 +364,37 @@ int cmd_serve(const Args& args) {
     stores.traces[static_cast<std::size_t>(m)] =
         &ctx.trace_store(static_cast<trace::TraceMode>(m));
   }
-
-  const serve::QueryEngine engine(ctx.rag(), stores, card->spec, cfg);
+  const serve::QueryEngine engine(ctx.rag(), stores, card->spec, shards);
   const auto requests = serve::synth_workload(wl, ctx.benchmark().size());
-  serve::ServerMetrics metrics;
-  engine.serve(ctx.benchmark(), requests, &metrics);
+  parallel::ThreadPool pool(workers);
 
-  std::printf("workload: %zu requests @ %.0f qps over %zu records "
-              "(scale %.3f)\n",
-              wl.requests, wl.offered_qps, ctx.benchmark().size(), scale);
-  std::printf("engine  : %zu shards, batch<=%zu or %.1fms, %zu workers, "
-              "capacity %zu, deadline %.0fms\n",
-              cfg.shards, cfg.batch_max, cfg.batch_cutoff_ms, cfg.workers,
-              cfg.queue_capacity, cfg.deadline_ms);
-  std::printf("outcomes: %zu ok, %zu rejected, %zu expired, %zu failed "
-              "(%.1f%% completion)\n",
-              metrics.completed, metrics.rejected, metrics.expired,
-              metrics.failed, 100.0 * metrics.completion_rate());
-  std::printf("batches : %zu formed, mean fill %.2f, %zu retries\n",
-              metrics.batches, metrics.mean_batch_fill(), metrics.retries);
-  std::printf("latency : p50 %.2fms  p95 %.2fms  p99 %.2fms  max %.2fms\n",
-              metrics.latency.p50(), metrics.latency.p95(),
-              metrics.latency.p99(), metrics.latency.max());
-  std::printf("wait    : p50 %.2fms  p99 %.2fms   throughput %.1f qps, "
-              "utilization %.1f%%\n",
-              metrics.enqueue_wait.p50(), metrics.enqueue_wait.p99(),
-              metrics.throughput_qps(), 100.0 * metrics.utilization());
-  if (cfg.replicas > 1 || cfg.hedge || cfg.heat_window > 0) {
-    std::printf("live    : %zu hedges (%zu won, %zu cancelled, %zu failed), "
-                "%zu slow, %zu replica failures, %zu rebalances\n",
-                metrics.hedges, metrics.hedge_wins, metrics.hedge_cancels,
-                metrics.hedge_failed, metrics.replica_slow,
-                metrics.replica_failures, metrics.rebalances);
-  }
+  const util::Stopwatch watch;
+  const auto results = engine.serve(ctx.benchmark(), requests, pool);
+  const double wall_s = watch.seconds();
+  util::Histogram tile_ms(0.0, 1.0, 1);  // exact quantiles ignore the bins
+  for (const auto& r : results) tile_ms.add(r.tile_ms);
+  const double per_s =
+      wall_s > 0.0 ? static_cast<double>(results.size()) / wall_s : 0.0;
+
+  std::printf("workload: %zu requests over %zu records (scale %.3f)\n",
+              requests.size(), ctx.benchmark().size(), scale);
+  std::printf("engine  : %zu shards, %zu pool threads, tiles of %zu\n",
+              shards, pool.thread_count(), index::kernels::kTileQ);
+  std::printf("measured: %.4f s wall, %.0f requests/s, median tile %.3f ms\n",
+              wall_s, per_s, tile_ms.p50());
 
   const std::string json_path = args.get("json", "");
   if (!json_path.empty()) {
+    json::Value v = json::Value::object();
+    v["requests"] = requests.size();
+    v["shards"] = shards;
+    v["pool_threads"] = pool.thread_count();
+    v["wall_s"] = wall_s;
+    v["requests_per_s"] = per_s;
+    v["tile_ms_p50"] = tile_ms.p50();
     std::ofstream out(json_path);
-    out << metrics.to_json().dump(2) << "\n";
-    std::printf("metrics json in %s\n", json_path.c_str());
+    out << v.dump(2) << "\n";
+    std::printf("measurements json in %s\n", json_path.c_str());
   }
   return 0;
 }
