@@ -13,7 +13,7 @@
 // Beyond the google-benchmark sweeps this binary:
 //   * verifies streaming == reference over the whole corpus sample,
 //   * verifies add_batch index save() blobs == sequential add() blobs
-//     for flat / IVF / HNSW,
+//     for flat / SQ8 / IVF-PQ,
 //   * verifies VectorStore::add_batch query results == sequential at
 //     1/2/4/8 threads,
 //   * measures the content-hash embedding-cache hit rate on a repeated
@@ -34,6 +34,7 @@
 #include "corpus/corpus_builder.hpp"
 #include "embed/embedding_cache.hpp"
 #include "embed/hashed_embedder.hpp"
+#include "index/quantized.hpp"
 #include "index/vector_index.hpp"
 #include "index/vector_store.hpp"
 #include "json/json.hpp"
@@ -173,14 +174,15 @@ bool batch_blobs_match_sequential(std::vector<std::string>* kinds_checked) {
     kinds_checked->push_back("flat");
   }
   {
-    const auto [seq, batch] = blob_pair([&] { return index::IvfIndex(dim); });
+    const auto [seq, batch] = blob_pair([&] { return index::Sq8Index(dim); });
     ok = ok && seq == batch;
-    kinds_checked->push_back("ivf");
+    kinds_checked->push_back("sq8");
   }
   {
-    const auto [seq, batch] = blob_pair([&] { return index::HnswIndex(dim); });
+    const auto [seq, batch] =
+        blob_pair([&] { return index::IvfPqIndex(dim); });
     ok = ok && seq == batch;
-    kinds_checked->push_back("hnsw");
+    kinds_checked->push_back("ivfpq");
   }
   return ok;
 }
@@ -311,7 +313,7 @@ int run_checks_and_report(bool smoke) {
       "%s\n",
       data().texts.size(), id_stream ? "PASS" : "FAIL");
   std::printf(
-      "shape check: add_batch save() blobs == sequential (flat/ivf/hnsw): "
+      "shape check: add_batch save() blobs == sequential (flat/sq8/ivfpq): "
       "%s\n",
       id_blobs ? "PASS" : "FAIL");
   std::printf(

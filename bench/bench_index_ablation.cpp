@@ -1,14 +1,13 @@
 // Index ablation (A1 in DESIGN.md): recall@10, query throughput and
-// bytes/vector for flat / IVF / HNSW / SQ8 / IVF-PQ indexes,
-// reproducing the accuracy/speed/memory trade-off surface the paper
-// delegates to FAISS.
+// bytes/vector for flat / SQ8 / IVF-PQ indexes, reproducing the
+// accuracy/speed/memory trade-off surface the paper delegates to FAISS.
 //
 // Two corpora:
 //   * the real chunk-embedding distribution from the shared pipeline
 //     context (google-benchmark sweeps + the per-kind JSON entries), and
 //   * a clustered synthetic vector corpus (corpus/vector_corpus.hpp)
 //     scaled to ~1M rows — the sweep that actually separates the tiers:
-//     {flat, ivf, hnsw, sq8, ivfpq} x {resident, mmap}, reporting QPS,
+//     {flat, sq8, ivfpq} x {resident, mmap}, reporting QPS,
 //     bytes/vector and recall@10 to BENCH_index.json.
 //
 // Flags (defaults reproduce the historic tracking numbers exactly):
@@ -20,15 +19,16 @@
 //                        timing, no JSON (the ctest entry)
 //
 // Shape checks (smoke and full):
-//   * batched == sequential results at 1/2/8 threads, all five kinds,
+//   * batched == sequential results at 1/2/8 threads, all three kinds,
 //   * SQ8/IVF-PQ with candidates covering the store are bit-identical
 //     (rows AND scores) to FlatIndex — the exact-rerank contract
 //     (smoke scale only; at 1M the covering scan would dwarf the sweep),
 //   * quantized recall@10 >= 0.95 after rerank,
 //   * IVF-PQ scan payload <= 0.35x flat bytes/vector (SQ8 is 0.5x by
 //     construction: 1 byte/dim vs fp16's 2),
-//   * mmap variants open O(1) (payload stays a view: mmap_backed()) and
-//     return results bit-identical to the resident index.
+//   * mmap variants open without copying (payload stays a view:
+//     mmap_backed()) and return results bit-identical to the resident
+//     index.
 
 #include <benchmark/benchmark.h>
 
@@ -146,13 +146,6 @@ std::unique_ptr<index::VectorIndex> make_kind(index::IndexKind kind,
   switch (kind) {
     case index::IndexKind::kFlat:
       return std::make_unique<index::FlatIndex>(dim);
-    case index::IndexKind::kIvf: {
-      index::IvfConfig cfg;
-      cfg.nlist = 64;
-      return std::make_unique<index::IvfIndex>(dim, cfg);
-    }
-    case index::IndexKind::kHnsw:
-      return std::make_unique<index::HnswIndex>(dim);
     case index::IndexKind::kSq8:
       return std::make_unique<index::Sq8Index>(dim);
     case index::IndexKind::kIvfPq: {
@@ -166,8 +159,7 @@ std::unique_ptr<index::VectorIndex> make_kind(index::IndexKind kind,
 }
 
 constexpr index::IndexKind kAllKinds[] = {
-    index::IndexKind::kFlat, index::IndexKind::kIvf, index::IndexKind::kHnsw,
-    index::IndexKind::kSq8, index::IndexKind::kIvfPq};
+    index::IndexKind::kFlat, index::IndexKind::kSq8, index::IndexKind::kIvfPq};
 
 void BM_FlatSearch(benchmark::State& state) {
   run_search_bench(state, [] {
@@ -178,34 +170,6 @@ void BM_FlatSearch(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_FlatSearch);
-
-void BM_IvfSearch(benchmark::State& state) {
-  const auto nprobe = static_cast<std::size_t>(state.range(0));
-  run_search_bench(state, [nprobe] {
-    index::IvfConfig cfg;
-    cfg.nlist = 64;
-    cfg.nprobe = nprobe;
-    auto idx =
-        std::make_unique<index::IvfIndex>(data().base[0].size(), cfg);
-    for (const auto& v : data().base) idx->add(v);
-    idx->build();
-    return idx;
-  });
-}
-BENCHMARK(BM_IvfSearch)->Arg(1)->Arg(4)->Arg(16);
-
-void BM_HnswSearch(benchmark::State& state) {
-  const auto ef = static_cast<std::size_t>(state.range(0));
-  run_search_bench(state, [ef] {
-    index::HnswConfig cfg;
-    cfg.ef_search = ef;
-    auto idx =
-        std::make_unique<index::HnswIndex>(data().base[0].size(), cfg);
-    for (const auto& v : data().base) idx->add(v);
-    return idx;
-  });
-}
-BENCHMARK(BM_HnswSearch)->Arg(16)->Arg(64)->Arg(128);
 
 void BM_Sq8Search(benchmark::State& state) {
   const auto oversample = static_cast<std::size_t>(state.range(0));
@@ -493,19 +457,6 @@ std::unique_ptr<index::VectorIndex> make_sweep_index(index::IndexKind kind,
   switch (kind) {
     case index::IndexKind::kFlat:
       return std::make_unique<index::FlatIndex>(sc.dim);
-    case index::IndexKind::kIvf: {
-      index::IvfConfig cfg;
-      cfg.nlist = sweep_nlist(sc.rows);
-      cfg.nprobe = 16;
-      cfg.train_iters = big ? 4 : 12;  // Lloyd cost is O(n * nlist * dim)
-      return std::make_unique<index::IvfIndex>(sc.dim, cfg);
-    }
-    case index::IndexKind::kHnsw: {
-      index::HnswConfig cfg;
-      // In-cluster rows near-tie; the default beam misses badly there.
-      cfg.ef_search = 128;
-      return std::make_unique<index::HnswIndex>(sc.dim, cfg);
-    }
     case index::IndexKind::kSq8: {
       index::Sq8Config cfg;
       cfg.oversample = 16;
@@ -877,8 +828,8 @@ int main(int argc, char** argv) {
   const bool smoke = mcqa::bench::parse_args(&argc, argv);
   std::printf(
       "Index ablation (A1): recall@10 vs throughput vs bytes/vector — "
-      "flat/IVF/HNSW plus the quantized tier (SQ8, IVF-PQ with exact "
-      "fp16 rerank), resident and mmap.\n"
+      "flat plus the quantized tier (SQ8, IVF-PQ with exact fp16 "
+      "rerank), resident and mmap.\n"
       "Similarity kernels: blocked fixed-lane-order (see DESIGN.md); "
       "top-k via bounded heap; batched path fans across the thread "
       "pool.\n\n");

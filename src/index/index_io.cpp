@@ -3,24 +3,24 @@
 // (indexes are a cache, not an interchange format — the canonical
 // artifacts are the JSON records).
 //
-// Current formats (flatidx2, ivfidx3, hnswidx3, sq8idx1, ivfpqidx1)
-// zero-pad every bulk payload block to an 8-byte offset from the blob
-// start.  The pad is recomputed from the stream position on both sides
-// — nothing variable is stored — and buys view-mode loads: when the
-// blob is a whole mapped file (page-aligned base), every float/fp16/u8
-// payload is naturally aligned, so load_index_view() wraps the mapped
-// bytes in TypedRows views instead of copying.  A misaligned buffer
-// silently degrades to a copy — view mode is an optimization, never a
-// correctness knob.
+// The three formats (flatidx2, sq8idx1, ivfpqidx1) zero-pad every bulk
+// payload block to an 8-byte offset from the blob start.  The pad is
+// recomputed from the stream position on both sides — nothing variable
+// is stored — and buys view-mode loads: when the blob is a whole mapped
+// file (page-aligned base), every float/fp16/u8 payload is naturally
+// aligned, so load_index_view() wraps the mapped bytes in TypedRows
+// views instead of copying.  A misaligned buffer silently degrades to a
+// copy — view mode is an optimization, never a correctness knob.
 //
-// The one-generation-old formats (flatidx1, ivfidx2, hnswidx2) still
-// load (resident only).  Anything else — unknown magic, truncated
-// payload, out-of-range structure — throws from load_index() and
-// returns nullptr from try_load_index(), which the checkpoint restore
-// path treats as a corrupt-blob miss and rebuilds from scratch.
+// Anything else — unknown magic, truncated payload, out-of-range
+// structure or PQ codes — throws from load_index() and returns nullptr
+// from try_load_index(), which the checkpoint restore path treats as a
+// corrupt-blob miss and rebuilds from scratch.  Older formats need no
+// reader: every checkpoint key chains core::code_fingerprint(), so a
+// rebuilt binary never reads a blob an older one wrote.
 
+#include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
@@ -135,24 +135,6 @@ std::size_t checked_dim(std::uint64_t dim) {
   return static_cast<std::size_t>(dim);
 }
 
-// --- legacy (one generation old) readers -------------------------------------
-
-/// ivfidx2/hnswidx2 row block: u64 count then unpadded floats.
-RowStorage take_rows_legacy(std::string_view blob, std::size_t& pos,
-                            std::size_t dim) {
-  const std::size_t n = take_u64(blob, pos);
-  if (n > kMaxRows) throw std::runtime_error("index load: bad row count");
-  const std::size_t bytes = n * dim * sizeof(float);
-  if (pos + bytes > blob.size()) {
-    throw std::runtime_error("index load: truncated row block");
-  }
-  RowStorage rows(dim);
-  rows.resize_rows(n);
-  if (bytes > 0) std::memcpy(rows.mutable_raw(), blob.data() + pos, bytes);
-  pos += bytes;
-  return rows;
-}
-
 }  // namespace
 
 // All index classes befriend IndexIo, so the per-kind readers live here
@@ -170,7 +152,6 @@ struct IndexIo {
 
   static FlatIndex load_flat(std::string_view blob, bool view) {
     constexpr std::string_view kMagic = "flatidx2\n";
-    if (has_magic(blob, "flatidx1\n")) return load_flat_v1(blob);
     if (!has_magic(blob, kMagic)) {
       throw std::runtime_error("FlatIndex::load: bad magic");
     }
@@ -180,183 +161,6 @@ struct IndexIo {
     FlatIndex idx(dim);
     idx.data_ = take_block<util::fp16_t>(blob, pos, rows, dim, view);
     return idx;
-  }
-
-  static FlatIndex load_flat_v1(std::string_view blob) {
-    // Text header: "flatidx1\n<dim> <rows>\n" then the fp16 payload at
-    // whatever offset the header ends on (resident load only).
-    std::size_t pos = blob.find('\n');
-    const std::size_t line_start = pos + 1;
-    pos = blob.find('\n', line_start);
-    if (pos == std::string_view::npos) {
-      throw std::runtime_error("FlatIndex::load: truncated");
-    }
-    std::size_t dim = 0;
-    std::size_t rows = 0;
-    const std::string counts(blob.substr(line_start, pos - line_start));
-    if (std::sscanf(counts.c_str(), "%zu %zu", &dim, &rows) != 2 || dim == 0) {
-      throw std::runtime_error("FlatIndex::load: bad counts");
-    }
-    const std::size_t payload = rows * dim * sizeof(util::fp16_t);
-    if (blob.size() - (pos + 1) < payload) {
-      throw std::runtime_error("FlatIndex::load: truncated payload");
-    }
-    FlatIndex idx(dim);
-    idx.data_.resize_rows(rows);
-    if (payload > 0) {
-      std::memcpy(idx.data_.mutable_raw(), blob.data() + pos + 1, payload);
-    }
-    return idx;
-  }
-
-  // --- IVF -------------------------------------------------------------------
-
-  static std::string save_ivf(const IvfIndex& idx) {
-    if (!idx.built_) {
-      throw std::logic_error("IvfIndex::save: build() the index first");
-    }
-    std::string out = "ivfidx3\n";
-    put_u64(out, idx.dim_);
-    put_u64(out, idx.config_.nprobe);
-    put_u64(out, idx.vectors_.size());
-    put_u64(out, idx.centroids_.size());
-    put_block(out, idx.vectors_);
-    put_block(out, idx.centroids_);
-    for (const auto& list : idx.lists_) {
-      put_u64(out, list.size());
-      for (const std::size_t row : list) put_u64(out, row);
-    }
-    return out;
-  }
-
-  static IvfIndex load_ivf(std::string_view blob, bool view) {
-    constexpr std::string_view kMagic = "ivfidx3\n";
-    if (has_magic(blob, "ivfidx2\n")) return load_ivf_v2(blob);
-    if (!has_magic(blob, kMagic)) {
-      throw std::runtime_error("IvfIndex::load: bad magic");
-    }
-    std::size_t pos = kMagic.size();
-    const std::size_t dim = checked_dim(take_u64(blob, pos));
-    IvfConfig cfg;
-    cfg.nprobe = take_u64(blob, pos);
-    const std::size_t n = take_u64(blob, pos);
-    const std::size_t k = take_u64(blob, pos);
-    IvfIndex idx(dim, cfg);
-    idx.vectors_ = take_block<float>(blob, pos, n, dim, view);
-    idx.centroids_ = take_block<float>(blob, pos, k, dim, view);
-    take_ivf_lists(blob, pos, idx, n, k);
-    idx.built_ = true;
-    return idx;
-  }
-
-  static IvfIndex load_ivf_v2(std::string_view blob) {
-    std::size_t pos = 8;  // "ivfidx2\n"
-    const std::size_t dim = checked_dim(take_u64(blob, pos));
-    IvfConfig cfg;
-    cfg.nprobe = take_u64(blob, pos);
-    IvfIndex idx(dim, cfg);
-    idx.vectors_ = take_rows_legacy(blob, pos, dim);
-    idx.centroids_ = take_rows_legacy(blob, pos, dim);
-    take_ivf_lists(blob, pos, idx, idx.vectors_.size(),
-                   idx.centroids_.size());
-    idx.built_ = true;
-    return idx;
-  }
-
-  static void take_ivf_lists(std::string_view blob, std::size_t& pos,
-                             IvfIndex& idx, std::size_t n, std::size_t k) {
-    idx.lists_.resize(k);
-    for (std::size_t c = 0; c < k; ++c) {
-      const std::size_t len = take_u64(blob, pos);
-      if (len > n) throw std::runtime_error("IvfIndex::load: bad list");
-      idx.lists_[c].reserve(len);
-      for (std::size_t i = 0; i < len; ++i) {
-        const std::size_t row = take_u64(blob, pos);
-        if (row >= n) throw std::runtime_error("IvfIndex::load: bad row");
-        idx.lists_[c].push_back(row);
-      }
-    }
-  }
-
-  // --- HNSW ------------------------------------------------------------------
-
-  static std::string save_hnsw(const HnswIndex& idx) {
-    std::string out = "hnswidx3\n";
-    put_u64(out, idx.dim_);
-    put_u64(out, idx.config_.m);
-    put_u64(out, idx.config_.ef_search);
-    put_u64(out, idx.entry_point_);
-    put_u64(out, static_cast<std::uint64_t>(idx.max_level_ + 1));
-    put_u64(out, idx.vectors_.size());
-    put_block(out, idx.vectors_);
-    for (const auto& node : idx.nodes_) {
-      put_u64(out, static_cast<std::uint64_t>(node.level));
-      for (const auto& layer : node.links) {
-        put_u64(out, layer.size());
-        for (const std::uint32_t nb : layer) put_u64(out, nb);
-      }
-    }
-    return out;
-  }
-
-  static HnswIndex load_hnsw(std::string_view blob, bool view) {
-    constexpr std::string_view kMagic = "hnswidx3\n";
-    if (has_magic(blob, "hnswidx2\n")) return load_hnsw_v2(blob);
-    if (!has_magic(blob, kMagic)) {
-      throw std::runtime_error("HnswIndex::load: bad magic");
-    }
-    std::size_t pos = kMagic.size();
-    const std::size_t dim = checked_dim(take_u64(blob, pos));
-    HnswConfig cfg;
-    cfg.m = take_u64(blob, pos);
-    cfg.ef_search = take_u64(blob, pos);
-    HnswIndex idx(dim, cfg);
-    idx.entry_point_ = take_u64(blob, pos);
-    idx.max_level_ = static_cast<int>(take_u64(blob, pos)) - 1;
-    const std::size_t n = take_u64(blob, pos);
-    idx.vectors_ = take_block<float>(blob, pos, n, dim, view);
-    take_hnsw_nodes(blob, pos, idx, n);
-    return idx;
-  }
-
-  static HnswIndex load_hnsw_v2(std::string_view blob) {
-    std::size_t pos = 9;  // "hnswidx2\n"
-    const std::size_t dim = checked_dim(take_u64(blob, pos));
-    HnswConfig cfg;
-    cfg.m = take_u64(blob, pos);
-    cfg.ef_search = take_u64(blob, pos);
-    HnswIndex idx(dim, cfg);
-    idx.entry_point_ = take_u64(blob, pos);
-    idx.max_level_ = static_cast<int>(take_u64(blob, pos)) - 1;
-    idx.vectors_ = take_rows_legacy(blob, pos, dim);
-    take_hnsw_nodes(blob, pos, idx, idx.vectors_.size());
-    return idx;
-  }
-
-  static void take_hnsw_nodes(std::string_view blob, std::size_t& pos,
-                              HnswIndex& idx, std::size_t n) {
-    idx.nodes_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      HnswIndex::Node& node = idx.nodes_[i];
-      node.level = static_cast<int>(take_u64(blob, pos));
-      if (node.level < 0 || node.level > 64) {
-        throw std::runtime_error("HnswIndex::load: bad level");
-      }
-      node.links.resize(static_cast<std::size_t>(node.level) + 1);
-      for (auto& layer : node.links) {
-        const std::size_t len = take_u64(blob, pos);
-        if (len > n) throw std::runtime_error("HnswIndex::load: bad layer");
-        layer.reserve(len);
-        for (std::size_t j = 0; j < len; ++j) {
-          const std::uint64_t nb = take_u64(blob, pos);
-          if (nb >= n) throw std::runtime_error("HnswIndex::load: bad link");
-          layer.push_back(static_cast<std::uint32_t>(nb));
-        }
-      }
-    }
-    if (n > 0 && idx.entry_point_ >= n) {
-      throw std::runtime_error("HnswIndex::load: bad entry point");
-    }
   }
 
   // --- SQ8 -------------------------------------------------------------------
@@ -449,6 +253,17 @@ struct IndexIo {
     idx.centroids_ = take_block<float>(blob, pos, nlist, dim, view);
     idx.codebooks_ = take_block<float>(blob, pos, m * ksub, dim / m, view);
     idx.codes_ = take_block<std::uint8_t>(blob, pos, n, m, view);
+    // Search indexes each row's ADC table with its code bytes, so a
+    // code >= ksub would read past the table.  At ksub 256 every byte
+    // is a valid code; below it, one pass over the (possibly mapped)
+    // code block, which copies nothing.
+    if (ksub < 256) {
+      const std::uint8_t* codes = idx.codes_.raw();
+      if (std::any_of(codes, codes + idx.codes_.value_count(),
+                      [ksub](std::uint8_t c) { return c >= ksub; })) {
+        throw std::runtime_error("IvfPqIndex::load: code out of range");
+      }
+    }
     idx.rows_ = take_block<util::fp16_t>(blob, pos, n, dim, view);
     idx.lists_.resize(nlist);
     for (std::size_t c = 0; c < nlist; ++c) {
@@ -476,22 +291,6 @@ FlatIndex FlatIndex::load_view(std::string_view blob) {
   return IndexIo::load_flat(blob, /*view=*/true);
 }
 
-std::string IvfIndex::save() const { return IndexIo::save_ivf(*this); }
-IvfIndex IvfIndex::load(std::string_view blob) {
-  return IndexIo::load_ivf(blob, /*view=*/false);
-}
-IvfIndex IvfIndex::load_view(std::string_view blob) {
-  return IndexIo::load_ivf(blob, /*view=*/true);
-}
-
-std::string HnswIndex::save() const { return IndexIo::save_hnsw(*this); }
-HnswIndex HnswIndex::load(std::string_view blob) {
-  return IndexIo::load_hnsw(blob, /*view=*/false);
-}
-HnswIndex HnswIndex::load_view(std::string_view blob) {
-  return IndexIo::load_hnsw(blob, /*view=*/true);
-}
-
 std::string Sq8Index::save() const { return IndexIo::save_sq8(*this); }
 Sq8Index Sq8Index::load(std::string_view blob) {
   return IndexIo::load_sq8(blob, /*view=*/false);
@@ -513,14 +312,8 @@ IvfPqIndex IvfPqIndex::load_view(std::string_view blob) {
 namespace {
 
 std::unique_ptr<VectorIndex> load_dispatch(std::string_view blob, bool view) {
-  if (has_magic(blob, "flatidx2\n") || has_magic(blob, "flatidx1\n")) {
+  if (has_magic(blob, "flatidx2\n")) {
     return std::make_unique<FlatIndex>(IndexIo::load_flat(blob, view));
-  }
-  if (has_magic(blob, "ivfidx3\n") || has_magic(blob, "ivfidx2\n")) {
-    return std::make_unique<IvfIndex>(IndexIo::load_ivf(blob, view));
-  }
-  if (has_magic(blob, "hnswidx3\n") || has_magic(blob, "hnswidx2\n")) {
-    return std::make_unique<HnswIndex>(IndexIo::load_hnsw(blob, view));
   }
   if (has_magic(blob, "sq8idx1\n")) {
     return std::make_unique<Sq8Index>(IndexIo::load_sq8(blob, view));

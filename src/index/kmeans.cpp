@@ -14,7 +14,7 @@ namespace {
 /// distance-biased.  Each point's best squared distance is cached and
 /// refreshed against only the newest centroid (O(n*k) total, not
 /// O(n*k^2)); min over the same distances in any order is exact, so the
-/// picks are unchanged.  (Moved verbatim from IvfIndex::build.)
+/// picks are unchanged.
 RowStorage seed_centroids(const StridedRows& data, std::size_t k,
                           util::Rng& rng) {
   const std::size_t n = data.rows;
@@ -130,19 +130,6 @@ std::size_t nearest_dot(const RowStorage& centroids, const float* v) {
     const float s = kernels::dot(v, centroids.row(c), centroids.dim());
     if (s > best) {
       best = s;
-      best_c = c;
-    }
-  }
-  return best_c;
-}
-
-std::size_t nearest_l2(const RowStorage& centroids, const float* v) {
-  float best = -1.0f;
-  std::size_t best_c = 0;
-  for (std::size_t c = 0; c < centroids.size(); ++c) {
-    const float d = kernels::l2_sq(v, centroids.row(c), centroids.dim());
-    if (best < 0.0f || d < best) {
-      best = d;
       best_c = c;
     }
   }

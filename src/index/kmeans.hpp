@@ -1,14 +1,12 @@
 #pragma once
-// Seeded k-means shared by the IVF coarse quantizer and the product
+// Seeded k-means for IvfPqIndex: the coarse quantizer and the product
 // quantizer's per-subspace codebooks.
 //
-// Extracted verbatim from IvfIndex::build (PR 1's seeded k-means++):
-// distance-biased seeding over squared L2, then Lloyd iterations.  Two
-// metric flavours:
+// Seeded k-means++: distance-biased seeding over squared L2, then Lloyd
+// iterations.  Two metric flavours:
 //   * spherical — assignment by max inner product, centroid update =
-//     renormalized mean (unit-norm embedding rows; exactly the historic
-//     IVF training loop, so trained IVF indexes are bit-identical to
-//     pre-extraction builds), and
+//     renormalized mean (unit-norm embedding rows; the coarse
+//     quantizer), and
 //   * l2 — assignment by min squared Euclidean distance, centroid
 //     update = plain mean (PQ sub-vectors are not unit-norm).
 //
@@ -49,11 +47,7 @@ RowStorage kmeans_l2(const StridedRows& data, std::size_t k,
                      std::size_t iters, util::Rng rng);
 
 /// Nearest centroid of `v` by max inner product (ties -> lowest index);
-/// the assignment rule of the spherical trainer and the IVF lists.
+/// the assignment rule of the spherical trainer and the IVF-PQ lists.
 std::size_t nearest_dot(const RowStorage& centroids, const float* v);
-
-/// Nearest centroid of `v` by min squared L2 (ties -> lowest index);
-/// the assignment rule of the PQ encoder.
-std::size_t nearest_l2(const RowStorage& centroids, const float* v);
 
 }  // namespace mcqa::index

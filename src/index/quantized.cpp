@@ -269,8 +269,8 @@ void IvfPqIndex::build(parallel::ThreadPool& pool) {
 
   util::Rng root(config_.seed);
 
-  // Coarse quantizer + inverted lists (same spherical trainer and
-  // max-dot assignment rule as IvfIndex).
+  // Coarse quantizer + inverted lists: spherical k-means, then each row
+  // joins its max-dot centroid's list (the trainer's assignment rule).
   centroids_ = kmeans_spherical({floats.raw(), n, dim_, dim_},
                                 std::min(config_.nlist, n),
                                 config_.coarse_iters, root.fork(1));

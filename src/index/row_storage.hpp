@@ -1,11 +1,10 @@
 #pragma once
 // Contiguous row-major storage shared by the vector indexes.
 //
-// IVF and HNSW used to hold a std::vector<embed::Vector> — one heap
-// allocation and one pointer chase per row, which is what the scan
-// kernels end up waiting on.  TypedRows flattens all rows into a
-// single element buffer so the blocked kernels stream through memory,
-// and save()/load() can move the whole payload with one memcpy.
+// TypedRows flattens all rows into a single element buffer — no heap
+// allocation or pointer chase per row — so the blocked kernels stream
+// through memory, and save()/load() can move the whole payload with
+// one memcpy.
 //
 // Two backing modes:
 //   * resident — the storage owns a std::vector<T> (the default; all
@@ -16,10 +15,10 @@
 //     (the MappedFile) alive for the lifetime of the view — see
 //     DESIGN.md §2 "quantized tier" for the lifetime rules.
 //
-// Instantiations: RowStorage (float rows, the scan payload of
-// flat/IVF/HNSW), Fp16Rows (fp16-at-rest rows: FlatIndex payload and
-// the quantized tier's exact-rerank source), CodeRows (uint8 codes of
-// the SQ8/PQ tier).
+// Instantiations: RowStorage (float rows: IVF-PQ centroids and
+// codebooks, k-means training data), Fp16Rows (fp16-at-rest rows:
+// FlatIndex payload and the quantized tier's exact-rerank source),
+// CodeRows (uint8 codes of the SQ8/PQ tier).
 
 #include <cstdint>
 #include <cstring>
@@ -101,14 +100,6 @@ class TypedRows {
 
   // --- float-row conveniences (embedding vectors) ----------------------------
 
-  void add(const embed::Vector& v)
-    requires std::same_as<T, float>
-  {
-    if (v.size() != dim_) throw std::invalid_argument("TypedRows::add: dim");
-    require_resident("add");
-    owned_.insert(owned_.end(), v.begin(), v.end());
-  }
-
   void set_row(std::size_t i, const embed::Vector& v)
     requires std::same_as<T, float>
   {
@@ -117,13 +108,6 @@ class TypedRows {
     }
     require_resident("set_row");
     std::memcpy(owned_.data() + i * dim_, v.data(), dim_ * sizeof(float));
-  }
-
-  /// Widened copy of one row.
-  embed::Vector vector(std::size_t i) const
-    requires std::same_as<T, float>
-  {
-    return embed::Vector(row(i), row(i) + dim_);
   }
 
  private:

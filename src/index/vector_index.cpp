@@ -1,38 +1,17 @@
 #include "index/vector_index.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <unordered_set>
 
-#include "index/kmeans.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace mcqa::index {
-
-namespace {
-
-/// Keep the best k results in descending score order (ties by row).
-/// Cold paths only; hot paths go through the bounded-heap TopK.
-void sort_and_trim(std::vector<SearchResult>& results, std::size_t k) {
-  std::sort(results.begin(), results.end(),
-            [](const SearchResult& a, const SearchResult& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.row < b.row;
-            });
-  if (results.size() > k) results.resize(k);
-}
-
-}  // namespace
 
 std::string_view index_kind_name(IndexKind kind) {
   switch (kind) {
     case IndexKind::kFlat:
       return "flat";
-    case IndexKind::kIvf:
-      return "ivf";
-    case IndexKind::kHnsw:
-      return "hnsw";
     case IndexKind::kSq8:
       return "sq8";
     case IndexKind::kIvfPq:
@@ -41,14 +20,7 @@ std::string_view index_kind_name(IndexKind kind) {
   return "unknown";
 }
 
-// --- bulk construction -------------------------------------------------------
-
-void VectorIndex::add_batch(const std::vector<embed::Vector>& vs) {
-  // Fallback for index types without a storage-reservation override:
-  // insertion order (and therefore the resulting index) matches the
-  // sequential add() loop exactly.
-  for (const auto& v : vs) add(v);
-}
+// --- build -------------------------------------------------------------------
 
 void VectorIndex::build(parallel::ThreadPool& pool) {
   (void)pool;
@@ -56,15 +28,6 @@ void VectorIndex::build(parallel::ThreadPool& pool) {
 }
 
 // --- batched search ----------------------------------------------------------
-
-void VectorIndex::search_block(
-    const std::vector<embed::Vector>& queries, std::size_t begin,
-    std::size_t end, std::size_t k,
-    std::vector<std::vector<SearchResult>>& out) const {
-  // Graph/list indexes without a tiled override keep the per-query
-  // scan; the batched paths still gain the grain-size chunking.
-  for (std::size_t i = begin; i < end; ++i) out[i] = search(queries[i], k);
-}
 
 std::vector<std::vector<SearchResult>> VectorIndex::search_tiled(
     const std::vector<embed::Vector>& queries, std::size_t k) const {
@@ -185,279 +148,6 @@ embed::Vector FlatIndex::vector(std::size_t row) const {
   const util::fp16_t* src = data_.row(row);
   for (std::size_t i = 0; i < dim_; ++i) out[i] = util::fp16_to_float(src[i]);
   return out;
-}
-
-// --- IvfIndex ----------------------------------------------------------------
-
-IvfIndex::IvfIndex(std::size_t dim, IvfConfig config)
-    : dim_(dim), config_(config), vectors_(dim), centroids_(dim) {}
-
-void IvfIndex::add(const embed::Vector& v) {
-  if (v.size() != dim_) throw std::invalid_argument("IvfIndex::add: dim");
-  vectors_.add(v);
-  built_ = false;
-}
-
-void IvfIndex::add_batch(const std::vector<embed::Vector>& vs) {
-  vectors_.reserve(vectors_.size() + vs.size());
-  for (const auto& v : vs) add(v);
-}
-
-void IvfIndex::build() {
-  const std::size_t n = vectors_.size();
-  if (n == 0) {
-    built_ = true;
-    return;
-  }
-  // Seeded spherical k-means (kmeans.cpp carries the historic training
-  // loop verbatim, so the trained centroids are bit-identical to
-  // pre-extraction builds).
-  centroids_ = kmeans_spherical({vectors_.raw(), n, dim_, dim_},
-                                std::min(config_.nlist, n),
-                                config_.train_iters,
-                                util::Rng(config_.seed));
-
-  // Final assignment into inverted lists (same max-dot rule as the
-  // trainer's assignment step).
-  lists_.assign(centroids_.size(), {});
-  for (std::size_t i = 0; i < n; ++i) {
-    lists_[nearest_dot(centroids_, vectors_.row(i))].push_back(i);
-  }
-  built_ = true;
-}
-
-std::vector<SearchResult> IvfIndex::search(const embed::Vector& query,
-                                           std::size_t k) const {
-  if (!built_) {
-    throw std::logic_error("IvfIndex::search called before build()");
-  }
-  if (centroids_.size() == 0) return {};
-
-  // Rank cells by centroid similarity; probe the top nprobe.
-  TopK cell_top(std::min(config_.nprobe, centroids_.size()));
-  for (std::size_t c = 0; c < centroids_.size(); ++c) {
-    cell_top.push(c, kernels::dot(query.data(), centroids_.row(c), dim_));
-  }
-  const auto cells = cell_top.take_sorted();
-
-  TopK top(k);
-  for (const auto& cell : cells) {
-    for (const std::size_t row : lists_[cell.row]) {
-      top.push(row, kernels::dot(query.data(), vectors_.row(row), dim_));
-    }
-  }
-  return top.take_sorted();
-}
-
-// --- HnswIndex ---------------------------------------------------------------
-
-namespace {
-
-/// Heap orders matching the classic HNSW beam: candidates pop highest
-/// score first, `best` evicts its lowest score first.
-inline bool cand_less(const SearchResult& a, const SearchResult& b) {
-  return a.score < b.score;  // max-heap on candidates
-}
-inline bool best_less(const SearchResult& a, const SearchResult& b) {
-  return a.score > b.score;  // min-heap on results
-}
-
-/// One scratch per worker thread: batched searches run allocation-free
-/// after warm-up, and the single-query path reuses it across calls.
-HnswIndex::SearchScratch& hnsw_scratch() {
-  static thread_local HnswIndex::SearchScratch scratch;
-  return scratch;
-}
-
-}  // namespace
-
-void HnswIndex::SearchScratch::begin(std::size_t n) {
-  if (visited_epoch.size() < n) visited_epoch.resize(n, 0);
-  if (++epoch == 0) {  // stamp wrap: invalidate everything once
-    std::fill(visited_epoch.begin(), visited_epoch.end(), 0u);
-    epoch = 1;
-  }
-  candidates.clear();
-  best.clear();
-}
-
-bool HnswIndex::SearchScratch::visit(std::size_t row) {
-  if (visited_epoch[row] == epoch) return false;
-  visited_epoch[row] = epoch;
-  return true;
-}
-
-HnswIndex::HnswIndex(std::size_t dim, HnswConfig config)
-    : dim_(dim), config_(config), vectors_(dim), level_rng_(config.seed) {}
-
-float HnswIndex::sim(std::size_t row, const embed::Vector& q) const {
-  return kernels::dot(vectors_.row(row), q.data(), dim_);
-}
-
-std::size_t HnswIndex::greedy_descend(const embed::Vector& q,
-                                      std::size_t entry, int from_level,
-                                      int to_level) const {
-  std::size_t current = entry;
-  float current_sim = sim(current, q);
-  for (int layer = from_level; layer > to_level; --layer) {
-    bool improved = true;
-    while (improved) {
-      improved = false;
-      const auto& nbrs = nodes_[current].links[static_cast<std::size_t>(layer)];
-      for (const std::uint32_t nb : nbrs) {
-        const float s = sim(nb, q);
-        if (s > current_sim) {
-          current_sim = s;
-          current = nb;
-          improved = true;
-        }
-      }
-    }
-  }
-  return current;
-}
-
-std::vector<SearchResult> HnswIndex::search_layer(
-    const embed::Vector& q, std::size_t entry, std::size_t ef, int layer,
-    SearchScratch& scratch) const {
-  // Classic best-first beam with a bounded result heap, running on the
-  // scratch's reusable buffers.
-  scratch.begin(nodes_.size());
-  auto& candidates = scratch.candidates;
-  auto& best = scratch.best;
-
-  const SearchResult start{entry, sim(entry, q)};
-  candidates.push_back(start);
-  best.push_back(start);
-  scratch.visit(entry);
-
-  while (!candidates.empty()) {
-    const SearchResult cand = candidates.front();
-    std::pop_heap(candidates.begin(), candidates.end(), cand_less);
-    candidates.pop_back();
-    if (best.size() >= ef && cand.score < best.front().score) break;
-    const auto& nbrs =
-        nodes_[cand.row].links[static_cast<std::size_t>(layer)];
-    for (const std::uint32_t nb : nbrs) {
-      if (!scratch.visit(nb)) continue;
-      const SearchResult next{nb, sim(nb, q)};
-      if (best.size() < ef || next.score > best.front().score) {
-        candidates.push_back(next);
-        std::push_heap(candidates.begin(), candidates.end(), cand_less);
-        best.push_back(next);
-        std::push_heap(best.begin(), best.end(), best_less);
-        if (best.size() > ef) {
-          std::pop_heap(best.begin(), best.end(), best_less);
-          best.pop_back();
-        }
-      }
-    }
-  }
-
-  // sort_heap == repeated pop_heap, so equal scores leave in the same
-  // order the old priority_queue drain produced; best_less ascending is
-  // score-descending.
-  std::vector<SearchResult> out(best.begin(), best.end());
-  std::sort_heap(out.begin(), out.end(), best_less);
-  return out;
-}
-
-void HnswIndex::connect(std::size_t row, int layer,
-                        const std::vector<SearchResult>& candidates) {
-  auto& links = nodes_[row].links[static_cast<std::size_t>(layer)];
-  const std::size_t max_links =
-      layer == 0 ? config_.m * 2 : config_.m;
-  for (const auto& cand : candidates) {
-    if (cand.row == row) continue;
-    if (links.size() >= max_links) break;
-    links.push_back(static_cast<std::uint32_t>(cand.row));
-    // Reciprocal edge, pruned to the neighbor's budget by keeping the
-    // strongest connections.
-    auto& back =
-        nodes_[cand.row].links[static_cast<std::size_t>(layer)];
-    back.push_back(static_cast<std::uint32_t>(row));
-    if (back.size() > max_links) {
-      const float* pivot = vectors_.row(cand.row);
-      std::sort(back.begin(), back.end(),
-                [&](std::uint32_t a, std::uint32_t b) {
-                  return kernels::dot(vectors_.row(a), pivot, dim_) >
-                         kernels::dot(vectors_.row(b), pivot, dim_);
-                });
-      back.resize(max_links);
-    }
-  }
-}
-
-void HnswIndex::add_batch(const std::vector<embed::Vector>& vs) {
-  // Graph insertion itself stays sequential (it consumes level_rng_ and
-  // links depend on all prior rows), so the batch is bit-identical to
-  // the add() loop; the win is the one-shot storage reservation.
-  vectors_.reserve(vectors_.size() + vs.size());
-  nodes_.reserve(nodes_.size() + vs.size());
-  for (const auto& v : vs) add(v);
-}
-
-void HnswIndex::add(const embed::Vector& v) {
-  if (v.size() != dim_) throw std::invalid_argument("HnswIndex::add: dim");
-  const std::size_t row = vectors_.size();
-  vectors_.add(v);
-
-  // Exponentially distributed level (p = 1/e discipline via uniform).
-  int level = 0;
-  {
-    const double ml = 1.0 / std::log(static_cast<double>(config_.m));
-    const double u = level_rng_.uniform();
-    level = static_cast<int>(-std::log(std::max(u, 1e-12)) * ml);
-    level = std::min(level, 16);
-  }
-
-  Node node;
-  node.level = level;
-  node.links.resize(static_cast<std::size_t>(level) + 1);
-  nodes_.push_back(std::move(node));
-
-  if (row == 0) {
-    entry_point_ = 0;
-    max_level_ = level;
-    return;
-  }
-
-  std::size_t entry = entry_point_;
-  if (level < max_level_) {
-    entry = greedy_descend(v, entry, max_level_, level);
-  }
-  SearchScratch& scratch = hnsw_scratch();
-  for (int layer = std::min(level, max_level_); layer >= 0; --layer) {
-    auto found = search_layer(v, entry, config_.ef_construction, layer,
-                              scratch);
-    connect(row, layer, found);
-    if (!found.empty()) entry = found.front().row;
-  }
-  if (level > max_level_) {
-    max_level_ = level;
-    entry_point_ = row;
-  }
-}
-
-std::vector<SearchResult> HnswIndex::search(const embed::Vector& query,
-                                            std::size_t k) const {
-  if (vectors_.size() == 0) return {};
-  const std::size_t entry =
-      greedy_descend(query, entry_point_, max_level_, 0);
-  auto results = search_layer(query, entry, std::max(config_.ef_search, k),
-                              0, hnsw_scratch());
-  sort_and_trim(results, k);
-  return results;
-}
-
-std::size_t HnswIndex::payload_bytes() const {
-  std::size_t bytes = vectors_.value_count() * sizeof(float);
-  for (const auto& node : nodes_) {
-    for (const auto& layer : node.links) {
-      bytes += layer.size() * sizeof(std::uint32_t);
-    }
-  }
-  return bytes;
 }
 
 // --- Ground truth helpers ------------------------------------------------------

@@ -1,32 +1,28 @@
 #pragma once
 // Vector similarity indexes (FAISS-equivalent substrate).
 //
-// Five implementations with the classic accuracy/speed/memory
+// Three implementations with the classic accuracy/speed/memory
 // trade-offs:
 //   FlatIndex    exact brute force over FP16-at-rest vectors
-//   IvfIndex     k-means coarse quantizer + inverted lists, nprobe knob
-//   HnswIndex    navigable small-world graph, efSearch knob
 //   Sq8Index     scalar-quantized (uint8/dim) scan + exact fp16 rerank
 //   IvfPqIndex   IVF cells over product-quantized codes + exact rerank
 // (the quantized tier lives in quantized.hpp; this header carries the
-// interface and the three full-precision indexes).
+// interface and the exact flat index).
 //
 // All operate on unit-norm vectors with inner-product scoring (cosine),
 // computed by the blocked fixed-lane-order kernels in kernels.hpp —
 // scores are bit-identical across runs, thread counts and build flags.
-// IVF and HNSW keep their vectors in contiguous RowStorage so the
-// kernels stream rows instead of chasing per-vector allocations.
 //
 // Serialization: every index saves to a version-stamped blob
 // (index_io.cpp).  Blobs load either resident (payload copied) or as a
 // borrowed view over caller-owned bytes — the mmap path (mmap_file.hpp)
-// that opens stores larger than RAM in O(1).  try_load_index() is the
-// fail-soft dispatcher: unknown magic or truncated payloads return
-// nullptr instead of throwing, which the checkpoint cache treats as a
-// corrupt-blob miss.
+// that opens stores larger than RAM without copying the payload.
+// try_load_index() is the fail-soft dispatcher: unknown magic,
+// truncated payloads or out-of-range codes return nullptr instead of
+// throwing, which the checkpoint cache treats as a corrupt-blob miss.
 //
 // The index ablation bench (A1) sweeps recall@k versus queries/second
-// and bytes/vector across all five kinds x {resident, mmap},
+// and bytes/vector across all three kinds x {resident, mmap},
 // reproducing the trade-off surface the paper delegates to FAISS.
 
 #include <cstdint>
@@ -47,7 +43,10 @@ class ThreadPool;
 
 namespace mcqa::index {
 
-enum class IndexKind { kFlat, kIvf, kHnsw, kSq8, kIvfPq };
+/// Values 1 and 2 are retired, not reused: value-parameterized tests
+/// print a kind's raw bytes in their names, and checkpoint keys hash
+/// the value, so renumbering would rename tests and re-key stores.
+enum class IndexKind { kFlat = 0, kSq8 = 3, kIvfPq = 4 };
 
 std::string_view index_kind_name(IndexKind kind);
 
@@ -71,11 +70,10 @@ class VectorIndex {
   /// Append a batch of vectors.  Equivalent to calling add() row by row
   /// in order — bit-identical resulting index — but reserves storage
   /// once up front (bulk construction path).
-  virtual void add_batch(const std::vector<embed::Vector>& vs);
+  virtual void add_batch(const std::vector<embed::Vector>& vs) = 0;
 
-  /// Finalize after adds (train quantizers, encode rows, etc.).  Must
-  /// be called before search for IVF and the quantized tier; no-op
-  /// elsewhere.
+  /// Finalize after adds (train quantizers, encode rows).  Must be
+  /// called before search for the quantized tier; no-op for flat.
   virtual void build() {}
 
   /// Finalize using `pool` for the parallelizable build phases (row
@@ -93,7 +91,7 @@ class VectorIndex {
   virtual std::size_t payload_bytes() const = 0;
 
   /// Bytes of the exact fp16 rerank source held by the quantized tier
-  /// (0 for full-precision indexes).  Under mmap these pages stay cold
+  /// (0 for the flat index).  Under mmap these pages stay cold
   /// except for the oversampled candidates each query touches.
   virtual std::size_t rerank_bytes() const { return 0; }
 
@@ -108,14 +106,13 @@ class VectorIndex {
   /// Score queries [begin, end) on the calling thread, writing
   /// out[begin..end) — the sequential unit the batched paths are built
   /// from.  Contract: out[i] is identical (rows and scores) to
-  /// search(queries[i], k).  The base runs the per-query search();
-  /// Flat/SQ8/IVF-PQ override it with Q x R tiled scans (kTileQ
+  /// search(queries[i], k).  Every kind runs Q x R tiled scans (kTileQ
   /// queries share each row load — kernels.hpp) whose per-query
   /// results the tile kernels keep bit-identical.
-  virtual void search_block(const std::vector<embed::Vector>& queries,
-                            std::size_t begin, std::size_t end,
-                            std::size_t k,
-                            std::vector<std::vector<SearchResult>>& out) const;
+  virtual void search_block(
+      const std::vector<embed::Vector>& queries, std::size_t begin,
+      std::size_t end, std::size_t k,
+      std::vector<std::vector<SearchResult>>& out) const = 0;
 
   /// Tiled batch search on the calling thread (no pool): one
   /// search_block over the whole batch.  Result i is bit-identical to
@@ -152,8 +149,8 @@ std::unique_ptr<VectorIndex> try_load_index(std::string_view blob) noexcept;
 /// View-mode variant: row/code payloads borrow from `blob` instead of
 /// being copied, so the caller must keep `blob`'s bytes alive (and
 /// suitably aligned — guaranteed when `blob` is a whole mapped file)
-/// for the index's lifetime.  Small metadata (headers, IVF lists, HNSW
-/// adjacency) is still materialized.
+/// for the index's lifetime.  Small metadata (headers, quantizer
+/// parameters, IVF-PQ lists) is still materialized.
 std::unique_ptr<VectorIndex> load_index_view(std::string_view blob);
 
 /// An index opened straight from a file: the mapping and the index
@@ -163,8 +160,10 @@ struct MappedIndex {
   std::unique_ptr<VectorIndex> index;
 };
 
-/// Map `path` and open the index inside it in view mode — O(1) in the
-/// payload size.  Throws std::runtime_error on IO errors or bad blobs.
+/// Map `path` and open the index inside it in view mode — no payload
+/// copy, and O(1) in the payload size except for the IVF-PQ code check
+/// of a codebook smaller than 256 entries (one pass over the codes).
+/// Throws std::runtime_error on IO errors or bad blobs.
 MappedIndex open_index_mmap(const std::string& path);
 
 // --- Flat ------------------------------------------------------------------
@@ -196,8 +195,7 @@ class FlatIndex final : public VectorIndex {
   }
   bool mmap_backed() const override { return data_.is_view(); }
 
-  /// Widened copy of a stored row (shared with IVF/HNSW via protected
-  /// storage would over-couple; each index owns its vectors).
+  /// Widened copy of a stored row.
   embed::Vector vector(std::size_t row) const;
 
   /// The FP16-at-rest rows — the quantized tier's exact-rerank source
@@ -211,133 +209,6 @@ class FlatIndex final : public VectorIndex {
 
   std::size_t dim_;
   Fp16Rows data_;  ///< row-major FP16 at rest (resident or mmap view)
-};
-
-// --- IVF -------------------------------------------------------------------
-
-struct IvfConfig {
-  std::size_t nlist = 64;      ///< number of k-means cells
-  std::size_t nprobe = 8;      ///< cells visited per query
-  std::size_t train_iters = 12;
-  std::uint64_t seed = 99;
-};
-
-class IvfIndex final : public VectorIndex {
- public:
-  IvfIndex(std::size_t dim, IvfConfig config = {});
-
-  std::string_view name() const override { return "ivf"; }
-  IndexKind kind() const override { return IndexKind::kIvf; }
-  std::size_t dim() const override { return dim_; }
-  std::size_t size() const override { return vectors_.size(); }
-  void add(const embed::Vector& v) override;
-  void add_batch(const std::vector<embed::Vector>& vs) override;
-  void build() override;
-  using VectorIndex::build;
-  std::vector<SearchResult> search(const embed::Vector& query,
-                                   std::size_t k) const override;
-
-  void set_nprobe(std::size_t nprobe) { config_.nprobe = nprobe; }
-  std::size_t nlist() const { return centroids_.size(); }
-
-  /// Serialize the trained index (vectors + centroids + lists).
-  std::string save() const override;
-  static IvfIndex load(std::string_view blob);
-  static IvfIndex load_view(std::string_view blob);
-
-  std::size_t payload_bytes() const override {
-    return (vectors_.value_count() + centroids_.value_count()) *
-               sizeof(float) +
-           size() * sizeof(std::uint64_t);  // one list slot per row
-  }
-  bool mmap_backed() const override { return vectors_.is_view(); }
-
- private:
-  friend struct IndexIo;
-
-  std::size_t dim_;
-  IvfConfig config_;
-  bool built_ = false;
-  RowStorage vectors_;
-  RowStorage centroids_;
-  std::vector<std::vector<std::size_t>> lists_;  ///< rows per centroid
-};
-
-// --- HNSW ------------------------------------------------------------------
-
-struct HnswConfig {
-  std::size_t m = 12;               ///< links per node per layer
-  std::size_t ef_construction = 80;
-  std::size_t ef_search = 48;
-  std::uint64_t seed = 4242;
-};
-
-class HnswIndex final : public VectorIndex {
- public:
-  HnswIndex(std::size_t dim, HnswConfig config = {});
-
-  std::string_view name() const override { return "hnsw"; }
-  IndexKind kind() const override { return IndexKind::kHnsw; }
-  std::size_t dim() const override { return dim_; }
-  std::size_t size() const override { return vectors_.size(); }
-  void add(const embed::Vector& v) override;
-  void add_batch(const std::vector<embed::Vector>& vs) override;
-  std::vector<SearchResult> search(const embed::Vector& query,
-                                   std::size_t k) const override;
-
-  void set_ef_search(std::size_t ef) { config_.ef_search = ef; }
-
-  /// Serialize the graph (vectors + per-layer links + entry point).
-  std::string save() const override;
-  static HnswIndex load(std::string_view blob);
-  /// Vectors view `blob`; the adjacency lists are always materialized.
-  static HnswIndex load_view(std::string_view blob);
-
-  std::size_t payload_bytes() const override;
-  bool mmap_backed() const override { return vectors_.is_view(); }
-
-  /// Reusable per-thread search state: an epoch-stamped visited buffer
-  /// (one ++epoch instead of a fresh hash set per search_layer call)
-  /// and the two beam heaps.  Each worker thread owns one via
-  /// thread_local, so batched queries never contend or allocate.
-  struct SearchScratch {
-    std::vector<std::uint32_t> visited_epoch;
-    std::uint32_t epoch = 0;
-    std::vector<SearchResult> candidates;  ///< max-heap on score
-    std::vector<SearchResult> best;        ///< min-heap on score
-
-    /// Start a fresh visited set covering rows [0, n).
-    void begin(std::size_t n);
-    /// True on first visit of `row` this epoch.
-    bool visit(std::size_t row);
-  };
-
- private:
-  friend struct IndexIo;
-
-  struct Node {
-    int level = 0;
-    /// links[layer] = neighbor rows.
-    std::vector<std::vector<std::uint32_t>> links;
-  };
-
-  float sim(std::size_t row, const embed::Vector& q) const;
-  std::size_t greedy_descend(const embed::Vector& q, std::size_t entry,
-                             int from_level, int to_level) const;
-  std::vector<SearchResult> search_layer(const embed::Vector& q,
-                                         std::size_t entry, std::size_t ef,
-                                         int layer,
-                                         SearchScratch& scratch) const;
-  void connect(std::size_t row, int layer,
-               const std::vector<SearchResult>& candidates);
-
-  std::size_t dim_;
-  HnswConfig config_;
-  RowStorage vectors_;
-  std::vector<Node> nodes_;
-  std::size_t entry_point_ = 0;
-  int max_level_ = -1;
-  util::Rng level_rng_;
 };
 
 /// Exact ground truth for recall measurement: brute force over raw

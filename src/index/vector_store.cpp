@@ -13,8 +13,6 @@ namespace {
 std::unique_ptr<VectorIndex> make_index(IndexKind kind, std::size_t dim) {
   switch (kind) {
     case IndexKind::kFlat: return std::make_unique<FlatIndex>(dim);
-    case IndexKind::kIvf: return std::make_unique<IvfIndex>(dim);
-    case IndexKind::kHnsw: return std::make_unique<HnswIndex>(dim);
     case IndexKind::kSq8: return std::make_unique<Sq8Index>(dim);
     case IndexKind::kIvfPq: return std::make_unique<IvfPqIndex>(dim);
   }
@@ -23,8 +21,6 @@ std::unique_ptr<VectorIndex> make_index(IndexKind kind, std::size_t dim) {
 
 IndexKind kind_from_name(std::string_view name) {
   if (name == "flat") return IndexKind::kFlat;
-  if (name == "ivf") return IndexKind::kIvf;
-  if (name == "hnsw") return IndexKind::kHnsw;
   if (name == "sq8") return IndexKind::kSq8;
   if (name == "ivfpq") return IndexKind::kIvfPq;
   throw std::runtime_error("VectorStore::load: unknown index kind");
@@ -149,9 +145,9 @@ std::string VectorStore::save() const {
   if (!built_) {
     throw std::logic_error("VectorStore::save: build() the store first");
   }
-  // vstore2: like vstore1 but the index blob is zero-padded to an
-  // 8-byte offset from the store start, so a whole mapped store file
-  // keeps the index payload blocks naturally aligned for view loads.
+  // vstore2: the index blob is zero-padded to an 8-byte offset from the
+  // store start, so a whole mapped store file keeps the index payload
+  // blocks naturally aligned for view loads.
   std::string out = "vstore2\n";
   put_str(out, index_kind_name(kind_));
   put_u64(out, ids_.size());
@@ -168,13 +164,11 @@ std::string VectorStore::save() const {
 
 VectorStore VectorStore::load_parsed(const embed::Embedder& embedder,
                                      std::string_view blob, bool view) {
-  constexpr std::string_view kMagicV2 = "vstore2\n";
-  constexpr std::string_view kMagicV1 = "vstore1\n";
-  const bool v2 = blob.substr(0, kMagicV2.size()) == kMagicV2;
-  if (!v2 && blob.substr(0, kMagicV1.size()) != kMagicV1) {
+  constexpr std::string_view kMagic = "vstore2\n";
+  if (blob.substr(0, kMagic.size()) != kMagic) {
     throw std::runtime_error("VectorStore::load: bad magic");
   }
-  std::size_t pos = kMagicV2.size();
+  std::size_t pos = kMagic.size();
   const IndexKind kind = kind_from_name(take_str(blob, pos));
 
   VectorStore store(embedder, kind);
@@ -191,15 +185,13 @@ VectorStore VectorStore::load_parsed(const embed::Embedder& embedder,
     store.texts_.push_back(take_str(blob, pos));
   }
   const std::size_t blob_len = take_u64(blob, pos);
-  if (v2) {
-    // Loader-side pad skip: recomputed from the stream position, never
-    // stored (mirrors the index blob formats).
-    while (pos % 8 != 0) {
-      if (pos >= blob.size()) {
-        throw std::runtime_error("VectorStore::load: truncated pad");
-      }
-      ++pos;
+  // Loader-side pad skip: recomputed from the stream position, never
+  // stored (mirrors the index blob formats).
+  while (pos % 8 != 0) {
+    if (pos >= blob.size()) {
+      throw std::runtime_error("VectorStore::load: truncated pad");
     }
+    ++pos;
   }
   if (blob_len > blob.size() - pos) {
     throw std::runtime_error("VectorStore::load: truncated index blob");

@@ -54,7 +54,7 @@ class VectorStore {
                        std::vector<std::string> texts,
                        const std::vector<embed::Vector>& vectors);
 
-  /// Finalize the underlying index (required before query for IVF).
+  /// Finalize the underlying index (required before any query).
   void build();
 
   /// Delta-aware finalization for incremental rebuilds.  For an IVF-PQ

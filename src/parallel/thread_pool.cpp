@@ -1,6 +1,7 @@
 #include "parallel/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
 
 namespace mcqa::parallel {
 
@@ -116,7 +117,18 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
       for (std::size_t i = lo; i < hi; ++i) body(i);
     }));
   }
-  for (auto& f : futs) f.get();  // propagate exceptions
+  // Wait for every block before rethrowing the first exception: a block
+  // still running after parallel_for returned would call `body` after
+  // the caller destroyed it.
+  std::exception_ptr first;
+  for (auto& f : futs) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!first) first = std::current_exception();
+    }
+  }
+  if (first) std::rethrow_exception(first);
 }
 
 }  // namespace mcqa::parallel

@@ -84,7 +84,9 @@ class ThreadPool {
 };
 
 /// Parallel for over [begin, end) with automatic grain sizing.  Blocks
-/// until done.  `body(i)` must be safe to run concurrently for distinct i.
+/// until every block is done, then rethrows the first block's exception
+/// (in block order), if any.  `body(i)` must be safe to run
+/// concurrently for distinct i.
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body,
                   std::size_t grain = 0);

@@ -162,8 +162,6 @@ std::unique_ptr<index::VectorIndex> LiveStore::make_base_index(
     case index::IndexKind::kSq8:
       return std::make_unique<index::Sq8Index>(
           dim, index::Sq8Config{config_.oversample, config_.min_candidates});
-    case index::IndexKind::kIvf:
-    case index::IndexKind::kHnsw:
     case index::IndexKind::kIvfPq:
       break;
   }

@@ -1,65 +1,27 @@
 #include "serve/sharded_store.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <stdexcept>
 
-#include "index/quantized.hpp"
 #include "util/hash.hpp"
 
 namespace mcqa::serve {
-
-namespace {
-
-std::unique_ptr<index::VectorIndex> make_shard_index(
-    index::IndexKind kind, std::size_t dim) {
-  switch (kind) {
-    case index::IndexKind::kFlat:
-      return std::make_unique<index::FlatIndex>(dim);
-    case index::IndexKind::kSq8:
-      return std::make_unique<index::Sq8Index>(dim);
-    case index::IndexKind::kIvfPq: {
-      // Serving shards probe every cell (nprobe clamps to nlist): the
-      // memory win is the PQ codes, and full probing keeps candidate
-      // coverage governed by the same min_candidates/oversample knob
-      // as SQ8 instead of compounding with cell routing misses.
-      index::IvfPqConfig cfg;
-      cfg.nprobe = std::numeric_limits<std::size_t>::max();
-      return std::make_unique<index::IvfPqIndex>(dim, cfg);
-    }
-    case index::IndexKind::kIvf:
-    case index::IndexKind::kHnsw:
-      break;
-  }
-  throw std::invalid_argument(
-      "ShardedStore: shard kind must be flat, sq8 or ivfpq");
-}
-
-}  // namespace
 
 std::size_t ShardedStore::shard_of(std::string_view id, std::size_t shards) {
   return shards <= 1 ? 0 : util::fnv1a64(id) % shards;
 }
 
-ShardedStore::ShardedStore(const index::VectorStore& base, std::size_t shards,
-                           index::IndexKind shard_kind)
-    : base_(&base), shard_kind_(shard_kind) {
+ShardedStore::ShardedStore(const index::VectorStore& base, std::size_t shards)
+    : base_(&base) {
   const std::size_t count = std::max<std::size_t>(1, shards);
-  const std::size_t dim = base.embedder().dim();
-  shards_.reserve(count);
-  for (std::size_t s = 0; s < count; ++s) {
-    shards_.push_back(Shard{make_shard_index(shard_kind, dim), {}});
-  }
+  shards_.assign(count, Shard{index::FlatIndex(base.embedder().dim()), {}});
   // Rows visit shards in ascending global order, so each shard's local
   // row order is the global order restricted to its rows — per-shard
   // tie-breaks (score desc, local row asc) agree with global ones.
   for (std::size_t row = 0; row < base.size(); ++row) {
     Shard& shard = shards_[shard_of(base.id_of(row), count)];
-    shard.index->add(base.row_vector(row));
+    shard.index.add(base.row_vector(row));
     shard.global_rows.push_back(row);
   }
-  // Quantized shards train/encode; a flat shard's build() is a no-op.
-  for (Shard& shard : shards_) shard.index->build();
 }
 
 std::vector<index::Hit> ShardedStore::query(std::string_view text,
@@ -88,7 +50,7 @@ std::vector<index::Hit> ShardedStore::query_vector(const embed::Vector& v,
   std::vector<index::SearchResult> merged;
   merged.reserve(shards_.size() * k);
   for (const Shard& shard : shards_) {
-    for (const auto& r : shard.index->search(v, k)) {
+    for (const auto& r : shard.index.search(v, k)) {
       merged.push_back(
           index::SearchResult{shard.global_rows[r.row], r.score});
     }
@@ -121,7 +83,7 @@ std::vector<std::vector<index::Hit>> ShardedStore::query_vectors(
   std::vector<std::vector<std::vector<index::SearchResult>>> per_shard;
   per_shard.reserve(shards_.size());
   for (const Shard& shard : shards_) {
-    per_shard.push_back(shard.index->search_tiled(vs, k));
+    per_shard.push_back(shard.index.search_tiled(vs, k));
   }
 
   std::vector<std::vector<index::Hit>> out(vs.size());

@@ -17,16 +17,7 @@
 // Shards take each row from VectorStore::row_vector — a flat base's
 // widened fp16 row, otherwise the text re-embedded through the base
 // store's embedder — so the fp16 rows at rest are the same bits the
-// base index holds.
-//
-// Quantized shards: shard_kind kSq8/kIvfPq swaps each shard's flat
-// index for a quantized one.  Every per-shard score that reaches the
-// merge still comes from the exact fp16 rerank pass (same row bits,
-// same kernel), so the scatter-gather merge stays exact — scores are
-// never perturbed, and results are bit-identical to the flat sharded
-// store whenever each shard's candidate set covers its top-k (always
-// when shards hold <= min_candidates rows; IVF-PQ shards probe every
-// cell so coverage is governed by the same candidate-count knob).
+// base index holds, whatever the base's index kind.
 //
 // QueryRouter bundles one ShardedStore per retrieval condition (chunk
 // store + the three trace stores); the engine and callers that serve
@@ -46,11 +37,8 @@ namespace mcqa::serve {
 
 class ShardedStore {
  public:
-  /// Partition `base` into `shards` shards (>= 1; 0 is clamped) of
-  /// `shard_kind` indexes (kFlat, kSq8 or kIvfPq — the kinds whose
-  /// final scores are exact fp16 kernel evaluations).
-  ShardedStore(const index::VectorStore& base, std::size_t shards,
-               index::IndexKind shard_kind = index::IndexKind::kFlat);
+  /// Partition `base` into `shards` flat shards (>= 1; 0 is clamped).
+  ShardedStore(const index::VectorStore& base, std::size_t shards);
 
   /// Exact scatter-gather top-k: bit-identical to the unsharded flat
   /// store's query(text, k).
@@ -72,21 +60,19 @@ class ShardedStore {
   }
   std::size_t rows() const { return base_->size(); }
   const index::VectorStore& base() const { return *base_; }
-  index::IndexKind shard_kind() const { return shard_kind_; }
 
   /// The partition function: shard owning payload id.
   static std::size_t shard_of(std::string_view id, std::size_t shards);
 
  private:
   struct Shard {
-    std::unique_ptr<index::VectorIndex> index;
+    index::FlatIndex index;
     /// Local row -> row in the base store (ascending by construction,
     /// which makes per-shard local-row tie-breaks match global ones).
     std::vector<std::size_t> global_rows;
   };
 
   const index::VectorStore* base_;
-  index::IndexKind shard_kind_;
   std::vector<Shard> shards_;
 };
 

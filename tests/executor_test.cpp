@@ -160,7 +160,7 @@ TEST(Checkpoint, UnknownIndexKindFallsBackToBuild) {
     in.close();
     bool changed = false;
     for (const std::string_view magic :
-         {"flatidx", "ivfidx", "hnswidx", "sq8idx", "ivfpqidx"}) {
+         {"flatidx", "sq8idx", "ivfpqidx"}) {
       for (auto pos = bytes.find(magic); pos != std::string::npos;
            pos = bytes.find(magic, pos + 1)) {
         bytes.replace(pos, 3, "zzz");

@@ -1,102 +1,15 @@
-// Tests for the extension features: IVF/HNSW serialization, trace
-// grading, JSONL helpers, CLI-facing artifact round trips.
+// Tests for the extension features: trace grading, JSONL helpers,
+// CLI-facing artifact round trips.
 
 #include <gtest/gtest.h>
 
-#include "index/vector_index.hpp"
 #include "json/json.hpp"
 #include "qgen/mcq_record.hpp"
 #include "trace/trace_grading.hpp"
 #include "trace/trace_record.hpp"
-#include "util/rng.hpp"
 
 namespace mcqa {
 namespace {
-
-std::vector<embed::Vector> random_unit_vectors(std::size_t n, std::size_t dim,
-                                               std::uint64_t seed) {
-  util::Rng rng(seed);
-  std::vector<embed::Vector> out;
-  for (std::size_t i = 0; i < n; ++i) {
-    embed::Vector v(dim);
-    for (auto& x : v) x = static_cast<float>(rng.normal());
-    embed::normalize(v);
-    out.push_back(std::move(v));
-  }
-  return out;
-}
-
-// --- index serialization --------------------------------------------------------
-
-TEST(IvfIo, SaveLoadPreservesSearchResults) {
-  constexpr std::size_t kDim = 16;
-  const auto data = random_unit_vectors(400, kDim, 71);
-  index::IvfConfig cfg;
-  cfg.nlist = 16;
-  cfg.nprobe = 4;
-  index::IvfIndex idx(kDim, cfg);
-  for (const auto& v : data) idx.add(v);
-  idx.build();
-
-  const index::IvfIndex loaded = index::IvfIndex::load(idx.save());
-  EXPECT_EQ(loaded.size(), idx.size());
-  EXPECT_EQ(loaded.nlist(), idx.nlist());
-  const auto q = random_unit_vectors(1, kDim, 72)[0];
-  const auto a = idx.search(q, 8);
-  const auto b = loaded.search(q, 8);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].row, b[i].row);
-    EXPECT_FLOAT_EQ(a[i].score, b[i].score);
-  }
-}
-
-TEST(IvfIo, SaveBeforeBuildThrows) {
-  index::IvfIndex idx(8);
-  idx.add(embed::Vector(8, 0.5f));
-  EXPECT_THROW(idx.save(), std::logic_error);
-}
-
-TEST(IvfIo, LoadRejectsGarbage) {
-  EXPECT_THROW(index::IvfIndex::load("garbage"), std::runtime_error);
-  EXPECT_THROW(index::IvfIndex::load("ivfidx1\nshort"), std::runtime_error);
-}
-
-TEST(HnswIo, SaveLoadPreservesSearchResults) {
-  constexpr std::size_t kDim = 16;
-  const auto data = random_unit_vectors(400, kDim, 73);
-  index::HnswIndex idx(kDim);
-  for (const auto& v : data) idx.add(v);
-
-  const index::HnswIndex loaded = index::HnswIndex::load(idx.save());
-  EXPECT_EQ(loaded.size(), idx.size());
-  const auto q = random_unit_vectors(1, kDim, 74)[0];
-  const auto a = idx.search(q, 8);
-  const auto b = loaded.search(q, 8);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].row, b[i].row);
-  }
-}
-
-TEST(HnswIo, EmptyIndexRoundTrips) {
-  index::HnswIndex idx(8);
-  const index::HnswIndex loaded = index::HnswIndex::load(idx.save());
-  EXPECT_EQ(loaded.size(), 0u);
-  EXPECT_TRUE(loaded.search(embed::Vector(8, 0.1f), 3).empty());
-}
-
-TEST(HnswIo, LoadRejectsCorruptLinks) {
-  index::HnswIndex idx(4);
-  idx.add(embed::Vector{1.0f, 0.0f, 0.0f, 0.0f});
-  idx.add(embed::Vector{0.0f, 1.0f, 0.0f, 0.0f});
-  std::string blob = idx.save();
-  // Flip every byte of the tail section to produce invalid structure.
-  for (std::size_t i = blob.size() - 8; i < blob.size(); ++i) {
-    blob[i] = static_cast<char>(0xff);
-  }
-  EXPECT_THROW(index::HnswIndex::load(blob), std::runtime_error);
-}
 
 // --- trace grading ----------------------------------------------------------------
 

@@ -1,7 +1,7 @@
 // Tests for the blocked similarity-kernel layer: bit-exact equivalence
 // against a reference implementation of the fixed lane order, bounded
-// top-k selection, batched search identity across thread counts, and
-// the contiguous-storage save/load formats.
+// top-k selection, contiguous row storage, and batched search identity
+// across thread counts.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 
 #include "embed/hashed_embedder.hpp"
 #include "index/kernels.hpp"
+#include "index/quantized.hpp"
 #include "index/row_storage.hpp"
 #include "index/vector_index.hpp"
 #include "index/vector_store.hpp"
@@ -214,15 +215,17 @@ TEST(TopK, ResetReusesSelector) {
 
 TEST(RowStorage, ContiguousLayoutAndAccessors) {
   RowStorage rows(3);
-  rows.add({1.0f, 2.0f, 3.0f});
-  rows.add({4.0f, 5.0f, 6.0f});
+  const float a[] = {1.0f, 2.0f, 3.0f};
+  const float b[] = {4.0f, 5.0f, 6.0f};
+  rows.add_row(a);
+  rows.add_row(b);
   EXPECT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows.row(1)[0], 4.0f);
   EXPECT_EQ(rows.row(1) - rows.row(0), 3);  // truly contiguous
-  EXPECT_EQ(rows.vector(0), (embed::Vector{1.0f, 2.0f, 3.0f}));
+  EXPECT_EQ(rows.row(0)[2], 3.0f);
   rows.set_row(0, {7.0f, 8.0f, 9.0f});
   EXPECT_EQ(rows.raw()[0], 7.0f);
-  EXPECT_THROW(rows.add(embed::Vector(2, 0.0f)), std::invalid_argument);
+  EXPECT_THROW(rows.set_row(1, embed::Vector(2, 0.0f)), std::invalid_argument);
 }
 
 // --- batched search ----------------------------------------------------------
@@ -230,8 +233,8 @@ TEST(RowStorage, ContiguousLayoutAndAccessors) {
 std::unique_ptr<VectorIndex> make_index(IndexKind kind, std::size_t dim) {
   switch (kind) {
     case IndexKind::kFlat: return std::make_unique<FlatIndex>(dim);
-    case IndexKind::kIvf: return std::make_unique<IvfIndex>(dim);
-    case IndexKind::kHnsw: return std::make_unique<HnswIndex>(dim);
+    case IndexKind::kSq8: return std::make_unique<Sq8Index>(dim);
+    case IndexKind::kIvfPq: return std::make_unique<IvfPqIndex>(dim);
   }
   return nullptr;
 }
@@ -276,80 +279,11 @@ TEST_P(BatchedSearch, EmptyBatchAndDefaultPool) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, BatchedSearch,
-                         ::testing::Values(IndexKind::kFlat, IndexKind::kIvf,
-                                           IndexKind::kHnsw),
+                         ::testing::Values(IndexKind::kFlat, IndexKind::kSq8,
+                                           IndexKind::kIvfPq),
                          [](const auto& info) {
                            return std::string(index_kind_name(info.param));
                          });
-
-// --- contiguous-storage save/load -------------------------------------------
-
-TEST(ContiguousIo, IvfRoundTripBitExact) {
-  constexpr std::size_t kDim = 13;  // odd on purpose
-  const auto data = random_unit_vectors(300, kDim, 41);
-  IvfConfig cfg;
-  cfg.nlist = 12;
-  cfg.nprobe = 5;
-  IvfIndex idx(kDim, cfg);
-  for (const auto& v : data) idx.add(v);
-  idx.build();
-
-  const std::string blob = idx.save();
-  const IvfIndex loaded = IvfIndex::load(blob);
-  EXPECT_EQ(loaded.size(), idx.size());
-  EXPECT_EQ(loaded.nlist(), idx.nlist());
-  EXPECT_EQ(loaded.save(), blob);  // stable round trip
-
-  for (const auto& q : random_unit_vectors(8, kDim, 42)) {
-    const auto a = idx.search(q, 6);
-    const auto b = loaded.search(q, 6);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].row, b[i].row);
-      EXPECT_EQ(std::bit_cast<std::uint32_t>(a[i].score),
-                std::bit_cast<std::uint32_t>(b[i].score));
-    }
-  }
-}
-
-TEST(ContiguousIo, HnswRoundTripBitExact) {
-  constexpr std::size_t kDim = 11;  // odd on purpose
-  const auto data = random_unit_vectors(300, kDim, 43);
-  HnswIndex idx(kDim);
-  for (const auto& v : data) idx.add(v);
-
-  const std::string blob = idx.save();
-  const HnswIndex loaded = HnswIndex::load(blob);
-  EXPECT_EQ(loaded.size(), idx.size());
-  EXPECT_EQ(loaded.save(), blob);
-
-  for (const auto& q : random_unit_vectors(8, kDim, 44)) {
-    const auto a = idx.search(q, 6);
-    const auto b = loaded.search(q, 6);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].row, b[i].row);
-      EXPECT_EQ(std::bit_cast<std::uint32_t>(a[i].score),
-                std::bit_cast<std::uint32_t>(b[i].score));
-    }
-  }
-}
-
-TEST(ContiguousIo, RejectsV1BlobsAndTruncation) {
-  EXPECT_THROW(IvfIndex::load("ivfidx1\nanything"), std::runtime_error);
-  EXPECT_THROW(HnswIndex::load("hnswidx1\nanything"), std::runtime_error);
-  EXPECT_THROW(IvfIndex::load("ivfidx2\nshort"), std::runtime_error);
-  EXPECT_THROW(HnswIndex::load("hnswidx2\nshort"), std::runtime_error);
-
-  // Truncating a valid blob mid-payload must throw, not misread.
-  IvfIndex idx(8);
-  for (const auto& v : random_unit_vectors(40, 8, 45)) idx.add(v);
-  idx.build();
-  const std::string blob = idx.save();
-  EXPECT_THROW(IvfIndex::load(std::string_view(blob).substr(
-                   0, blob.size() / 2)),
-               std::runtime_error);
-}
 
 // --- store-level batched query -----------------------------------------------
 

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 
 #include "parallel/thread_pool.hpp"
 
@@ -90,6 +92,23 @@ TEST(ParallelFor, PropagatesBodyException) {
                    },
                    /*grain=*/1),
       std::logic_error);
+}
+
+TEST(ParallelFor, ExceptionWaitsForEveryBlock) {
+  // Block 0 throws at once while the other blocks sleep: the call must
+  // not return, and destroy `body`, before they have finished.
+  ThreadPool pool(4);
+  std::atomic<int> finished{0};
+  EXPECT_THROW(
+      parallel_for(pool, 0, 16,
+                   [&finished](std::size_t i) {
+                     if (i == 0) throw std::logic_error("first block");
+                     std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                     finished.fetch_add(1);
+                   },
+                   /*grain=*/1),
+      std::logic_error);
+  EXPECT_EQ(finished.load(), 15);
 }
 
 TEST(ParallelMap, PreservesOrder) {

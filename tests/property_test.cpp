@@ -11,6 +11,7 @@
 
 #include "core/pipeline.hpp"
 #include "corpus/corpus_builder.hpp"
+#include "index/quantized.hpp"
 #include "index/vector_index.hpp"
 #include "llm/student_model.hpp"
 #include "text/tokenizer.hpp"
@@ -50,11 +51,11 @@ TEST_P(IndexRecallSweep, RecallAboveFloor) {
     case index::IndexKind::kFlat:
       idx = std::make_unique<index::FlatIndex>(dim);
       break;
-    case index::IndexKind::kIvf:
-      idx = std::make_unique<index::IvfIndex>(dim);
+    case index::IndexKind::kSq8:
+      idx = std::make_unique<index::Sq8Index>(dim);
       break;
-    case index::IndexKind::kHnsw:
-      idx = std::make_unique<index::HnswIndex>(dim);
+    case index::IndexKind::kIvfPq:
+      idx = std::make_unique<index::IvfPqIndex>(dim);
       break;
   }
   for (const auto& v : data) idx->add(v);
@@ -78,10 +79,10 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, IndexRecallSweep,
     ::testing::Values(IndexCase{index::IndexKind::kFlat, 100, 8},
                       IndexCase{index::IndexKind::kFlat, 1000, 64},
-                      IndexCase{index::IndexKind::kIvf, 300, 16},
-                      IndexCase{index::IndexKind::kIvf, 2000, 32},
-                      IndexCase{index::IndexKind::kHnsw, 300, 16},
-                      IndexCase{index::IndexKind::kHnsw, 2000, 32}));
+                      IndexCase{index::IndexKind::kSq8, 300, 16},
+                      IndexCase{index::IndexKind::kSq8, 2000, 32},
+                      IndexCase{index::IndexKind::kIvfPq, 300, 16},
+                      IndexCase{index::IndexKind::kIvfPq, 2000, 32}));
 
 // --- chunker invariants across configs ----------------------------------------------
 

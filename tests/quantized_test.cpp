@@ -301,13 +301,15 @@ TEST(QuantizedIo, DispatchLoadsByMagic) {
 TEST(QuantizedIo, TruncatedBlobFailsSoft) {
   constexpr std::size_t kDim = 16;
   const auto vecs = random_unit_vectors(60, kDim, 91);
+  FlatIndex flat(kDim);
+  flat.add_batch(vecs);
   Sq8Index sq8(kDim);
   sq8.add_batch(vecs);
   sq8.build();
   IvfPqIndex pq(kDim);
   pq.add_batch(vecs);
   pq.build();
-  for (const std::string blob : {sq8.save(), pq.save()}) {
+  for (const std::string& blob : {flat.save(), sq8.save(), pq.save()}) {
     // Cut inside the header, inside each payload region, and mid-pad.
     for (const std::size_t keep :
          {std::size_t{3}, std::size_t{9}, std::size_t{17}, blob.size() / 4,
@@ -317,6 +319,46 @@ TEST(QuantizedIo, TruncatedBlobFailsSoft) {
     }
     EXPECT_NE(try_load_index(blob), nullptr);
   }
+}
+
+TEST(QuantizedIo, OutOfRangePqCodesFailSoft) {
+  // Search reads tables[j * ksub + code], so a code >= ksub would read
+  // past the ADC table; the loader rejects it in both load modes.
+  constexpr std::size_t kDim = 16;
+  IvfPqConfig cfg;
+  cfg.nlist = 4;
+  cfg.m = 4;
+  cfg.ksub = 4;
+  IvfPqIndex pq(kDim, cfg);
+  pq.add_batch(random_unit_vectors(64, kDim, 95));
+  pq.build();
+  ASSERT_EQ(pq.codebook_size(), 4u);
+  const std::string blob = pq.save();
+
+  // ivfpqidx1 layout: magic, eight u64 header fields, then 8-aligned
+  // centroid, codebook and code blocks.
+  const auto align8 = [](std::size_t at) { return (at + 7) / 8 * 8; };
+  std::size_t codes_at = align8(std::string_view("ivfpqidx1\n").size() + 64);
+  codes_at = align8(codes_at + pq.nlist() * kDim * sizeof(float));
+  codes_at = align8(codes_at + pq.codebooks().value_count() * sizeof(float));
+  const std::size_t code_bytes = pq.codes().value_count();
+  ASSERT_EQ(code_bytes, 64u * pq.subquantizers());
+  ASSERT_EQ(0, std::memcmp(blob.data() + codes_at, pq.codes().raw(),
+                           code_bytes));
+
+  std::string every_code_255 = blob;
+  std::memset(every_code_255.data() + codes_at, 255, code_bytes);
+  std::string one_code_at_ksub = blob;
+  one_code_at_ksub[codes_at + code_bytes - 1] = 4;
+
+  const TempDir dir;
+  for (const std::string& bad : {every_code_255, one_code_at_ksub}) {
+    EXPECT_EQ(try_load_index(bad), nullptr);
+    EXPECT_THROW(load_index(bad), std::runtime_error);
+    const auto path = write_file(dir.path / "codes.idx", bad);
+    EXPECT_THROW(open_index_mmap(path), std::runtime_error);
+  }
+  EXPECT_NE(try_load_index(blob), nullptr);
 }
 
 TEST(QuantizedIo, UnknownMagicFailsSoft) {

@@ -170,33 +170,6 @@ TEST_F(ServeFixture, ShardedTraceStoreMatchesUnsharded) {
   }
 }
 
-TEST_F(ServeFixture, QuantizedShardsMatchFlatShardsBitwise) {
-  // Quantized shards feed exact fp16 rerank scores into the same
-  // scatter-gather merge, and each shard is far smaller than the
-  // candidate floor, so results must be bit-identical to flat shards.
-  for (const index::IndexKind kind :
-       {index::IndexKind::kSq8, index::IndexKind::kIvfPq}) {
-    for (const std::size_t shards : {1u, 2u, 4u}) {
-      const ShardedStore flat(chunk_store_, shards);
-      const ShardedStore quantized(chunk_store_, shards, kind);
-      EXPECT_EQ(quantized.shard_kind(), kind);
-      for (const auto& record : records_) {
-        for (const std::size_t k : {1u, 3u, 10u}) {
-          expect_same_hits(quantized.query(record.stem, k),
-                           flat.query(record.stem, k));
-        }
-      }
-    }
-  }
-}
-
-TEST_F(ServeFixture, ShardedStoreRejectsGraphShardKinds) {
-  EXPECT_THROW(ShardedStore(chunk_store_, 2, index::IndexKind::kIvf),
-               std::invalid_argument);
-  EXPECT_THROW(ShardedStore(chunk_store_, 2, index::IndexKind::kHnsw),
-               std::invalid_argument);
-}
-
 TEST_F(ServeFixture, ShardPartitionCoversEveryRowOnce) {
   const ShardedStore sharded(chunk_store_, 4);
   std::size_t total = 0;

@@ -411,20 +411,6 @@ TEST(TiledScanIndex, EmptyStoreAndEmptyBatch) {
   }
 }
 
-TEST(TiledScanIndex, BaseClassFallbackCoversGraphIndexes) {
-  // IVF/HNSW keep the per-query path under the chunked search_batch.
-  constexpr std::size_t kDim = 24;
-  const auto data = random_unit_vectors(300, kDim, 606);
-  const auto queries = random_unit_vectors(13, kDim, 607);
-  HnswIndex idx(kDim);
-  idx.add_batch(data);
-  const auto got = idx.search_tiled(queries, 5);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    expect_same_results(got[i], idx.search(queries[i], 5),
-                        "hnsw q=" + std::to_string(i));
-  }
-}
-
 // --- mmap-backed stores ------------------------------------------------------
 
 struct TempDir {
@@ -533,16 +519,12 @@ TEST(TiledScanServe, ShardedStoreBatchMatchesPerQuery) {
   for (int i = 0; i < 11; ++i) {
     queries.push_back("protocol marker " + std::to_string(i * 7));
   }
-  for (const index::IndexKind kind :
-       {index::IndexKind::kFlat, index::IndexKind::kSq8}) {
-    const ShardedStore store(base, 3, kind);
-    const auto got = store.query_batch(queries, 4);
-    ASSERT_EQ(got.size(), queries.size());
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      expect_same_hits(got[i], store.query(queries[i], 4),
-                       std::string(index::index_kind_name(kind)) +
-                           " q=" + std::to_string(i));
-    }
+  const ShardedStore store(base, 3);
+  const auto got = store.query_batch(queries, 4);
+  ASSERT_EQ(got.size(), queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    expect_same_hits(got[i], store.query(queries[i], 4),
+                     "q=" + std::to_string(i));
   }
 }
 
