@@ -11,8 +11,8 @@
 //     cell on the second run, and the warm re-sweep is >= 5x faster
 //     than the cold one (wall clock).
 //
-// Writes BENCH_eval.json with the retrieval accounting and the
-// cold/warm timings (smoke and full).
+// Writes BENCH_eval.json with the retrieval and task-preparation
+// accounting and the cold/warm timings (smoke and full).
 
 #include <atomic>
 #include <chrono>
@@ -142,9 +142,11 @@ int main(int argc, char** argv) {
           : 0.0;
   std::printf(
       "\nretrieval queries: %zu shared-plan vs %zu per-cell (%.1fx fewer)\n"
+      "tasks prepared: %zu, one per distinct context cut, vs %zu per-cell\n"
       "grid sweep %.3fs vs naive %.3fs\n\n",
       stats.retrieval_queries, stats.naive_retrieval_queries, query_drop,
-      grid_seconds, naive_seconds);
+      stats.tasks_prepared, stats.records_evaluated, grid_seconds,
+      naive_seconds);
   check("retrieval queries drop >= 4x (plan shared by 8 models)",
         query_drop >= 4.0);
 
@@ -199,6 +201,8 @@ int main(int argc, char** argv) {
   report["retrieval_queries"] = stats.retrieval_queries;
   report["naive_retrieval_queries"] = stats.naive_retrieval_queries;
   report["retrieval_query_drop"] = query_drop;
+  report["tasks_prepared"] = stats.tasks_prepared;
+  report["naive_tasks_prepared"] = stats.records_evaluated;
   report["naive_sweep_seconds"] = naive_seconds;
   report["grid_sweep_seconds"] = grid_seconds;
   report["cold_sweep_seconds"] = cold_seconds;

@@ -196,6 +196,14 @@ class PipelineContext {
   /// Stages 6-7: exam synthesis, retrieval wiring, students.
   void finalize_exam_and_rag();
 
+  /// Hands the freed heap back to the OS when a context dies (see its
+  /// destructor).  Declared first, so it is destroyed after every other
+  /// member has freed its memory.
+  struct HeapTrim {
+    ~HeapTrim();
+  };
+  HeapTrim heap_trim_;
+
   PipelineConfig config_;
   PipelineStats stats_;
 

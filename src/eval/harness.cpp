@@ -6,6 +6,7 @@
 #include <optional>
 #include <stdexcept>
 
+#include "index/kernels.hpp"
 #include "parallel/dag.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/hash.hpp"
@@ -83,12 +84,16 @@ Accuracy EvalHarness::evaluate(const llm::LanguageModel& model,
 
 namespace {
 
-/// Records per range block: about 16 blocks per worker.  A block's task
-/// carries every model's work for its records, so blocks this small keep
-/// the last tasks of a sweep short and the workers evenly loaded.
+/// Records per range block: about 16 blocks per worker, rounded up to
+/// whole kTileQ query tiles so a block's plan fill reads each store row
+/// once per tile.  A block's task carries every model's work for its
+/// records, so blocks this small keep the last tasks of a sweep short
+/// and the workers evenly loaded.
 std::size_t block_grain(std::size_t n, std::size_t workers) {
-  return std::max<std::size_t>(1,
-                               n / (std::max<std::size_t>(workers, 1) * 16));
+  constexpr std::size_t kTile = index::kernels::kTileQ;
+  const std::size_t grain =
+      std::max<std::size_t>(1, n / (std::max<std::size_t>(workers, 1) * 16));
+  return (grain + kTile - 1) / kTile * kTile;
 }
 
 /// Contiguous index ranges of `grain` records covering [0, n).
@@ -201,10 +206,12 @@ SweepResult EvalHarness::sweep(
   }
 
   // The grid: one task per (condition, block).  Each task writes only
-  // its block's plan rows, its (condition, block) fingerprint and its
-  // (model, condition, block) tallies, so tasks never share a slot.
+  // its block's plan rows, its (condition, block) fingerprint and task
+  // count, and its (model, condition, block) tallies, so tasks never
+  // share a slot.
   std::vector<BlockTally> tallies(m_count * c_count * b_count);
   std::vector<std::uint64_t> block_fps(c_count * b_count, 0);
+  std::vector<std::size_t> block_tasks(c_count * b_count, 0);
   parallel::TaskGroup grid(pool);
   for (std::size_t ci = 0; ci < c_count; ++ci) {
     if (todo[ci].empty()) continue;
@@ -212,13 +219,15 @@ SweepResult EvalHarness::sweep(
       grid.spawn([&, ci, b]() {
         const RecordGroup& block = blocks[b];
         rag::RetrievalPlan& plan = plans[ci];
-        for (const std::size_t i : block.indexes) {
-          rag_.fill_plan(plan, records, i, i + 1);
-        }
+        rag_.fill_plan(plan, records, block.indexes);
         if (group_cache) {
           block_fps[ci * b_count + b] = util::hash_combine(
               block.content_fp, group_hits_fp(plan, block));
         }
+        // The models that answer this block: every uncached one whose
+        // block tally the group cache does not restore.
+        std::vector<std::size_t> live;
+        std::vector<const llm::ModelSpec*> live_specs;
         for (const std::size_t m : todo[ci]) {
           BlockTally& t = tallies[(m * c_count + ci) * b_count + b];
           t.acc.total = block.indexes.size();
@@ -232,12 +241,22 @@ SweepResult EvalHarness::sweep(
               continue;
             }
           }
-          for (const std::size_t i : block.indexes) {
-            const llm::McqTask task =
-                rag_.prepare_from_plan(records[i], plan, i, specs[m]);
-            const llm::AnswerResult answer = models[m]->answer(task);
+          live.push_back(m);
+          live_specs.push_back(&specs[m]);
+        }
+        if (live.empty()) return;
+        // Each record is assembled once per distinct cut of its hits;
+        // every model answers its cut's shared task.
+        for (const std::size_t i : block.indexes) {
+          const rag::SharedTasks shared = rag_.prepare_shared(
+              records[i], plan.condition, live_specs, plan.hits_for(i));
+          block_tasks[ci * b_count + b] += shared.tasks.size();
+          for (std::size_t j = 0; j < live.size(); ++j) {
+            const llm::McqTask& task = shared.tasks[shared.task_of[j]];
+            const llm::AnswerResult answer = models[live[j]]->answer(task);
             const trace::GradingResult grading =
                 judge_.grade(task, answer.text);
+            BlockTally& t = tallies[(live[j] * c_count + ci) * b_count + b];
             if (grading.is_correct) ++t.acc.correct;
             if (grading.extracted_option_number < 0) ++t.acc.unparseable;
           }
@@ -282,6 +301,7 @@ SweepResult EvalHarness::sweep(
       }
     }
   }
+  for (const std::size_t count : block_tasks) tally.tasks_prepared += count;
   if (stats != nullptr) *stats = tally;
   return out;
 }

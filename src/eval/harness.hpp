@@ -4,16 +4,19 @@
 //
 // sweep() is one grid on one thread pool.  The records split into
 // blocks — the caller's RecordGroups when HarnessConfig::groups is set,
-// contiguous index ranges otherwise — and one parallel::TaskGroup task
-// per (condition, block):
+// contiguous ranges of whole kTileQ query tiles otherwise — and one
+// parallel::TaskGroup task per (condition, block):
 //
-//   * fills that block's rows of the condition's rag::RetrievalPlan
-//     (hits never depend on the model, so one plan serves every model:
-//     with 8 models that removes 7/8 of all retrieval work);
-//   * then, for each model whose cell the CellCache did not restore
-//     whole, restores the block's tally from the cache (groups and a
-//     cache only) or runs the prepare -> answer -> grade loop over the
-//     block's records.
+//   * fills that block's rows of the condition's rag::RetrievalPlan with
+//     one tiled store scan (hits never depend on the model, so one plan
+//     serves every model: with 8 models that removes 7/8 of all
+//     retrieval work);
+//   * restores, for each model whose cell the CellCache did not restore
+//     whole, the block's tally from the cache (groups and a cache only);
+//   * then prepares each of the block's records once per distinct
+//     context cut among the remaining models (RagPipeline::
+//     prepare_shared) and runs each model's answer -> grade on its
+//     cut's task.
 //
 // A serial merge sums the blocks of each cell in partition order and
 // does every cache store.  Tallies are integer sums, so the SweepResult
@@ -139,6 +142,10 @@ struct SweepStats {
   std::size_t groups_computed = 0;
   /// (cell, record) evaluations actually executed.
   std::size_t records_evaluated = 0;
+  /// Tasks assembled and annotated for those evaluations: one per
+  /// (condition, record) and distinct context cut among the models
+  /// that answer it, so with one model it equals records_evaluated.
+  std::size_t tasks_prepared = 0;
 };
 
 struct HarnessConfig {

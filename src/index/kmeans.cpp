@@ -5,6 +5,7 @@
 // vector_index.hpp (not kernels.hpp directly): completes SearchResult,
 // which the inline TopK members in kernels.hpp need by end of TU.
 #include "index/vector_index.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace mcqa::index {
 
@@ -14,16 +15,17 @@ namespace {
 /// distance-biased.  Each point's best squared distance is cached and
 /// refreshed against only the newest centroid (O(n*k) total, not
 /// O(n*k^2)); min over the same distances in any order is exact, so the
-/// picks are unchanged.
+/// picks are unchanged.  Refreshes run across the pool, one slot per
+/// row; the draws stay serial.
 RowStorage seed_centroids(const StridedRows& data, std::size_t k,
-                          util::Rng& rng) {
+                          util::Rng& rng, parallel::ThreadPool& pool) {
   const std::size_t n = data.rows;
   RowStorage centroids(data.dim);
   centroids.add_row(data.row(rng.bounded(static_cast<std::uint32_t>(n))));
   std::vector<double> d2(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
+  parallel::parallel_for(pool, 0, n, [&](std::size_t i) {
     d2[i] = kernels::l2_sq(data.row(i), centroids.row(0), data.dim);
-  }
+  });
   while (centroids.size() < k) {
     double total = 0.0;
     for (const double d : d2) total += d;
@@ -32,11 +34,11 @@ RowStorage seed_centroids(const StridedRows& data, std::size_t k,
     if (pick >= n) break;
     centroids.add_row(data.row(pick));
     const float* newest = centroids.row(centroids.size() - 1);
-    for (std::size_t i = 0; i < n; ++i) {
+    parallel::parallel_for(pool, 0, n, [&](std::size_t i) {
       d2[i] = std::min(
           d2[i],
           static_cast<double>(kernels::l2_sq(data.row(i), newest, data.dim)));
-    }
+    });
   }
   return centroids;
 }
@@ -69,23 +71,23 @@ std::size_t assign(const RowStorage& centroids, const float* v, Metric metric) {
 }
 
 RowStorage lloyd(const StridedRows& data, std::size_t k, std::size_t iters,
-                 util::Rng rng, Metric metric) {
+                 util::Rng rng, Metric metric, parallel::ThreadPool& pool) {
   const std::size_t n = data.rows;
   if (n == 0) return RowStorage(data.dim);
-  RowStorage centroids = seed_centroids(data, std::min(k, n), rng);
+  RowStorage centroids = seed_centroids(data, std::min(k, n), rng, pool);
 
   std::vector<std::size_t> assignment(n, 0);
+  std::vector<std::size_t> nearest(n, 0);
   for (std::size_t iter = 0; iter < iters; ++iter) {
-    bool changed = false;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t best_c = assign(centroids, data.row(i), metric);
-      if (assignment[i] != best_c) {
-        assignment[i] = best_c;
-        changed = true;
-      }
-    }
-    // Recompute centroids (mean; renormalized to the unit sphere for
-    // the spherical metric).
+    // Assignment across the pool, each row into its own slot.
+    parallel::parallel_for(pool, 0, n, [&](std::size_t i) {
+      nearest[i] = assign(centroids, data.row(i), metric);
+    });
+    const bool changed = nearest != assignment;
+    assignment.swap(nearest);
+    // Recompute centroids serially in row order (mean; renormalized to
+    // the unit sphere for the spherical metric), so the float sums and
+    // the centroid bytes do not depend on the pool width.
     std::vector<embed::Vector> sums(centroids.size(),
                                     embed::Vector(data.dim, 0.0f));
     std::vector<std::size_t> counts(centroids.size(), 0);
@@ -114,13 +116,15 @@ RowStorage lloyd(const StridedRows& data, std::size_t k, std::size_t iters,
 }  // namespace
 
 RowStorage kmeans_spherical(const StridedRows& data, std::size_t k,
-                            std::size_t iters, util::Rng rng) {
-  return lloyd(data, k, iters, rng, Metric::kDot);
+                            std::size_t iters, util::Rng rng,
+                            parallel::ThreadPool& pool) {
+  return lloyd(data, k, iters, rng, Metric::kDot, pool);
 }
 
 RowStorage kmeans_l2(const StridedRows& data, std::size_t k,
-                     std::size_t iters, util::Rng rng) {
-  return lloyd(data, k, iters, rng, Metric::kL2);
+                     std::size_t iters, util::Rng rng,
+                     parallel::ThreadPool& pool) {
+  return lloyd(data, k, iters, rng, Metric::kL2, pool);
 }
 
 std::size_t nearest_dot(const RowStorage& centroids, const float* v) {

@@ -11,15 +11,22 @@
 //     update = plain mean (PQ sub-vectors are not unit-norm).
 //
 // Determinism: all stochastic choices come from the caller's Rng
-// (streams keyed by stable ids upstream); training is sequential and
-// touches no wall-clock or global state, so codebooks are byte-stable
-// across runs, thread counts, and add/add_batch construction order.
+// (streams keyed by stable ids upstream).  The per-row distance and
+// assignment passes run across the caller's pool, each row writing its
+// own slot; the seeding draws and the centroid sums stay serial in row
+// order, and nothing reads wall-clock or global state, so codebooks are
+// byte-stable across runs, pool widths, and add/add_batch construction
+// order.
 
 #include <cstddef>
 #include <vector>
 
 #include "index/row_storage.hpp"
 #include "util/rng.hpp"
+
+namespace mcqa::parallel {
+class ThreadPool;
+}
 
 namespace mcqa::index {
 
@@ -39,12 +46,14 @@ struct StridedRows {
 /// assignment and renormalized means).  Returns min(k, data.rows)
 /// centroids, or fewer when seeding exhausts distinct points.
 RowStorage kmeans_spherical(const StridedRows& data, std::size_t k,
-                            std::size_t iters, util::Rng rng);
+                            std::size_t iters, util::Rng rng,
+                            parallel::ThreadPool& pool);
 
 /// Euclidean k-means (same seeding, Lloyd with L2 assignment and plain
 /// means) — the PQ codebook trainer.
 RowStorage kmeans_l2(const StridedRows& data, std::size_t k,
-                     std::size_t iters, util::Rng rng);
+                     std::size_t iters, util::Rng rng,
+                     parallel::ThreadPool& pool);
 
 /// Nearest centroid of `v` by max inner product (ties -> lowest index);
 /// the assignment rule of the spherical trainer and the IVF-PQ lists.

@@ -273,7 +273,7 @@ void IvfPqIndex::build(parallel::ThreadPool& pool) {
   // joins its max-dot centroid's list (the trainer's assignment rule).
   centroids_ = kmeans_spherical({floats.raw(), n, dim_, dim_},
                                 std::min(config_.nlist, n),
-                                config_.coarse_iters, root.fork(1));
+                                config_.coarse_iters, root.fork(1), pool);
   std::vector<std::uint32_t> cell(n, 0);
   parallel::parallel_for(pool, 0, n, [&](std::size_t i) {
     cell[i] = static_cast<std::uint32_t>(
@@ -303,7 +303,8 @@ void IvfPqIndex::build(parallel::ThreadPool& pool) {
   for (std::size_t j = 0; j < m_; ++j) {
     RowStorage cb = kmeans_l2({train_base + j * dsub, sample_n, dsub,
                                train_stride},
-                              ksub_, config_.train_iters, root.fork(16 + j));
+                              ksub_, config_.train_iters, root.fork(16 + j),
+                              pool);
     // Seeding can exhaust distinct points early; pad to a uniform ksub_
     // by repeating centroid 0 (nearest-assignment ties break to the
     // lowest index, so padding never changes an encoding).

@@ -265,4 +265,19 @@ std::vector<std::vector<Hit>> VectorStore::query_batch(
   return query_batch(texts, k, parallel::ThreadPool::global());
 }
 
+std::vector<std::vector<Hit>> VectorStore::query_tiled(
+    const std::vector<std::string>& texts, std::size_t k) const {
+  if (!built_) {
+    throw std::logic_error("VectorStore::query_tiled before build()");
+  }
+  std::vector<embed::Vector> queries;
+  queries.reserve(texts.size());
+  for (const auto& text : texts) queries.push_back(embedder_.embed(text));
+  const auto tiled = index_->search_tiled(queries, k);
+  std::vector<std::vector<Hit>> out;
+  out.reserve(tiled.size());
+  for (const auto& results : tiled) out.push_back(hits_for(results));
+  return out;
+}
+
 }  // namespace mcqa::index

@@ -6,9 +6,10 @@
 // to JSON records.  VectorStore is that binding: add(id, text) embeds
 // and indexes; query(text, k) returns the payloads RAG will paste into
 // the prompt.  query_batch fans a whole question set across a thread
-// pool through VectorIndex::search_batch — the retrieval path the
-// evaluation harness uses, since it issues one query per
-// (question x condition x model).
+// pool through VectorIndex::search_batch; query_tiled scans a small
+// question block on the calling thread through VectorIndex::search_tiled
+// — the evaluation grid fills each block of its retrieval plans that
+// way.
 
 #include <memory>
 #include <string>
@@ -106,6 +107,12 @@ class VectorStore {
 
   /// Batched query on the process-wide default pool.
   std::vector<std::vector<Hit>> query_batch(
+      const std::vector<std::string>& texts, std::size_t k) const;
+
+  /// Tiled query on the calling thread: embeds every text, then one
+  /// VectorIndex::search_tiled reads each row once per kTileQ queries.
+  /// Result i is identical to query(texts[i], k).
+  std::vector<std::vector<Hit>> query_tiled(
       const std::vector<std::string>& texts, std::size_t k) const;
 
   std::size_t size() const { return ids_.size(); }

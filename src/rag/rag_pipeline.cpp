@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "text/normalize.hpp"
 #include "text/sentence.hpp"
@@ -45,48 +46,59 @@ RagPipeline::RagPipeline(const corpus::KnowledgeBase& kb,
                          RetrievalStores stores, RagConfig config)
     : kb_(kb), matcher_(matcher), stores_(stores), config_(config) {}
 
-std::string RagPipeline::assemble_context(
-    const std::vector<index::Hit>& hits, const llm::McqTask& task,
-    const llm::ModelSpec& spec, std::vector<std::string>* kept_ids) const {
-  // Window budget: context_window - question/options - answer reserve.
-  std::size_t question_tokens = text::approx_llm_tokens(task.stem);
-  for (const auto& opt : task.options) {
-    question_tokens += text::approx_llm_tokens(opt) + 2;
-  }
-  const std::size_t window = spec.context_window;
-  const std::size_t reserve = config_.reserve_tokens + question_tokens;
-  if (window <= reserve) return {};  // no room for any context at all
-  std::size_t budget = window - reserve;
+namespace {
 
-  std::string context;
-  for (const auto& hit : hits) {
-    const std::size_t cost = text::approx_llm_tokens(hit.text) + 4;
-    if (cost <= budget) {
-      if (!context.empty()) context += "\n\n";
-      context += hit.text;
-      budget -= cost;
-      if (kept_ids != nullptr) kept_ids->push_back(hit.id);
-      continue;
+/// What assembly keeps of a hit list under one window: the first
+/// `whole` hits in full, then the first `words` word tokens of the next
+/// hit (0: none).  Equal cuts of one hit list give byte-equal contexts.
+struct ContextCut {
+  std::size_t whole = 0;
+  std::size_t words = 0;
+  bool operator==(const ContextCut&) const = default;
+};
+
+/// The per-hit facts cuts read, each computed on first use: a hit's
+/// token cost and, for the hit a cut truncates, its word split.
+class HitBudget {
+ public:
+  explicit HitBudget(const std::vector<index::Hit>& hits)
+      : hits_(hits), cost_(hits.size(), 0), words_(hits.size()) {}
+
+  std::size_t size() const { return hits_.size(); }
+
+  std::size_t cost(std::size_t h) {
+    // Never 0 once computed (the +4 separator), so 0 marks "not yet".
+    if (cost_[h] == 0) cost_[h] = text::approx_llm_tokens(hits_[h].text) + 4;
+    return cost_[h];
+  }
+
+  const std::vector<text::Token>& words(std::size_t h) {
+    if (!words_[h].has_value()) words_[h] = text::word_tokenize(hits_[h].text);
+    return *words_[h];
+  }
+
+  /// The cut under `budget` tokens of context.
+  ContextCut cut(std::size_t budget) {
+    ContextCut c;
+    for (; c.whole < size() && cost(c.whole) <= budget; ++c.whole) {
+      budget -= cost(c.whole);
     }
     // Partial fit: keep a word-truncated prefix if at least a couple of
-    // sentences fit; otherwise stop.
-    if (budget < 48) break;
-    const auto words = text::word_tokenize(hit.text);
-    // tokens ~ words * 4/3  =>  words ~ budget * 3/4
-    const std::size_t keep_words = budget * 3 / 4;
-    if (keep_words < 24 || words.size() < 4) break;
-    const std::size_t end_word = std::min(words.size(), keep_words);
-    const std::size_t end_byte = words[end_word - 1].end;
-    if (!context.empty()) context += "\n\n";
-    context += hit.text.substr(0, end_byte);
-    context += " ...";
-    if (kept_ids != nullptr) kept_ids->push_back(hit.id + "#truncated");
-    break;  // budget exhausted
+    // sentences fit; otherwise stop.  Tokens ~ words * 4/3, so words ~
+    // budget * 3/4.  With budget >= 48 that keeps at least 36 words, and
+    // a hit that did not fit costs more than 48 tokens, so it has more
+    // than 32 words: no floor on either count can bind.
+    if (c.whole < size() && budget >= 48) {
+      c.words = std::min(words(c.whole).size(), budget * 3 / 4);
+    }
+    return c;
   }
-  return context;
-}
 
-namespace {
+ private:
+  const std::vector<index::Hit>& hits_;
+  std::vector<std::size_t> cost_;
+  std::vector<std::optional<std::vector<text::Token>>> words_;
+};
 
 /// Negation / dismissal cues that mark a sentence as arguing *against*
 /// the option it mentions.
@@ -222,15 +234,55 @@ std::string RagPipeline::query_for(const qgen::McqRecord& record,
              : qgen::McqRecord::render_question(record.stem, record.options);
 }
 
-llm::McqTask RagPipeline::prepare_from_hits(const qgen::McqRecord& record,
-                                 Condition condition,
-                                 const llm::ModelSpec& spec,
-                                 const std::vector<index::Hit>& hits) const {
-  llm::McqTask task = record.to_task();
-  std::vector<std::string> kept_ids;
-  task.context = assemble_context(hits, task, spec, &kept_ids);
-  annotate(task, record, condition, kept_ids);
-  return task;
+SharedTasks RagPipeline::prepare_shared(
+    const qgen::McqRecord& record, Condition condition,
+    std::span<const llm::ModelSpec* const> specs,
+    const std::vector<index::Hit>& hits) const {
+  // Window budget: context_window - question/options - answer reserve.
+  std::size_t reserve =
+      config_.reserve_tokens + text::approx_llm_tokens(record.stem);
+  for (const auto& opt : record.options) {
+    reserve += text::approx_llm_tokens(opt) + 2;
+  }
+  HitBudget budget(hits);
+  SharedTasks out;
+  std::vector<ContextCut> cuts;  // parallel to out.tasks
+  out.task_of.reserve(specs.size());
+  for (const llm::ModelSpec* spec : specs) {
+    // A window with no room for any context at all keeps nothing.
+    const std::size_t window = spec->context_window;
+    const ContextCut cut =
+        window <= reserve ? ContextCut{} : budget.cut(window - reserve);
+    const auto seen = std::find(cuts.begin(), cuts.end(), cut);
+    out.task_of.push_back(static_cast<std::size_t>(seen - cuts.begin()));
+    if (seen != cuts.end()) continue;
+    cuts.push_back(cut);
+
+    llm::McqTask& task = out.tasks.emplace_back(record.to_task());
+    std::vector<std::string> kept_ids;
+    for (std::size_t h = 0; h < cut.whole; ++h) {
+      if (!task.context.empty()) task.context += "\n\n";
+      task.context += hits[h].text;
+      kept_ids.push_back(hits[h].id);
+    }
+    if (cut.words > 0) {
+      const index::Hit& hit = hits[cut.whole];
+      const std::size_t end_byte = budget.words(cut.whole)[cut.words - 1].end;
+      if (!task.context.empty()) task.context += "\n\n";
+      task.context += hit.text.substr(0, end_byte);
+      task.context += " ...";
+      kept_ids.push_back(hit.id + "#truncated");
+    }
+    annotate(task, record, condition, kept_ids);
+  }
+  return out;
+}
+
+llm::McqTask RagPipeline::prepare_from_hits(
+    const qgen::McqRecord& record, Condition condition,
+    const llm::ModelSpec& spec, const std::vector<index::Hit>& hits) const {
+  const llm::ModelSpec* const one[] = {&spec};
+  return std::move(prepare_shared(record, condition, one, hits).tasks[0]);
 }
 
 llm::McqTask RagPipeline::prepare(const qgen::McqRecord& record,
@@ -251,6 +303,11 @@ llm::McqTask RagPipeline::prepare(const qgen::McqRecord& record,
   return prepare_from_hits(record, condition, spec, hits);
 }
 
+const std::vector<index::Hit>& RetrievalPlan::hits_for(std::size_t i) const {
+  static const std::vector<index::Hit> kNone;
+  return active ? hits.at(i) : kNone;
+}
+
 RetrievalPlan RagPipeline::make_plan(
     const std::vector<qgen::McqRecord>& records, Condition condition) const {
   RetrievalPlan plan;
@@ -265,11 +322,26 @@ RetrievalPlan RagPipeline::make_plan(
 void RagPipeline::fill_plan(RetrievalPlan& plan,
                             const std::vector<qgen::McqRecord>& records,
                             std::size_t lo, std::size_t hi) const {
-  if (!plan.active) return;
-  const index::VectorStore* store = stores_.store_for(plan.condition);
-  const std::size_t k = config_.top_k_for(plan.condition);
+  std::vector<std::size_t> indexes;
   for (std::size_t i = lo; i < hi && i < records.size(); ++i) {
-    plan.hits[i] = store->query(query_for(records[i], plan.condition), k);
+    indexes.push_back(i);
+  }
+  fill_plan(plan, records, indexes);
+}
+
+void RagPipeline::fill_plan(RetrievalPlan& plan,
+                            const std::vector<qgen::McqRecord>& records,
+                            const std::vector<std::size_t>& indexes) const {
+  if (!plan.active) return;
+  std::vector<std::string> queries;
+  queries.reserve(indexes.size());
+  for (const std::size_t i : indexes) {
+    queries.push_back(query_for(records.at(i), plan.condition));
+  }
+  auto hits = stores_.store_for(plan.condition)
+                  ->query_tiled(queries, config_.top_k_for(plan.condition));
+  for (std::size_t j = 0; j < indexes.size(); ++j) {
+    plan.hits.at(indexes[j]) = std::move(hits[j]);
   }
 }
 
@@ -277,8 +349,7 @@ llm::McqTask RagPipeline::prepare_from_plan(const qgen::McqRecord& record,
                                             const RetrievalPlan& plan,
                                             std::size_t i,
                                             const llm::ModelSpec& spec) const {
-  if (!plan.active) return record.to_task();
-  return prepare_from_hits(record, plan.condition, spec, plan.hits.at(i));
+  return prepare_from_hits(record, plan.condition, spec, plan.hits_for(i));
 }
 
 }  // namespace mcqa::rag

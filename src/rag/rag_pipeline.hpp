@@ -10,7 +10,10 @@
 // The assembler budgets retrieved text against the model's context
 // window (Table 1) with room reserved for the question and the answer,
 // truncating at word granularity — this is where 2K-window models lose
-// chunk content that 32K-window models keep.
+// chunk content that 32K-window models keep.  The window decides only
+// the cut (how many hits stay whole, how many words of the next one
+// stay), so models whose windows give one cut share one assembled task
+// (prepare_shared).
 //
 // After assembly it annotates the task with the simulation-layer
 // diagnostics (is the probed fact still present, how salient is it, do
@@ -19,6 +22,7 @@
 // against the ground-truth KB.
 
 #include <array>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -79,6 +83,20 @@ struct RetrievalPlan {
   bool active = false;
   /// Per-record top-k hits, indexed like the record set.
   std::vector<std::vector<index::Hit>> hits;
+
+  /// Record i's hits: none when the plan is inactive.
+  const std::vector<index::Hit>& hits_for(std::size_t i) const;
+};
+
+/// The tasks of one record under several model specs, assembled from
+/// one hit list.  A spec reaches assembly only through its context
+/// window, and the window only decides how much of the hit list the
+/// context keeps (the cut); specs with the same cut share one task.
+struct SharedTasks {
+  /// One task per distinct cut, in the order the specs first reach it.
+  std::vector<llm::McqTask> tasks;
+  /// Per spec, the index of its task in `tasks`.
+  std::vector<std::size_t> task_of;
 };
 
 class RagPipeline {
@@ -94,17 +112,24 @@ class RagPipeline {
 
   /// Empty plan for (records, condition): condition resolved against the
   /// stores (`active`) and `hits` sized to the record set, no queries
-  /// issued yet.  Fill with fill_plan (range-wise, e.g. from spawned
-  /// tasks).
+  /// issued yet.  Fill with fill_plan (a range or record group at a
+  /// time, e.g. from spawned tasks).
   RetrievalPlan make_plan(const std::vector<qgen::McqRecord>& records,
                           Condition condition) const;
 
   /// Compute hits for records [lo, hi) into `plan` (no-op when the plan
-  /// is inactive).  Disjoint ranges are safe to fill concurrently, and
+  /// is inactive) with one tiled store scan (VectorStore::query_tiled).
+  /// Disjoint ranges are safe to fill concurrently, and
   /// plan.hits[i] == store->query(query_for(records[i], c), k) exactly.
   void fill_plan(RetrievalPlan& plan,
                  const std::vector<qgen::McqRecord>& records, std::size_t lo,
                  std::size_t hi) const;
+
+  /// The same for the records at `indexes`, in any order (a grid
+  /// block: a contiguous range or a delta-eval record group).
+  void fill_plan(RetrievalPlan& plan,
+                 const std::vector<qgen::McqRecord>& records,
+                 const std::vector<std::size_t>& indexes) const;
 
   /// Assembly + annotation of record i against a shared plan.  Equal to
   /// prepare(records[i], plan.condition, spec) fieldwise — the plan only
@@ -131,11 +156,18 @@ class RagPipeline {
                                  const llm::ModelSpec& spec,
                                  const std::vector<index::Hit>& hits) const;
 
+  /// Assembly + annotation of one record for every spec in `specs`, each
+  /// distinct cut of `hits` assembled and annotated once.
+  /// tasks[task_of[s]] == prepare_from_hits(record, condition, *specs[s],
+  /// hits) fieldwise; prepare_from_hits and prepare_from_plan are its
+  /// one-spec case.  A hit's token count and word split are each
+  /// computed at most once per call, and only for hits a cut reaches.
+  SharedTasks prepare_shared(const qgen::McqRecord& record,
+                             Condition condition,
+                             std::span<const llm::ModelSpec* const> specs,
+                             const std::vector<index::Hit>& hits) const;
+
  private:
-  std::string assemble_context(const std::vector<index::Hit>& hits,
-                               const llm::McqTask& task,
-                               const llm::ModelSpec& spec,
-                               std::vector<std::string>* kept_ids) const;
   void annotate(llm::McqTask& task, const qgen::McqRecord& record,
                 Condition condition,
                 const std::vector<std::string>& kept_ids) const;

@@ -129,6 +129,7 @@ TEST(GoldenDigest, Scale0025FrozenEightSweeps) {
   EXPECT_EQ(digest_of(ctx.exam_all(), 4), 0x9e8a175aa0173cf1ULL);
   EXPECT_EQ(digest_of(ctx.exam_no_math(), 4), 0x95090db8e1f6745cULL);
   EXPECT_EQ(digest_of(ctx.benchmark(), 1), kBenchmark) << "1 thread";
+  EXPECT_EQ(digest_of(ctx.benchmark(), 2), kBenchmark) << "2 threads";
 }
 
 // Tasks served through serve::QueryEngine over 4 shards: 512 seeded

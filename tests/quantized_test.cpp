@@ -14,6 +14,7 @@
 
 #include "corpus/vector_corpus.hpp"
 #include "embed/hashed_embedder.hpp"
+#include "index/kmeans.hpp"
 #include "index/mmap_file.hpp"
 #include "index/quantized.hpp"
 #include "index/vector_index.hpp"
@@ -126,6 +127,40 @@ TEST(QuantizedDeterminism, BlobsIdenticalAcrossThreadCounts) {
       EXPECT_EQ(sq8.save(), sq8_blob) << threads << " threads";
       EXPECT_EQ(pq.save(), pq_blob) << threads << " threads";
     }
+  }
+}
+
+// Both trainers split their distance and assignment passes over the
+// pool and sum centroids serially, so the centroid bytes cannot depend
+// on the pool width.
+TEST(KMeans, CentroidBytesIdenticalAcrossPoolWidths) {
+  constexpr std::size_t kDim = 24;
+  const auto vecs = random_unit_vectors(3000, kDim, 53);
+  std::vector<float> flat;
+  for (const auto& v : vecs) flat.insert(flat.end(), v.begin(), v.end());
+  const StridedRows rows{flat.data(), vecs.size(), kDim, kDim};
+  // A PQ-style sub-vector view: dims 8..15 of every row.
+  const StridedRows sub{flat.data() + 8, vecs.size(), 8, kDim};
+  const auto bytes = [](const RowStorage& c) {
+    return std::string(reinterpret_cast<const char*>(c.raw()),
+                       c.value_count() * sizeof(float));
+  };
+
+  std::string spherical;
+  std::string l2;
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    parallel::ThreadPool pool(threads);
+    const RowStorage s = kmeans_spherical(rows, 32, 10, util::Rng(7), pool);
+    const RowStorage e = kmeans_l2(sub, 16, 10, util::Rng(9), pool);
+    ASSERT_EQ(s.size(), 32u);
+    ASSERT_EQ(e.size(), 16u);
+    if (threads == 1) {
+      spherical = bytes(s);
+      l2 = bytes(e);
+      continue;
+    }
+    EXPECT_EQ(bytes(s), spherical) << threads << " threads";
+    EXPECT_EQ(bytes(e), l2) << threads << " threads";
   }
 }
 

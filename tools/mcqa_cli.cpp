@@ -226,8 +226,11 @@ int cmd_eval(const Args& args) {
     model_ptrs.push_back(models.back().get());
     specs.push_back(card->spec);
   }
+  eval::SweepStats stats;
+  const util::Stopwatch watch;
   const eval::SweepResult sweep =
-      harness.sweep(model_ptrs, specs, records, conditions);
+      harness.sweep(model_ptrs, specs, records, conditions, &stats);
+  const double sweep_s = watch.seconds();
 
   eval::TableWriter table(std::move(headers));
   for (const auto* card : cards) {
@@ -241,6 +244,8 @@ int cmd_eval(const Args& args) {
   }
   std::printf("set=%s (%zu records), scale=%.3f\n\n%s", set_name.c_str(),
               records.size(), scale, table.render().c_str());
+  std::printf("\nsweep %.3f s wall, %zu of %zu tasks prepared\n", sweep_s,
+              stats.tasks_prepared, stats.records_evaluated);
   return 0;
 }
 
