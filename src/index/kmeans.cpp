@@ -11,6 +11,16 @@ namespace mcqa::index {
 
 namespace {
 
+/// parallel_for grain for a per-row pass of `row_work` multiply-adds a
+/// row: a pass under 2^15 of them runs inline as one block, since the
+/// pool's dispatch would cost more than it saves (a PQ subspace seeds
+/// 255 centroids, and a refresh over fewer than 2,048 16-dim rows is
+/// such a pass); larger passes take parallel_for's automatic grain.
+std::size_t grain_for(std::size_t n, std::size_t row_work) {
+  constexpr std::size_t kInlineWork = std::size_t{1} << 15;
+  return n * row_work < kInlineWork ? std::max<std::size_t>(n, 1) : 0;
+}
+
 /// k-means++ style seeding: first centroid uniform, then
 /// distance-biased.  Each point's best squared distance is cached and
 /// refreshed against only the newest centroid (O(n*k) total, not
@@ -23,9 +33,13 @@ RowStorage seed_centroids(const StridedRows& data, std::size_t k,
   RowStorage centroids(data.dim);
   centroids.add_row(data.row(rng.bounded(static_cast<std::uint32_t>(n))));
   std::vector<double> d2(n, 0.0);
-  parallel::parallel_for(pool, 0, n, [&](std::size_t i) {
-    d2[i] = kernels::l2_sq(data.row(i), centroids.row(0), data.dim);
-  });
+  const std::size_t grain = grain_for(n, data.dim);
+  parallel::parallel_for(
+      pool, 0, n,
+      [&](std::size_t i) {
+        d2[i] = kernels::l2_sq(data.row(i), centroids.row(0), data.dim);
+      },
+      grain);
   while (centroids.size() < k) {
     double total = 0.0;
     for (const double d : d2) total += d;
@@ -34,11 +48,13 @@ RowStorage seed_centroids(const StridedRows& data, std::size_t k,
     if (pick >= n) break;
     centroids.add_row(data.row(pick));
     const float* newest = centroids.row(centroids.size() - 1);
-    parallel::parallel_for(pool, 0, n, [&](std::size_t i) {
-      d2[i] = std::min(
-          d2[i],
-          static_cast<double>(kernels::l2_sq(data.row(i), newest, data.dim)));
-    });
+    parallel::parallel_for(
+        pool, 0, n,
+        [&](std::size_t i) {
+          d2[i] = std::min(d2[i], static_cast<double>(kernels::l2_sq(
+                                      data.row(i), newest, data.dim)));
+        },
+        grain);
   }
   return centroids;
 }
@@ -78,11 +94,15 @@ RowStorage lloyd(const StridedRows& data, std::size_t k, std::size_t iters,
 
   std::vector<std::size_t> assignment(n, 0);
   std::vector<std::size_t> nearest(n, 0);
+  const std::size_t grain = grain_for(n, centroids.size() * data.dim);
   for (std::size_t iter = 0; iter < iters; ++iter) {
     // Assignment across the pool, each row into its own slot.
-    parallel::parallel_for(pool, 0, n, [&](std::size_t i) {
-      nearest[i] = assign(centroids, data.row(i), metric);
-    });
+    parallel::parallel_for(
+        pool, 0, n,
+        [&](std::size_t i) {
+          nearest[i] = assign(centroids, data.row(i), metric);
+        },
+        grain);
     const bool changed = nearest != assignment;
     assignment.swap(nearest);
     // Recompute centroids serially in row order (mean; renormalized to

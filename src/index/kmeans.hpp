@@ -13,10 +13,10 @@
 // Determinism: all stochastic choices come from the caller's Rng
 // (streams keyed by stable ids upstream).  The per-row distance and
 // assignment passes run across the caller's pool, each row writing its
-// own slot; the seeding draws and the centroid sums stay serial in row
-// order, and nothing reads wall-clock or global state, so codebooks are
-// byte-stable across runs, pool widths, and add/add_batch construction
-// order.
+// own slot (a pass under 2^15 multiply-adds runs inline); the seeding
+// draws and the centroid sums stay serial in row order, and nothing
+// reads wall-clock or global state, so codebooks are byte-stable across
+// runs, pool widths, and add/add_batch construction order.
 
 #include <cstddef>
 #include <vector>

@@ -242,33 +242,9 @@ std::vector<Hit> VectorStore::query_vector(const embed::Vector& v,
 }
 
 std::vector<std::vector<Hit>> VectorStore::query_batch(
-    const std::vector<std::string>& texts, std::size_t k,
-    parallel::ThreadPool& pool) const {
+    const std::vector<std::string>& texts, std::size_t k) const {
   if (!built_) {
     throw std::logic_error("VectorStore::query_batch before build()");
-  }
-  // Embedding is thread-safe by contract, so it rides the same pool.
-  std::vector<embed::Vector> queries(texts.size());
-  parallel::parallel_for(pool, 0, texts.size(), [&](std::size_t i) {
-    queries[i] = embedder_.embed(texts[i]);
-  });
-  const auto batches = index_->search_batch(queries, k, pool);
-  std::vector<std::vector<Hit>> out(batches.size());
-  for (std::size_t i = 0; i < batches.size(); ++i) {
-    out[i] = hits_for(batches[i]);
-  }
-  return out;
-}
-
-std::vector<std::vector<Hit>> VectorStore::query_batch(
-    const std::vector<std::string>& texts, std::size_t k) const {
-  return query_batch(texts, k, parallel::ThreadPool::global());
-}
-
-std::vector<std::vector<Hit>> VectorStore::query_tiled(
-    const std::vector<std::string>& texts, std::size_t k) const {
-  if (!built_) {
-    throw std::logic_error("VectorStore::query_tiled before build()");
   }
   std::vector<embed::Vector> queries;
   queries.reserve(texts.size());

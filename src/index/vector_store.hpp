@@ -5,11 +5,9 @@
 // and one store per reasoning-trace mode — are FAISS indexes keyed back
 // to JSON records.  VectorStore is that binding: add(id, text) embeds
 // and indexes; query(text, k) returns the payloads RAG will paste into
-// the prompt.  query_batch fans a whole question set across a thread
-// pool through VectorIndex::search_batch; query_tiled scans a small
-// question block on the calling thread through VectorIndex::search_tiled
-// — the evaluation grid fills each block of its retrieval plans that
-// way.
+// the prompt.  query_batch scans a question block on the calling
+// thread through VectorIndex::search_tiled — the evaluation grid fills
+// each block of its retrieval plans that way.
 
 #include <memory>
 #include <string>
@@ -99,20 +97,10 @@ class VectorStore {
   /// Query with a precomputed embedding.
   std::vector<Hit> query_vector(const embed::Vector& v, std::size_t k) const;
 
-  /// Batched query: embeds and searches all texts across `pool`.
-  /// Result i is identical to query(texts[i], k) at any thread count.
-  std::vector<std::vector<Hit>> query_batch(
-      const std::vector<std::string>& texts, std::size_t k,
-      parallel::ThreadPool& pool) const;
-
-  /// Batched query on the process-wide default pool.
-  std::vector<std::vector<Hit>> query_batch(
-      const std::vector<std::string>& texts, std::size_t k) const;
-
-  /// Tiled query on the calling thread: embeds every text, then one
+  /// Batched query on the calling thread: embeds every text, then one
   /// VectorIndex::search_tiled reads each row once per kTileQ queries.
   /// Result i is identical to query(texts[i], k).
-  std::vector<std::vector<Hit>> query_tiled(
+  std::vector<std::vector<Hit>> query_batch(
       const std::vector<std::string>& texts, std::size_t k) const;
 
   std::size_t size() const { return ids_.size(); }

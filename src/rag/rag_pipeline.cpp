@@ -339,7 +339,7 @@ void RagPipeline::fill_plan(RetrievalPlan& plan,
     queries.push_back(query_for(records.at(i), plan.condition));
   }
   auto hits = stores_.store_for(plan.condition)
-                  ->query_tiled(queries, config_.top_k_for(plan.condition));
+                  ->query_batch(queries, config_.top_k_for(plan.condition));
   for (std::size_t j = 0; j < indexes.size(); ++j) {
     plan.hits.at(indexes[j]) = std::move(hits[j]);
   }

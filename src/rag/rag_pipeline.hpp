@@ -118,7 +118,7 @@ class RagPipeline {
                           Condition condition) const;
 
   /// Compute hits for records [lo, hi) into `plan` (no-op when the plan
-  /// is inactive) with one tiled store scan (VectorStore::query_tiled).
+  /// is inactive) with one tiled store scan (VectorStore::query_batch).
   /// Disjoint ranges are safe to fill concurrently, and
   /// plan.hits[i] == store->query(query_for(records[i], c), k) exactly.
   void fill_plan(RetrievalPlan& plan,

@@ -302,16 +302,13 @@ TEST(VectorStoreBatch, QueryBatchMatchesSequentialQueries) {
   std::vector<std::vector<Hit>> want;
   for (const auto& q : queries) want.push_back(store.query(q, 2));
 
-  for (const std::size_t threads : {1u, 4u}) {
-    parallel::ThreadPool pool(threads);
-    const auto got = store.query_batch(queries, 2, pool);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(got[i].size(), want[i].size());
-      for (std::size_t j = 0; j < got[i].size(); ++j) {
-        EXPECT_EQ(got[i][j].id, want[i][j].id);
-        EXPECT_EQ(got[i][j].score, want[i][j].score);
-      }
+  const auto got = store.query_batch(queries, 2);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].size(), want[i].size());
+    for (std::size_t j = 0; j < got[i].size(); ++j) {
+      EXPECT_EQ(got[i][j].id, want[i][j].id);
+      EXPECT_EQ(got[i][j].score, want[i][j].score);
     }
   }
 }

@@ -139,8 +139,11 @@ TEST(KMeans, CentroidBytesIdenticalAcrossPoolWidths) {
   std::vector<float> flat;
   for (const auto& v : vecs) flat.insert(flat.end(), v.begin(), v.end());
   const StridedRows rows{flat.data(), vecs.size(), kDim, kDim};
-  // A PQ-style sub-vector view: dims 8..15 of every row.
-  const StridedRows sub{flat.data() + 8, vecs.size(), 8, kDim};
+  // A PQ-style sub-vector view: dims 8..23 of every row.  Every pass
+  // (3000 rows x 16 or 24 dims, and more for assignment) is above the
+  // trainers' 2^15 multiply-add inline threshold, so widths 2 and 4
+  // really split it across the pool.
+  const StridedRows sub{flat.data() + 8, vecs.size(), 16, kDim};
   const auto bytes = [](const RowStorage& c) {
     return std::string(reinterpret_cast<const char*>(c.raw()),
                        c.value_count() * sizeof(float));

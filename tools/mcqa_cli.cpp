@@ -244,8 +244,10 @@ int cmd_eval(const Args& args) {
   }
   std::printf("set=%s (%zu records), scale=%.3f\n\n%s", set_name.c_str(),
               records.size(), scale, table.render().c_str());
-  std::printf("\nsweep %.3f s wall, %zu of %zu tasks prepared\n", sweep_s,
-              stats.tasks_prepared, stats.records_evaluated);
+  // Wall time varies run to run, so it goes to stderr: stdout stays
+  // byte-identical across runs, thread counts and kernel ISAs.
+  std::fprintf(stderr, "sweep %.3f s wall, %zu of %zu tasks prepared\n",
+               sweep_s, stats.tasks_prepared, stats.records_evaluated);
   return 0;
 }
 
