@@ -29,6 +29,10 @@
 //   * mmap variants open without copying (payload stays a view:
 //     mmap_backed()) and return results bit-identical to the resident
 //     index.
+//
+// The full run also reports, per compiled kernel table, ns/row and
+// bytes/row of dot_fp16 and of dot_fp16_tile at Q = kTileQ on the
+// tracking case (`kernels` in BENCH_index.json).
 
 #include <benchmark/benchmark.h>
 
@@ -246,6 +250,61 @@ void BM_FlatSearchTrackingCase(benchmark::State& state) {
   state.counters["dim"] = static_cast<double>(c.idx->dim());
 }
 BENCHMARK(BM_FlatSearchTrackingCase);
+
+/// Kernel rows on the tracking case, one per compiled kernel table:
+/// ns/row of dot_fp16 (one query) and of dot_fp16_tile at Q = kTileQ,
+/// each the best of `repeats` single-thread passes over every row.
+/// bytes/row is the fp16 row the kernel streams (its queries stay in
+/// L1), so a tile moves those bytes once for kTileQ queries.
+json::Value kernel_rows(const FlatCase& c, std::size_t repeats) {
+  constexpr std::size_t kQ = index::kernels::kTileQ;
+  const index::Fp16Rows& rows = c.idx->rows();
+  const std::size_t dim = c.idx->dim();
+  const float* qs[kQ];
+  for (std::size_t q = 0; q < kQ; ++q) qs[q] = c.queries[q].data();
+  const double bytes_per_row =
+      static_cast<double>(dim * sizeof(util::fp16_t));
+  json::Array out;
+  for (const index::kernels::KernelIsa isa :
+       {index::kernels::KernelIsa::kScalar,
+        index::kernels::KernelIsa::kAvx2}) {
+    const index::kernels::KernelOps* ops = index::kernels::ops_for(isa);
+    if (ops == nullptr) continue;
+    double single_s = std::numeric_limits<double>::infinity();
+    double tile_s = std::numeric_limits<double>::infinity();
+    float scores[kQ];
+    for (std::size_t r = 0; r < repeats; ++r) {
+      util::Stopwatch sw;
+      for (std::size_t row = 0; row < rows.size(); ++row) {
+        benchmark::DoNotOptimize(ops->dot_fp16(rows.row(row), qs[0], dim));
+      }
+      single_s = std::min(single_s, sw.seconds());
+      util::Stopwatch tw;
+      for (std::size_t row = 0; row < rows.size(); ++row) {
+        ops->dot_fp16_tile(rows.row(row), qs, kQ, dim, scores);
+        benchmark::DoNotOptimize(scores);
+      }
+      tile_s = std::min(tile_s, tw.seconds());
+    }
+    const double n = static_cast<double>(rows.size());
+    json::Value entry = json::Value::object();
+    entry["isa"] = index::kernels::isa_name(isa);
+    entry["rows"] = rows.size();
+    entry["dim"] = dim;
+    entry["bytes_per_row"] = bytes_per_row;
+    entry["dot_fp16_ns_per_row"] = single_s * 1e9 / n;
+    entry["dot_fp16_tile_q"] = kQ;
+    entry["dot_fp16_tile_ns_per_row"] = tile_s * 1e9 / n;
+    std::printf(
+        "  kernel %-6s: dot_fp16 %6.1f ns/row, dot_fp16_tile Q=%zu "
+        "%6.1f ns/row (%5.1f per query), %.0f B/row\n",
+        std::string(index::kernels::isa_name(isa)).c_str(),
+        single_s * 1e9 / n, kQ, tile_s * 1e9 / n,
+        tile_s * 1e9 / (n * static_cast<double>(kQ)), bytes_per_row);
+    out.push_back(std::move(entry));
+  }
+  return json::Value(std::move(out));
+}
 
 // --- shared checks -----------------------------------------------------------
 
@@ -787,6 +846,8 @@ void write_bench_json() {
     entry["qps_single"] = static_cast<double>(singles) / sw.seconds();
     entry["qps_batch"] = timed_batch_qps(*c.idx, c.queries, pool, 10, 1);
     report["flat_50k_dim256"] = std::move(entry);
+    std::printf("\nkernel rows (tracking case, one thread):\n");
+    report["kernels"] = kernel_rows(c, /*repeats=*/5);
   }
 
   // Query-batch-width sweep on the tracking case (Q=1/4/8/16): the

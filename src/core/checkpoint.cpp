@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -343,8 +344,12 @@ ArtifactCache::Stats ArtifactCache::stats() const {
 void ArtifactCache::store(std::string_view name, std::uint64_t key,
                           std::string_view blob) const {
   const std::string final_path = path_for(name, key);
+  // One temporary file per call: threads of one process storing the
+  // same key must not share (and truncate) one before its rename.
+  static std::atomic<std::uint64_t> tmp_seq{0};
   const std::string tmp_path =
-      final_path + ".tmp." + std::to_string(::getpid());
+      final_path + ".tmp." + std::to_string(::getpid()) + "." +
+      std::to_string(tmp_seq.fetch_add(1, std::memory_order_relaxed));
   {
     std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
     if (!out) return;  // cache is best-effort; a miss next time is safe

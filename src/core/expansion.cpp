@@ -17,7 +17,9 @@ ExpansionResult expand_benchmark(
   // Stage 1: parse the batch.
   const parse::AdaptiveParser parser(config.parser);
   std::vector<parse::ParsedDocument> parsed(new_documents.size());
-  std::vector<bool> ok(new_documents.size(), false);
+  // One byte per document: the parse tasks write their own elements,
+  // and std::vector<bool> would pack neighbours into one shared word.
+  std::vector<char> ok(new_documents.size(), 0);
   parallel::ThreadPool pool(config.threads);
   parallel::parallel_for(pool, 0, new_documents.size(), [&](std::size_t i) {
     parse::ParseOutcome outcome = parser.parse(new_documents[i].bytes);
@@ -26,7 +28,7 @@ ExpansionResult expand_benchmark(
       outcome.document.doc_id = new_documents[i].doc_id;
     }
     parsed[i] = std::move(outcome.document);
-    ok[i] = true;
+    ok[i] = 1;
   });
 
   // Stage 2: chunk, dropping content already present in the benchmark

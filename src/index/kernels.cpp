@@ -1,10 +1,10 @@
 // Kernel dispatch layer.  The loop bodies live in kernels_impl.inc and
 // are compiled twice — kernels_scalar.cpp (baseline flags) and
-// kernels_avx2.cpp (-mavx2) — both with -ffp-contract=off, so the two
-// tables are bit-identical and dispatch is purely a throughput choice.
-// This TU resolves which table the public free functions forward to:
-// MCQA_KERNEL_ISA=scalar|avx2 if set (unusable or unknown values fail
-// soft to auto), otherwise the best table cpuid supports.
+// kernels_avx2.cpp (-mavx2 -mf16c) — both with -ffp-contract=off, so
+// the two tables are bit-identical and dispatch is purely a throughput
+// choice.  This TU resolves which table the public free functions
+// forward to: MCQA_KERNEL_ISA=scalar|avx2 if set (unusable or unknown
+// values fail soft to auto), otherwise the best table cpuid supports.
 
 #include "index/kernels.hpp"
 
@@ -21,10 +21,11 @@ namespace mcqa::index {
 namespace kernels {
 
 const float* detail::fp16_table() {
-  // One 256 KB table shared by both ISA tables: fp16 bit pattern ->
-  // float, identical to util::fp16_to_float for every one of the 65536
-  // inputs (asserted by the kernel-equivalence tests).  Turns the
-  // branchy software conversion into a single load on the scan paths.
+  // The scalar table's 256 KB widening table: fp16 bit pattern ->
+  // float, identical to util::fp16_to_float (and so to the AVX2
+  // table's F16C widening) for every one of the 65536 inputs (asserted
+  // by the kernel-equivalence tests).  Turns the branchy software
+  // conversion into a single load on the scan paths.
   static const std::vector<float> table = [] {
     std::vector<float> t(1u << 16);
     for (std::uint32_t i = 0; i < (1u << 16); ++i) {
@@ -37,7 +38,7 @@ const float* detail::fp16_table() {
 
 bool cpu_supports_avx2() {
 #if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2");
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("f16c");
 #else
   return false;
 #endif

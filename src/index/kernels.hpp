@@ -27,12 +27,13 @@
 //    tested in tiled_scan_test).
 //
 //  * Runtime ISA dispatch: the same loop bodies are compiled twice —
-//    a baseline scalar TU and an AVX2 TU (-mavx2) — and a function-
-//    pointer table (KernelOps) picks one at startup via cpuid.
-//    MCQA_KERNEL_ISA=scalar|avx2 overrides the choice for testing;
-//    unavailable requests fail soft to scalar.  Because both TUs share
-//    one -ffp-contract=off source, every entry point is bit-identical
-//    across the two tables.
+//    a baseline scalar TU and an AVX2 TU (-mavx2 -mf16c) — and a
+//    function-pointer table (KernelOps) picks one at startup via cpuid
+//    (the AVX2 table needs both AVX2 and F16C).  MCQA_KERNEL_ISA=
+//    scalar|avx2 overrides the choice for testing; unavailable requests
+//    fail soft to scalar.  Because both TUs share one -ffp-contract=off
+//    source, and F16C widening equals util::fp16_to_float on every
+//    code, every entry point is bit-identical across the two tables.
 
 #include <cstddef>
 #include <string_view>
@@ -61,8 +62,8 @@ float dot(const float* a, const float* b, std::size_t n);
 float l2_sq(const float* a, const float* b, std::size_t n);
 
 /// Fused fp16-dequantize + blocked inner product: `a` is an FP16-at-rest
-/// row, widened through a 64K-entry table that reproduces
-/// util::fp16_to_float bit-for-bit.
+/// row, widened by F16C (AVX2 table) or a 64K-entry lookup table
+/// (scalar table), both bit-identical to util::fp16_to_float.
 float dot_fp16(const util::fp16_t* a, const float* b, std::size_t n);
 
 /// Fused uint8-decode + blocked inner product for the SQ8 tier:
@@ -90,7 +91,7 @@ float pq_lookup(const std::uint8_t* codes, const float* tables,
 void dot_tile(const float* row, const float* const* qs, std::size_t qn,
               std::size_t n, float* out);
 
-/// out[q] = dot_fp16(row, qs[q], n) — the row is table-widened once.
+/// out[q] = dot_fp16(row, qs[q], n) — the row is widened once.
 void dot_fp16_tile(const util::fp16_t* row, const float* const* qs,
                    std::size_t qn, std::size_t n, float* out);
 
@@ -129,7 +130,8 @@ struct KernelOps {
 };
 
 /// Table for `isa`, or nullptr when it is unusable here (compiler had
-/// no -mavx2, or the CPU lacks the feature).  kScalar never fails.
+/// no -mavx2 -mf16c, or the CPU lacks AVX2 or F16C).  kScalar never
+/// fails.
 const KernelOps* ops_for(KernelIsa isa);
 
 /// The ISA the free functions currently forward to.  Resolved once on
@@ -145,7 +147,8 @@ std::string_view isa_name(KernelIsa isa);
 /// the AVX2 table is usable.
 KernelIsa resolve_isa(const char* override_name, bool avx2_usable);
 
-/// True when this CPU reports AVX2 support.
+/// True when this CPU reports AVX2 and F16C support (what the AVX2
+/// table executes).
 bool cpu_supports_avx2();
 
 /// Swap the active table (tests/benches comparing ISAs in-process).

@@ -9,16 +9,17 @@
 namespace mcqa::index::kernels::detail {
 
 /// Dequantization table: fp16 bit pattern -> float, identical to
-/// util::fp16_to_float for every one of the 65536 inputs.  Defined in
-/// kernels.cpp so both ISA tables share one 256 KB table.
+/// util::fp16_to_float for every one of the 65536 inputs.  The scalar
+/// table widens through it; the AVX2 table widens with F16C and never
+/// touches it.  Defined in kernels.cpp.
 const float* fp16_table();
 
 /// The baseline table (always available).
 const KernelOps& scalar_ops();
 
-/// The AVX2 table, or nullptr when its TU was compiled without AVX2
-/// codegen (compiler lacked -mavx2).  Runtime cpuid gating happens in
-/// ops_for(), not here.
+/// The AVX2 table, or nullptr when its TU was compiled without AVX2 and
+/// F16C codegen (compiler lacked -mavx2 -mf16c).  Runtime cpuid gating
+/// happens in ops_for(), not here.
 const KernelOps* avx2_ops();
 
 /// The resolved dispatch table the public free functions forward to.

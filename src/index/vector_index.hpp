@@ -180,7 +180,7 @@ class FlatIndex final : public VectorIndex {
   void add_batch(const std::vector<embed::Vector>& vs) override;
   std::vector<SearchResult> search(const embed::Vector& query,
                                    std::size_t k) const override;
-  /// Tiled: each fp16 row is table-widened once per kTileQ queries.
+  /// Tiled: each fp16 row is widened once per kTileQ queries.
   void search_block(const std::vector<embed::Vector>& queries,
                     std::size_t begin, std::size_t end, std::size_t k,
                     std::vector<std::vector<SearchResult>>& out) const override;

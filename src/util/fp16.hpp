@@ -6,6 +6,12 @@
 // discipline: vectors are quantized to half precision at rest and widened
 // to float for arithmetic.  Software conversion keeps us portable (no
 // reliance on _Float16 availability) and is fast enough off the hot path.
+//
+// fp16_to_float is bit-identical to the F16C instruction (vcvtph2ps) on
+// all 65,536 codes, NaNs included: a signalling NaN widens quieted, as
+// the hardware does.  The scan kernels rely on this to widen with F16C
+// where the CPU has it and through a table built from this function
+// where it does not (index/kernels.hpp).
 
 #include <bit>
 #include <cstdint>
@@ -53,8 +59,10 @@ constexpr float fp16_to_float(fp16_t h) noexcept {
   const std::uint32_t exp = (h >> 10) & 0x1fu;
   std::uint32_t mantissa = h & 0x3ffu;
 
-  if (exp == 0x1f) {  // inf / nan
-    return std::bit_cast<float>(sign | 0x7f800000u | (mantissa << 13));
+  if (exp == 0x1f) {  // inf / nan; a NaN comes out quiet (float bit 22)
+    const std::uint32_t quiet = mantissa != 0 ? 0x00400000u : 0u;
+    return std::bit_cast<float>(sign | 0x7f800000u | quiet |
+                                (mantissa << 13));
   }
   if (exp == 0) {
     if (mantissa == 0) return std::bit_cast<float>(sign);

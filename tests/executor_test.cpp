@@ -20,6 +20,8 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <thread>
+#include <vector>
 
 #include "artifact_digest.hpp"
 #include "core/checkpoint.hpp"
@@ -212,6 +214,42 @@ TEST(Checkpoint, ArtifactCacheRoundTrip) {
   EXPECT_EQ(*blob, "payload-bytes");
   EXPECT_FALSE(cache.load("thing", 43).has_value());
   EXPECT_FALSE(cache.load("other", 42).has_value());
+}
+
+TEST(Checkpoint, ConcurrentStoresOfOneKeyLeaveOneWholeBlob) {
+  // Eight threads store the same key at once, each its own 256 KiB
+  // blob.  Each store writes a temporary file of its own, so the key
+  // ends up holding one whole blob and no temporary file survives.
+  const TempDir dir;
+  const ArtifactCache cache(dir.path.string());
+  constexpr int kThreads = 8;
+  constexpr std::size_t kBytes = 256 * 1024;
+  std::vector<std::string> blobs;
+  for (int t = 0; t < kThreads; ++t) {
+    blobs.emplace_back(kBytes, static_cast<char>('a' + t));
+  }
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&cache, &blobs, t] {
+      cache.store("shared", 7, blobs[static_cast<std::size_t>(t)]);
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  const auto blob = cache.load("shared", 7);
+  ASSERT_TRUE(blob.has_value());
+  EXPECT_NE(std::find(blobs.begin(), blobs.end(), *blob), blobs.end())
+      << "stored blob is not one thread's whole blob (" << blob->size()
+      << " bytes)";
+  std::size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path)) {
+    ++files;
+    EXPECT_EQ(entry.path().filename().string().find(".tmp."),
+              std::string::npos)
+        << entry.path();
+  }
+  EXPECT_EQ(files, 1u);
+  EXPECT_EQ(cache.stats().stores, static_cast<std::size_t>(kThreads));
 }
 
 /// `v` as the eight little-endian bytes the checkpoint codecs write.

@@ -7,7 +7,8 @@
 // and warm builds all gave the same bytes.  The sweep test pins the
 // frozen-8 grid over three record sets of the 0.025 semantic/flat
 // build; its constants were the same at 1, 2 and 4 harness threads and
-// under scalar kernel dispatch.  The served-task test pins the tasks
+// under scalar kernel dispatch, and the benchmark sweep is still
+// checked at each.  The served-task test pins the tasks
 // the serve engine assembles over that build; its constant was taken
 // through the engine's former simulated-clock batch plan, with every
 // request completing, at 1, 2 and 4 pool threads and under scalar
@@ -130,6 +131,12 @@ TEST(GoldenDigest, Scale0025FrozenEightSweeps) {
   EXPECT_EQ(digest_of(ctx.exam_no_math(), 4), 0x95090db8e1f6745cULL);
   EXPECT_EQ(digest_of(ctx.benchmark(), 1), kBenchmark) << "1 thread";
   EXPECT_EQ(digest_of(ctx.benchmark(), 2), kBenchmark) << "2 threads";
+  namespace kernels = index::kernels;
+  const kernels::KernelIsa active = kernels::dispatched_isa();
+  ASSERT_TRUE(kernels::set_dispatch_for_testing(kernels::KernelIsa::kScalar));
+  const std::uint64_t scalar = digest_of(ctx.benchmark(), 4);
+  kernels::set_dispatch_for_testing(active);
+  EXPECT_EQ(scalar, kBenchmark) << "scalar dispatch";
 }
 
 // Tasks served through serve::QueryEngine over 4 shards: 512 seeded

@@ -111,28 +111,29 @@ TEST(Kernels, DotFp16MatchesDequantizeThenDot) {
 }
 
 TEST(Kernels, Fp16TableCoversAllFinitePatterns) {
-  // Spot the tricky regions explicitly: subnormals, signed zero, the
-  // normal/subnormal boundary, max half — plus a dense sweep of every
-  // finite pattern.  (Inf/NaN never occur in embeddings: arithmetic on
-  // them is outside the determinism contract, the table itself is
-  // constructed from util::fp16_to_float for all 65536 inputs.)
-  std::vector<util::fp16_t> patterns;
-  for (std::uint32_t h = 0; h < (1u << 16); h += 97) {
-    if (((h >> 10) & 0x1fu) == 0x1fu) continue;  // skip inf/nan exponent
-    patterns.push_back(static_cast<util::fp16_t>(h));
+  // Every one of the 65536 codes, inf and NaN included: the dispatched
+  // kernel widens code h exactly as util::fp16_to_float does (a
+  // one-element row against 1.0f is 0 + widen(h) * 1), and
+  // fp16_to_float itself widens as vcvtph2ps does — finite codes and
+  // infinities round-trip through float_to_fp16, and a NaN keeps its
+  // sign and payload and comes out quiet (float bit 22 set, as the
+  // hardware sets it on a signalling NaN).
+  const float one = 1.0f;
+  for (std::uint32_t h = 0; h < (1u << 16); ++h) {
+    const auto code = static_cast<util::fp16_t>(h);
+    const float widened = util::fp16_to_float(code);
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(kernels::dot_fp16(&code, &one, 1)),
+              std::bit_cast<std::uint32_t>(ref_dot(&widened, &one, 1)))
+        << "code " << h;
+    const std::uint32_t bits = std::bit_cast<std::uint32_t>(widened);
+    if ((h & 0x7c00u) == 0x7c00u && (h & 0x3ffu) != 0) {
+      EXPECT_EQ(bits, ((h & 0x8000u) << 16) | 0x7fc00000u |
+                          ((h & 0x3ffu) << 13))
+          << "code " << h;
+    } else {
+      EXPECT_EQ(util::float_to_fp16(widened), code) << "code " << h;
+    }
   }
-  for (const util::fp16_t extra :
-       {0x0000u, 0x8000u, 0x0001u, 0x03ffu, 0x0400u, 0x7bffu, 0xfbffu}) {
-    patterns.push_back(static_cast<util::fp16_t>(extra));
-  }
-  const std::size_t n = patterns.size();
-  std::vector<float> ones(n, 1.0f);
-  std::vector<float> widened(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    widened[i] = util::fp16_to_float(patterns[i]);
-  }
-  expect_bit_equal(kernels::dot_fp16(patterns.data(), ones.data(), n),
-                   ref_dot(widened.data(), ones.data(), n), n);
 }
 
 TEST(Kernels, ZeroVectorsAndZeroLength) {

@@ -1,7 +1,8 @@
 // Property tests for the tiled multi-query scan layer and the runtime
 // kernel ISA dispatch (DESIGN.md §18): single-query vs tiled vs SIMD
 // bit-identity for all four scoring kernels (random dims off the
-// kLanes/kTileQ multiples, ragged final tiles), TopK push-order
+// kLanes/kTileQ multiples, ragged final tiles, every fp16 code through
+// both fp16 kernels on every table), TopK push-order
 // invariance (the property that makes cross-tile row regrouping safe),
 // tiled search_block == per-query search over flat/SQ8/IVF-PQ and an
 // mmap-opened blob, the grain-chunked search_batch at 1/2/8 threads,
@@ -145,6 +146,49 @@ TEST(TiledScanKernels, DotFp16TileMatchesSingleQuery) {
   }
 }
 
+// Every fp16 code, inf and NaN included, through both fp16 kernels on
+// every compiled table.  A one-hot row (the code at one position, +0
+// elsewhere) against a unit query must score what the float dot gives
+// on the row widened by util::fp16_to_float.  The code sits once in the
+// full 8-lane block and once in the ragged tail, so both widening paths
+// of each table see every code.
+TEST(TiledScanKernels, DotFp16EveryCodeEveryTable) {
+  constexpr std::size_t kN = 11;  // one 8-lane block + a 3-element tail
+  const kernels::KernelOps& scalar =
+      *kernels::ops_for(kernels::KernelIsa::kScalar);
+  for (const std::size_t pos : {std::size_t{5}, std::size_t{9}}) {
+    std::vector<float> unit(kN, 0.0f);
+    unit[pos] = 1.0f;
+    const float* qs[kernels::kTileQ];
+    std::fill(std::begin(qs), std::end(qs), unit.data());
+    std::vector<util::fp16_t> row(kN, 0);
+    std::vector<float> widened(kN, 0.0f);
+    for (std::uint32_t h = 0; h < (1u << 16); ++h) {
+      row[pos] = static_cast<util::fp16_t>(h);
+      widened[pos] = util::fp16_to_float(row[pos]);
+      const std::uint32_t want = std::bit_cast<std::uint32_t>(
+          scalar.dot(widened.data(), unit.data(), kN));
+      for (const kernels::KernelIsa isa : usable_isas()) {
+        const kernels::KernelOps& ops = *kernels::ops_for(isa);
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(
+                      ops.dot_fp16(row.data(), unit.data(), kN)),
+                  want)
+            << "dot_fp16 isa=" << kernels::isa_name(isa) << " code=" << h
+            << " pos=" << pos;
+        for (std::size_t qn = 1; qn <= kernels::kTileQ; ++qn) {
+          float out[kernels::kTileQ];
+          ops.dot_fp16_tile(row.data(), qs, qn, kN, out);
+          for (std::size_t q = 0; q < qn; ++q) {
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(out[q]), want)
+                << "dot_fp16_tile isa=" << kernels::isa_name(isa)
+                << " code=" << h << " pos=" << pos << " qn=" << qn;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(TiledScanKernels, DotU8TileMatchesSingleQuery) {
   util::Rng rng(503);
   for (const kernels::KernelIsa isa : usable_isas()) {
@@ -237,6 +281,25 @@ TEST(TiledScanIsa, ScalarAndAvx2TablesBitIdentical) {
                      scalar.dot_fp16(half.data(), b.data(), n), what);
     expect_bit_equal(avx2->dot_u8(codes.data(), b.data(), n),
                      scalar.dot_u8(codes.data(), b.data(), n), what);
+    // The fp16 tile at every width: the AVX2 table runs one body per
+    // width, the scalar table one loop over qn.
+    std::vector<std::vector<float>> queries;
+    const float* qs[kernels::kTileQ];
+    for (std::size_t q = 0; q < kernels::kTileQ; ++q) {
+      queries.push_back(random_row(n, rng));
+      qs[q] = queries[q].data();
+    }
+    for (std::size_t qn = 1; qn <= kernels::kTileQ; ++qn) {
+      float got[kernels::kTileQ];
+      float want[kernels::kTileQ];
+      avx2->dot_fp16_tile(half.data(), qs, qn, n, got);
+      scalar.dot_fp16_tile(half.data(), qs, qn, n, want);
+      for (std::size_t q = 0; q < qn; ++q) {
+        expect_bit_equal(got[q], want[q],
+                         what + " dot_fp16_tile qn=" + std::to_string(qn) +
+                             " q=" + std::to_string(q));
+      }
+    }
   }
 }
 
