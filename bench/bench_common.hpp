@@ -78,11 +78,15 @@ inline void print_scale_banner(const core::PipelineContext& ctx) {
 /// Stamp the kernel-dispatch provenance every BENCH_*.json carries:
 /// which scan-kernel ISA the runtime dispatcher selected (scalar or
 /// avx2 — a pure function of the CPU and MCQA_KERNEL_ISA, DESIGN.md
-/// §18) and the multi-query tile width the scan layer ran with.
-/// Numbers from different hosts are only comparable when these match.
+/// §18), which integer body the certified flat scan's first pass runs
+/// (scalar, avx2 or vnni, DESIGN.md §10) and the multi-query tile width
+/// the scan layer ran with.  Numbers from different hosts are only
+/// comparable when these match.
 inline void add_kernel_metadata(json::Value& report) {
   report["kernel_isa"] =
       index::kernels::isa_name(index::kernels::dispatched_isa());
+  report["kernel_int8"] =
+      index::kernels::int8_body_name(index::kernels::dispatched_int8_body());
   report["kernel_tile_q"] = index::kernels::kTileQ;
 }
 

@@ -13,18 +13,30 @@
 //
 // Writes BENCH_eval.json with the retrieval and task-preparation
 // accounting and the cold/warm timings (smoke and full).
+//
+// --paper-scale (outside the smoke lane; about 20 s and 1.2 GiB) builds
+// the paper's corpus (scale 1.0) on 4 threads and times the cold build
+// and the full frozen-8 x 5 grid, then each retrieval condition's plan
+// fill alone.  It prints wall times, peak RSS and the rows the
+// certified flat scan reranked per query (counted by the scan itself),
+// writes BENCH_eval_paper.json, and checks the sweep digest of the
+// first 1/64 of the benchmark against the value pinned before the scan
+// had an int8 first pass.
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "../tests/artifact_digest.hpp"
 #include "bench_common.hpp"
 #include "core/eval_cache.hpp"
 #include "core/pipeline.hpp"
+#include "index/vector_index.hpp"
 #include "json/json.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -110,9 +122,130 @@ bool sweeps_equal(const eval::SweepResult& a, const eval::SweepResult& b) {
   return true;
 }
 
+/// Peak resident set of this process (VmHWM), in MiB; 0 if unreadable.
+double peak_rss_mib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::stod(line.substr(6)) / 1024.0;
+    }
+  }
+  return 0.0;
+}
+
+/// Per flat-scan query since `from`: rows scanned and rows the
+/// certified scan reranked with dot_fp16.
+struct ScanLoad {
+  double rows = 0.0;
+  double reranked = 0.0;
+};
+
+ScanLoad scan_load_since(const index::FlatScanCounts& from) {
+  const index::FlatScanCounts to = index::flat_scan_counts();
+  const double queries = static_cast<double>(to.queries - from.queries);
+  if (queries == 0.0) return {};
+  return {static_cast<double>(to.rows - from.rows) / queries,
+          static_cast<double>(to.reranked - from.reranked) / queries};
+}
+
+int run_paper_scale() {
+  constexpr std::size_t kThreads = 4;
+  // sweep_digest of the first ceil(n / 64) benchmark records at scale
+  // 1.0, frozen-8 x 5 conditions, pinned with the full fp16 scan.
+  constexpr std::uint64_t kSliceDigest = 0x92b856f26e12d663ULL;
+
+  core::PipelineConfig config = core::PipelineConfig::paper_scale(1.0);
+  config.threads = kThreads;
+  const auto t_build = std::chrono::steady_clock::now();
+  const core::PipelineContext ctx(config);
+  const double build_seconds = seconds_since(t_build);
+  const std::vector<qgen::McqRecord>& records = ctx.benchmark();
+  std::printf("Paper scale: %zu docs, %zu chunks, %zu benchmark records, "
+              "%zu threads\n", ctx.stats().documents, ctx.stats().chunks,
+              records.size(), kThreads);
+  std::printf("cold build %.2f s\n", build_seconds);
+
+  parallel::ThreadPool pool(kThreads);
+  const index::FlatScanCounts grid_from = index::flat_scan_counts();
+  eval::SweepStats stats;
+  const auto t_grid = std::chrono::steady_clock::now();
+  grid_sweep(ctx, records, pool, nullptr, &stats);
+  const double grid_seconds = seconds_since(t_grid);
+  const ScanLoad grid_load = scan_load_since(grid_from);
+  std::printf("frozen-8 x 5 grid %.2f s (%zu of %zu tasks prepared), "
+              "%.1f of %.0f rows reranked per flat query\n",
+              grid_seconds, stats.tasks_prepared, stats.records_evaluated,
+              grid_load.reranked, grid_load.rows);
+
+  // Each retrieval condition's plan fill on its own: the grid's tiled
+  // store scans, in blocks of 8 tiles across the pool.
+  json::Array fills;
+  for (const rag::Condition c : eval::all_conditions()) {
+    rag::RetrievalPlan plan = ctx.rag().make_plan(records, c);
+    if (!plan.active) continue;
+    constexpr std::size_t kBlock = 8 * index::kernels::kTileQ;
+    const std::size_t blocks = (records.size() + kBlock - 1) / kBlock;
+    const index::FlatScanCounts from = index::flat_scan_counts();
+    const auto t_fill = std::chrono::steady_clock::now();
+    parallel::parallel_for(
+        pool, 0, blocks,
+        [&](std::size_t b) {
+          ctx.rag().fill_plan(plan, records, b * kBlock,
+                              std::min(records.size(), (b + 1) * kBlock));
+        },
+        /*grain=*/1);
+    const double fill_seconds = seconds_since(t_fill);
+    const ScanLoad load = scan_load_since(from);
+    std::printf("  fill %-12s %6.2f s, %.1f of %.0f rows reranked per "
+                "query\n",
+                std::string(rag::condition_name(c)).c_str(), fill_seconds,
+                load.reranked, load.rows);
+    json::Value entry = json::Value::object();
+    entry["condition"] = rag::condition_name(c);
+    entry["rows"] = load.rows;
+    entry["fill_seconds"] = fill_seconds;
+    entry["reranked_per_query"] = load.reranked;
+    fills.push_back(std::move(entry));
+  }
+
+  const std::vector<qgen::McqRecord> slice(
+      records.begin(),
+      records.begin() + static_cast<std::ptrdiff_t>((records.size() + 63) / 64));
+  const std::uint64_t digest = test::sweep_digest(grid_sweep(ctx, slice, pool));
+  const double rss = peak_rss_mib();
+  std::printf("peak RSS %.0f MiB\n", rss);
+  std::printf("slice sweep digest %016llx (%zu records)\n",
+              static_cast<unsigned long long>(digest), slice.size());
+  check("1/64 slice sweep digest == the full fp16 scan's",
+        digest == kSliceDigest);
+
+  json::Value report = json::Value::object();
+  report["bench"] = "eval_engine_paper_scale";
+  bench::add_kernel_metadata(report);
+  report["threads"] = kThreads;
+  report["records"] = records.size();
+  report["build_seconds"] = build_seconds;
+  report["grid_seconds"] = grid_seconds;
+  report["grid_reranked_per_query"] = grid_load.reranked;
+  report["tasks_prepared"] = stats.tasks_prepared;
+  report["records_evaluated"] = stats.records_evaluated;
+  report["fills"] = json::Value(std::move(fills));
+  report["peak_rss_mib"] = rss;
+  report["slice_digest_ok"] = digest == kSliceDigest;
+  std::ofstream out("BENCH_eval_paper.json");
+  out << report.dump(2) << "\n";
+  std::printf("\nwrote BENCH_eval_paper.json\n");
+  std::printf("%s\n", g_all_pass ? "ALL CHECKS PASSED" : "FAILURES");
+  return g_all_pass ? 0 : 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--paper-scale") == 0) return run_paper_scale();
+  }
   mcqa::bench::parse_args(argc, argv);
   const core::PipelineContext& ctx = bench::shared_context();
   const std::vector<qgen::McqRecord> records =

@@ -160,6 +160,7 @@ struct IndexIo {
     const std::size_t rows = take_u64(blob, pos);
     FlatIndex idx(dim);
     idx.data_ = take_block<util::fp16_t>(blob, pos, rows, dim, view);
+    idx.derive_codes();
     return idx;
   }
 

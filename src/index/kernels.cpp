@@ -1,10 +1,12 @@
 // Kernel dispatch layer.  The loop bodies live in kernels_impl.inc and
-// are compiled twice — kernels_scalar.cpp (baseline flags) and
-// kernels_avx2.cpp (-mavx2 -mf16c) — both with -ffp-contract=off, so
-// the two tables are bit-identical and dispatch is purely a throughput
-// choice.  This TU resolves which table the public free functions
-// forward to: MCQA_KERNEL_ISA=scalar|avx2 if set (unusable or unknown
-// values fail soft to auto), otherwise the best table cpuid supports.
+// are compiled into one table per TU — kernels_scalar.cpp (baseline
+// flags), kernels_avx2.cpp (-mavx2 -mf16c) and the two VNNI variants of
+// the AVX2 table — all with -ffp-contract=off, so the float kernels are
+// bit-identical across tables, the integer ones exact on each, and
+// dispatch is purely a throughput choice.  This TU resolves which table
+// the public free functions forward to: MCQA_KERNEL_ISA=scalar|avx2 if
+// set (unusable or unknown values fail soft to auto), otherwise the
+// best table cpuid supports.
 
 #include "index/kernels.hpp"
 
@@ -44,16 +46,61 @@ bool cpu_supports_avx2() {
 #endif
 }
 
+namespace {
+
+bool cpu_supports_avxvnni() {
+#if defined(__x86_64__) || defined(__i386__)
+  return __builtin_cpu_supports("avxvnni");
+#else
+  return false;
+#endif
+}
+
+bool cpu_supports_avx512vnni() {
+#if defined(__x86_64__) || defined(__i386__)
+  return __builtin_cpu_supports("avx512vnni") &&
+         __builtin_cpu_supports("avx512vl");
+#else
+  return false;
+#endif
+}
+
+/// The VNNI tables this CPU runs, preferred first.
+std::vector<const KernelOps*> usable_vnni_ops() {
+  std::vector<const KernelOps*> out;
+  if (!cpu_supports_avx2()) return out;
+  if (detail::avxvnni_ops() != nullptr && cpu_supports_avxvnni()) {
+    out.push_back(detail::avxvnni_ops());
+  }
+  if (detail::avx512vnni_ops() != nullptr && cpu_supports_avx512vnni()) {
+    out.push_back(detail::avx512vnni_ops());
+  }
+  return out;
+}
+
+}  // namespace
+
 const KernelOps* ops_for(KernelIsa isa) {
   switch (isa) {
     case KernelIsa::kScalar:
       return &detail::scalar_ops();
     case KernelIsa::kAvx2: {
+      const std::vector<const KernelOps*> vnni = usable_vnni_ops();
+      if (!vnni.empty()) return vnni.front();
       const KernelOps* table = detail::avx2_ops();
       return (table != nullptr && cpu_supports_avx2()) ? table : nullptr;
     }
   }
   return nullptr;
+}
+
+std::vector<const KernelOps*> usable_ops() {
+  std::vector<const KernelOps*> out{&detail::scalar_ops()};
+  if (detail::avx2_ops() != nullptr && cpu_supports_avx2()) {
+    out.push_back(detail::avx2_ops());
+  }
+  for (const KernelOps* table : usable_vnni_ops()) out.push_back(table);
+  return out;
 }
 
 KernelIsa resolve_isa(const char* override_name, bool avx2_usable) {
@@ -88,17 +135,31 @@ const KernelOps& detail::active_ops() {
   return *table;
 }
 
-KernelIsa dispatched_isa() {
-  return &detail::active_ops() == detail::avx2_ops() ? KernelIsa::kAvx2
-                                                     : KernelIsa::kScalar;
-}
+KernelIsa dispatched_isa() { return detail::active_ops().isa; }
 
 std::string_view isa_name(KernelIsa isa) {
   return isa == KernelIsa::kAvx2 ? "avx2" : "scalar";
 }
 
+Int8Body dispatched_int8_body() { return detail::active_ops().int8; }
+
+std::string_view int8_body_name(Int8Body body) {
+  switch (body) {
+    case Int8Body::kScalar:
+      return "scalar";
+    case Int8Body::kAvx2:
+      return "avx2";
+    case Int8Body::kVnni:
+      return "vnni";
+  }
+  return "scalar";
+}
+
 bool set_dispatch_for_testing(KernelIsa isa) {
-  const KernelOps* table = ops_for(isa);
+  return set_dispatch_for_testing(ops_for(isa));
+}
+
+bool set_dispatch_for_testing(const KernelOps* table) {
   if (table == nullptr) return false;
   g_active.store(table, std::memory_order_release);
   return true;
@@ -146,6 +207,17 @@ void pq_lookup_tile(const std::uint8_t* codes, const float* const* tables,
                     std::size_t qn, std::size_t m, std::size_t ksub,
                     float* out) {
   detail::active_ops().pq_lookup_tile(codes, tables, qn, m, ksub, out);
+}
+
+I8RowSums encode_i8(const util::fp16_t* row, std::size_t n,
+                    std::uint8_t* codes) {
+  return detail::active_ops().encode_i8(row, n, codes);
+}
+
+void dot_i8_rows(const std::uint8_t* codes, std::size_t rows, std::size_t n,
+                 const std::int8_t* const* qs, std::size_t qn,
+                 std::int32_t* out) {
+  detail::active_ops().dot_i8_rows(codes, rows, n, qs, qn, out);
 }
 
 }  // namespace kernels

@@ -26,16 +26,23 @@
 //    tiling can change throughput but never a score bit (property-
 //    tested in tiled_scan_test).
 //
-//  * Runtime ISA dispatch: the same loop bodies are compiled twice —
-//    a baseline scalar TU and an AVX2 TU (-mavx2 -mf16c) — and a
+//  * Runtime ISA dispatch: the same loop bodies are compiled into a
+//    baseline scalar TU and AVX2 TUs (-mavx2 -mf16c, two of them also
+//    with AVX-VNNI or AVX512-VNNI for the integer first pass) — and a
 //    function-pointer table (KernelOps) picks one at startup via cpuid
-//    (the AVX2 table needs both AVX2 and F16C).  MCQA_KERNEL_ISA=
+//    (the AVX2 tables need both AVX2 and F16C).  MCQA_KERNEL_ISA=
 //    scalar|avx2 overrides the choice for testing; unavailable requests
-//    fail soft to scalar.  Because both TUs share one -ffp-contract=off
+//    fail soft to scalar.  Because every TU shares one -ffp-contract=off
 //    source, and F16C widening equals util::fp16_to_float on every
-//    code, every entry point is bit-identical across the two tables.
+//    code, every float entry point is bit-identical across the tables.
+//
+//  * The certified flat scan's integer first pass (encode_i8,
+//    dot_i8_rows): int8 row codes against int8 query codes, summed
+//    exactly in int32, so every body (scalar, AVX2 vpmaddwd, VNNI
+//    vpdpbusd) returns the same integers.
 
 #include <cstddef>
+#include <cstdint>
 #include <string_view>
 #include <vector>
 
@@ -105,14 +112,50 @@ void pq_lookup_tile(const std::uint8_t* codes, const float* const* tables,
                     std::size_t qn, std::size_t m, std::size_t ksub,
                     float* out);
 
+// --- integer first pass of the certified flat scan (DESIGN.md §10) ----------
+
+/// What encode_i8 reports about one row besides its codes.  The sums
+/// run in the fixed 8-lane order, so they are the same on every table.
+struct I8RowSums {
+  float scale = 0.0f;   ///< s = max|x| / 127 (0 for a zero row)
+  float sum_x2 = 0.0f;  ///< blocked float sum of x_i^2 (non-finite iff
+                        ///< the row holds a non-finite value)
+  float sum_e2 = 0.0f;  ///< blocked float sum of (x_i - fl(s * c_i))^2
+  /// Exact sum of c_i^2 (each of the eight int32 lane sums stays below
+  /// 2^31 for n <= 2^20, the largest dim a blob may declare).
+  std::int64_t sum_c2 = 0;
+};
+
+/// Codes of one fp16 row: c_i = round(x_i / s) clamped to [-127, 127],
+/// stored offset-binary (codes[i] = c_i + 128), plus the sums the scan's
+/// bound is built from.  A row holding a non-finite value gets all-zero
+/// codes (128) and a non-finite sum_x2.
+I8RowSums encode_i8(const util::fp16_t* row, std::size_t n,
+                    std::uint8_t* codes);
+
+/// Exact integer dots of `rows` consecutive offset-binary code rows
+/// (n bytes each) against qn (<= kTileQ) signed query code vectors:
+/// out[q * rows + r] = sum_i codes[r * n + i] * qs[q][i].  The caller
+/// subtracts 128 * sum_i qs[q][i] to get sum_i c_i * d_i.  Exact for
+/// n < 66,000 (255 * 127 * n < 2^31).
+void dot_i8_rows(const std::uint8_t* codes, std::size_t rows, std::size_t n,
+                 const std::int8_t* const* qs, std::size_t qn,
+                 std::int32_t* out);
+
 // --- runtime ISA dispatch ---------------------------------------------------
 
 enum class KernelIsa { kScalar, kAvx2 };
 
+/// Which instructions a table's dot_i8_rows runs: plain C++, AVX2
+/// vpmaddwd on widened codes, or vpdpbusd (AVX-VNNI or AVX512-VNNI).
+enum class Int8Body { kScalar, kAvx2, kVnni };
+
 /// One resolved kernel table: the free functions above forward through
 /// the active one.  Exposed so tests/benches can drive a specific ISA
-/// directly (ops_for) and compare tables bit-for-bit.
+/// directly (ops_for, usable_ops) and compare tables bit-for-bit.
 struct KernelOps {
+  KernelIsa isa;   ///< what the float kernels were compiled for
+  Int8Body int8;   ///< what dot_i8_rows runs
   float (*dot)(const float*, const float*, std::size_t);
   float (*l2_sq)(const float*, const float*, std::size_t);
   float (*dot_fp16)(const util::fp16_t*, const float*, std::size_t);
@@ -127,12 +170,20 @@ struct KernelOps {
                       std::size_t, float*);
   void (*pq_lookup_tile)(const std::uint8_t*, const float* const*,
                          std::size_t, std::size_t, std::size_t, float*);
+  I8RowSums (*encode_i8)(const util::fp16_t*, std::size_t, std::uint8_t*);
+  void (*dot_i8_rows)(const std::uint8_t*, std::size_t, std::size_t,
+                      const std::int8_t* const*, std::size_t, std::int32_t*);
 };
 
 /// Table for `isa`, or nullptr when it is unusable here (compiler had
 /// no -mavx2 -mf16c, or the CPU lacks AVX2 or F16C).  kScalar never
-/// fails.
+/// fails.  For kAvx2 it is the AVX2 table with the best integer body
+/// the CPU runs (VNNI when cpuid reports AVX-VNNI or AVX512-VNNI).
 const KernelOps* ops_for(KernelIsa isa);
+
+/// Every table this binary compiled and this CPU can run, scalar first:
+/// one per integer body, and both VNNI encodings when both are usable.
+std::vector<const KernelOps*> usable_ops();
 
 /// The ISA the free functions currently forward to.  Resolved once on
 /// first kernel call: MCQA_KERNEL_ISA=scalar|avx2 if set (unusable or
@@ -141,6 +192,12 @@ KernelIsa dispatched_isa();
 
 /// "scalar" / "avx2".
 std::string_view isa_name(KernelIsa isa);
+
+/// The integer body the active table runs.
+Int8Body dispatched_int8_body();
+
+/// "scalar" / "avx2" / "vnni".
+std::string_view int8_body_name(Int8Body body);
 
 /// Pure resolution rule (unit-testable): what dispatched_isa() would
 /// pick given an MCQA_KERNEL_ISA value (nullptr = unset) and whether
@@ -155,6 +212,9 @@ bool cpu_supports_avx2();
 /// Returns false — leaving dispatch unchanged — when `isa` is
 /// unusable.  Not safe to call concurrently with running kernels.
 bool set_dispatch_for_testing(KernelIsa isa);
+
+/// Same, for one table of usable_ops() (false on nullptr).
+bool set_dispatch_for_testing(const KernelOps* table);
 
 }  // namespace kernels
 

@@ -22,6 +22,12 @@ const KernelOps& scalar_ops();
 /// happens in ops_for(), not here.
 const KernelOps* avx2_ops();
 
+/// The AVX2 table whose integer first pass runs vpdpbusd in its VEX
+/// (AVX-VNNI) or EVEX (AVX512-VNNI + VL) encoding, or nullptr when the
+/// compiler could not target it.  Runtime gating is ops_for()'s.
+const KernelOps* avxvnni_ops();
+const KernelOps* avx512vnni_ops();
+
 /// The resolved dispatch table the public free functions forward to.
 const KernelOps& active_ops();
 

@@ -13,6 +13,12 @@
 // computed by the blocked fixed-lane-order kernels in kernels.hpp —
 // scores are bit-identical across runs, thread counts and build flags.
 //
+// FlatIndex answers through a certified scan (DESIGN.md §10): an exact
+// int8 first pass bounds every row's fp16 score from above, and only
+// rows whose bound reaches the query's current k-th score are scored
+// by dot_fp16.  The hits are the full fp16 scan's, id for id and bit
+// for bit.
+//
 // Serialization: every index saves to a version-stamped blob
 // (index_io.cpp).  Blobs load either resident (payload copied) or as a
 // borrowed view over caller-owned bytes — the mmap path (mmap_file.hpp)
@@ -27,6 +33,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -168,6 +175,16 @@ MappedIndex open_index_mmap(const std::string& path);
 
 // --- Flat ------------------------------------------------------------------
 
+/// Process-wide tallies of FlatIndex scans: queries answered, rows they
+/// covered, and rows the certified scan scored with dot_fp16.  Relaxed
+/// counters for reporting (reranked / queries is the rerank load).
+struct FlatScanCounts {
+  std::uint64_t queries = 0;
+  std::uint64_t rows = 0;
+  std::uint64_t reranked = 0;
+};
+FlatScanCounts flat_scan_counts();
+
 class FlatIndex final : public VectorIndex {
  public:
   explicit FlatIndex(std::size_t dim) : dim_(dim), data_(dim) {}
@@ -178,9 +195,11 @@ class FlatIndex final : public VectorIndex {
   std::size_t size() const override { return data_.size(); }
   void add(const embed::Vector& v) override;
   void add_batch(const std::vector<embed::Vector>& vs) override;
+  /// Certified scan of one query: the full fp16 scan's top-k.
   std::vector<SearchResult> search(const embed::Vector& query,
                                    std::size_t k) const override;
-  /// Tiled: each fp16 row is widened once per kTileQ queries.
+  /// Tiled: the int8 first pass reads each code row once per kTileQ
+  /// queries; each query then reranks its own candidates.
   void search_block(const std::vector<embed::Vector>& queries,
                     std::size_t begin, std::size_t end, std::size_t k,
                     std::vector<std::vector<SearchResult>>& out) const override;
@@ -190,6 +209,8 @@ class FlatIndex final : public VectorIndex {
   /// Payload views `blob` (caller keeps the bytes alive).
   static FlatIndex load_view(std::string_view blob);
 
+  /// The fp16 rows; the int8 codes derived from them are not persisted
+  /// and not counted.
   std::size_t payload_bytes() const override {
     return data_.value_count() * sizeof(util::fp16_t);
   }
@@ -205,10 +226,46 @@ class FlatIndex final : public VectorIndex {
  private:
   friend struct IndexIo;
 
-  float score_row(std::size_t row, const embed::Vector& q) const;
+  /// What the certified scan keeps per row, derived from the fp16 rows
+  /// (never persisted): int8 codes c = round(x / s_r) with
+  /// s_r = max|x| / 127, offset-binary (c + 128), and the bound's row
+  /// coefficients, each rounded up to float.
+  struct Codes {
+    std::vector<std::uint8_t> bytes;  ///< rows x dim
+    std::vector<float> scale;         ///< s_r
+    std::vector<float> alpha;         ///< >= |s_r c|
+    /// >= (rho_r + gamma |x|) (1 + 4u): the residual rho_r = |x - s_r c|
+    /// and the fp32 kernel's rounding both multiply |q|.
+    std::vector<float> slack;
+    float max_norm = 0.0f;  ///< >= max_r |x_r|
+    bool finite = true;     ///< no row holds a non-finite value
+
+    void reserve(std::size_t rows, std::size_t dim);
+    void append(const util::fp16_t* row, std::size_t dim);
+    static Codes of(const Fp16Rows& rows);
+  };
+
+  /// An mmap view's codes, derived on its first scan.  Shared by
+  /// copies, which view the same immutable rows.
+  struct ViewCodes {
+    std::once_flag once;
+    Codes codes;
+  };
+
+  const Codes& codes() const;
+  /// After a load: resident rows derive their codes now, a view on its
+  /// first scan.
+  void derive_codes();
+
+  /// The certified scan of qn (<= kTileQ) queries, on the calling
+  /// thread; out[q] receives query q's top-k.
+  void scan(const float* const* qs, std::size_t qn, std::size_t k,
+            std::vector<SearchResult>* out) const;
 
   std::size_t dim_;
   Fp16Rows data_;  ///< row-major FP16 at rest (resident or mmap view)
+  Codes codes_;    ///< resident rows: derived at add, add_batch and load
+  std::shared_ptr<ViewCodes> view_codes_;  ///< mmap views only
 };
 
 /// Exact ground truth for recall measurement: brute force over raw

@@ -1,15 +1,15 @@
 // Property tests for the tiled multi-query scan layer and the runtime
 // kernel ISA dispatch (DESIGN.md §18): single-query vs tiled vs SIMD
-// bit-identity for all four scoring kernels (random dims off the
-// kLanes/kTileQ multiples, ragged final tiles, every fp16 code through
-// both fp16 kernels on every table), TopK push-order
+// bit-identity for all four scoring kernels on every usable table
+// (random dims off the kLanes/kTileQ multiples, ragged final tiles,
+// every fp16 code through both fp16 kernels), TopK push-order
 // invariance (the property that makes cross-tile row regrouping safe),
 // tiled search_block == per-query search over flat/SQ8/IVF-PQ and an
 // mmap-opened blob, the grain-chunked search_batch at 1/2/8 threads,
 // and the serve-tier batch paths (ShardedStore, StoreSnapshot).
 //
-// Suites are named TiledScan* so the tsan preset's filter picks up the
-// concurrency-facing ones (CMakePresets.json).
+// The tsan preset runs the whole suite, so the concurrency-facing
+// cases here (search_batch, serve-tier batches) run under TSan too.
 
 #include <gtest/gtest.h>
 
@@ -74,14 +74,11 @@ void expect_same_results(const std::vector<SearchResult>& a,
   }
 }
 
-/// Every usable table: scalar always, AVX2 when compiled in and the
-/// CPU has it.
-std::vector<kernels::KernelIsa> usable_isas() {
-  std::vector<kernels::KernelIsa> out{kernels::KernelIsa::kScalar};
-  if (kernels::ops_for(kernels::KernelIsa::kAvx2) != nullptr) {
-    out.push_back(kernels::KernelIsa::kAvx2);
-  }
-  return out;
+/// "isa/int8" of a table: usable_ops() holds the scalar table, the
+/// plain AVX2 table and each VNNI variant of it the CPU runs.
+std::string table_name(const kernels::KernelOps& ops) {
+  return std::string(kernels::isa_name(ops.isa)) + "/" +
+         std::string(kernels::int8_body_name(ops.int8));
 }
 
 // Dims off the kLanes multiples on purpose: ragged lane tails must
@@ -92,8 +89,8 @@ const std::size_t kDims[] = {1, 3, 7, 8, 9, 16, 17, 31, 64, 96, 255, 256};
 
 TEST(TiledScanKernels, DotTileMatchesSingleQueryEveryIsaAndRaggedWidth) {
   util::Rng rng(501);
-  for (const kernels::KernelIsa isa : usable_isas()) {
-    const kernels::KernelOps& ops = *kernels::ops_for(isa);
+  for (const kernels::KernelOps* table : kernels::usable_ops()) {
+    const kernels::KernelOps& ops = *table;
     for (const std::size_t n : kDims) {
       const auto row = random_row(n, rng);
       std::vector<std::vector<float>> queries;
@@ -108,7 +105,7 @@ TEST(TiledScanKernels, DotTileMatchesSingleQueryEveryIsaAndRaggedWidth) {
         for (std::size_t q = 0; q < qn; ++q) {
           expect_bit_equal(out[q], ops.dot(row.data(), qs[q], n),
                            "dot_tile isa=" +
-                               std::string(kernels::isa_name(isa)) +
+                               table_name(ops) +
                                " n=" + std::to_string(n) +
                                " qn=" + std::to_string(qn));
         }
@@ -119,8 +116,8 @@ TEST(TiledScanKernels, DotTileMatchesSingleQueryEveryIsaAndRaggedWidth) {
 
 TEST(TiledScanKernels, DotFp16TileMatchesSingleQuery) {
   util::Rng rng(502);
-  for (const kernels::KernelIsa isa : usable_isas()) {
-    const kernels::KernelOps& ops = *kernels::ops_for(isa);
+  for (const kernels::KernelOps* table : kernels::usable_ops()) {
+    const kernels::KernelOps& ops = *table;
     for (const std::size_t n : kDims) {
       const auto raw = random_row(n, rng);
       std::vector<util::fp16_t> row(n);
@@ -137,7 +134,7 @@ TEST(TiledScanKernels, DotFp16TileMatchesSingleQuery) {
         for (std::size_t q = 0; q < qn; ++q) {
           expect_bit_equal(out[q], ops.dot_fp16(row.data(), qs[q], n),
                            "dot_fp16_tile isa=" +
-                               std::string(kernels::isa_name(isa)) +
+                               table_name(ops) +
                                " n=" + std::to_string(n) +
                                " qn=" + std::to_string(qn));
         }
@@ -168,19 +165,19 @@ TEST(TiledScanKernels, DotFp16EveryCodeEveryTable) {
       widened[pos] = util::fp16_to_float(row[pos]);
       const std::uint32_t want = std::bit_cast<std::uint32_t>(
           scalar.dot(widened.data(), unit.data(), kN));
-      for (const kernels::KernelIsa isa : usable_isas()) {
-        const kernels::KernelOps& ops = *kernels::ops_for(isa);
+      for (const kernels::KernelOps* table : kernels::usable_ops()) {
+        const kernels::KernelOps& ops = *table;
         EXPECT_EQ(std::bit_cast<std::uint32_t>(
                       ops.dot_fp16(row.data(), unit.data(), kN)),
                   want)
-            << "dot_fp16 isa=" << kernels::isa_name(isa) << " code=" << h
+            << "dot_fp16 isa=" << table_name(ops) << " code=" << h
             << " pos=" << pos;
         for (std::size_t qn = 1; qn <= kernels::kTileQ; ++qn) {
           float out[kernels::kTileQ];
           ops.dot_fp16_tile(row.data(), qs, qn, kN, out);
           for (std::size_t q = 0; q < qn; ++q) {
             EXPECT_EQ(std::bit_cast<std::uint32_t>(out[q]), want)
-                << "dot_fp16_tile isa=" << kernels::isa_name(isa)
+                << "dot_fp16_tile isa=" << table_name(ops)
                 << " code=" << h << " pos=" << pos << " qn=" << qn;
           }
         }
@@ -191,8 +188,8 @@ TEST(TiledScanKernels, DotFp16EveryCodeEveryTable) {
 
 TEST(TiledScanKernels, DotU8TileMatchesSingleQuery) {
   util::Rng rng(503);
-  for (const kernels::KernelIsa isa : usable_isas()) {
-    const kernels::KernelOps& ops = *kernels::ops_for(isa);
+  for (const kernels::KernelOps* table : kernels::usable_ops()) {
+    const kernels::KernelOps& ops = *table;
     for (const std::size_t n : kDims) {
       std::vector<std::uint8_t> codes(n);
       for (auto& c : codes) c = static_cast<std::uint8_t>(rng.bounded(256));
@@ -208,7 +205,7 @@ TEST(TiledScanKernels, DotU8TileMatchesSingleQuery) {
         for (std::size_t q = 0; q < qn; ++q) {
           expect_bit_equal(out[q], ops.dot_u8(codes.data(), ws[q], n),
                            "dot_u8_tile isa=" +
-                               std::string(kernels::isa_name(isa)) +
+                               table_name(ops) +
                                " n=" + std::to_string(n) +
                                " qn=" + std::to_string(qn));
         }
@@ -221,8 +218,8 @@ TEST(TiledScanKernels, PqLookupTileMatchesSingleQuery) {
   util::Rng rng(504);
   // Subquantizer counts off the lane multiples, small/odd ksub.
   const std::size_t kMs[] = {1, 3, 7, 8, 9, 16, 24};
-  for (const kernels::KernelIsa isa : usable_isas()) {
-    const kernels::KernelOps& ops = *kernels::ops_for(isa);
+  for (const kernels::KernelOps* table : kernels::usable_ops()) {
+    const kernels::KernelOps& ops = *table;
     for (const std::size_t m : kMs) {
       for (const std::size_t ksub : {std::size_t{5}, std::size_t{256}}) {
         std::vector<std::uint8_t> codes(m);
@@ -243,7 +240,7 @@ TEST(TiledScanKernels, PqLookupTileMatchesSingleQuery) {
             expect_bit_equal(out[q],
                              ops.pq_lookup(codes.data(), tabs[q], m, ksub),
                              "pq_lookup_tile isa=" +
-                                 std::string(kernels::isa_name(isa)) +
+                                 table_name(ops) +
                                  " m=" + std::to_string(m) +
                                  " qn=" + std::to_string(qn));
           }
@@ -256,48 +253,51 @@ TEST(TiledScanKernels, PqLookupTileMatchesSingleQuery) {
 // --- ISA dispatch ------------------------------------------------------------
 
 TEST(TiledScanIsa, ScalarAndAvx2TablesBitIdentical) {
-  const kernels::KernelOps* avx2 = kernels::ops_for(kernels::KernelIsa::kAvx2);
-  if (avx2 == nullptr) {
+  if (kernels::ops_for(kernels::KernelIsa::kAvx2) == nullptr) {
     GTEST_SKIP() << "AVX2 table unavailable on this host";
   }
   const kernels::KernelOps& scalar =
       *kernels::ops_for(kernels::KernelIsa::kScalar);
-  util::Rng rng(505);
-  for (const std::size_t n : kDims) {
-    const auto a = random_row(n, rng);
-    const auto b = random_row(n, rng);
-    std::vector<util::fp16_t> half(n);
-    std::vector<std::uint8_t> codes(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      half[i] = util::float_to_fp16(a[i]);
-      codes[i] = static_cast<std::uint8_t>(rng.bounded(256));
-    }
-    const std::string what = "isa-pair n=" + std::to_string(n);
-    expect_bit_equal(avx2->dot(a.data(), b.data(), n),
-                     scalar.dot(a.data(), b.data(), n), what);
-    expect_bit_equal(avx2->l2_sq(a.data(), b.data(), n),
-                     scalar.l2_sq(a.data(), b.data(), n), what);
-    expect_bit_equal(avx2->dot_fp16(half.data(), b.data(), n),
-                     scalar.dot_fp16(half.data(), b.data(), n), what);
-    expect_bit_equal(avx2->dot_u8(codes.data(), b.data(), n),
-                     scalar.dot_u8(codes.data(), b.data(), n), what);
-    // The fp16 tile at every width: the AVX2 table runs one body per
-    // width, the scalar table one loop over qn.
-    std::vector<std::vector<float>> queries;
-    const float* qs[kernels::kTileQ];
-    for (std::size_t q = 0; q < kernels::kTileQ; ++q) {
-      queries.push_back(random_row(n, rng));
-      qs[q] = queries[q].data();
-    }
-    for (std::size_t qn = 1; qn <= kernels::kTileQ; ++qn) {
-      float got[kernels::kTileQ];
-      float want[kernels::kTileQ];
-      avx2->dot_fp16_tile(half.data(), qs, qn, n, got);
-      scalar.dot_fp16_tile(half.data(), qs, qn, n, want);
-      for (std::size_t q = 0; q < qn; ++q) {
-        expect_bit_equal(got[q], want[q],
-                         what + " dot_fp16_tile qn=" + std::to_string(qn) +
-                             " q=" + std::to_string(q));
+  for (const kernels::KernelOps* avx2 : kernels::usable_ops()) {
+    if (avx2->isa == kernels::KernelIsa::kScalar) continue;
+    util::Rng rng(505);
+    for (const std::size_t n : kDims) {
+      const auto a = random_row(n, rng);
+      const auto b = random_row(n, rng);
+      std::vector<util::fp16_t> half(n);
+      std::vector<std::uint8_t> codes(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        half[i] = util::float_to_fp16(a[i]);
+        codes[i] = static_cast<std::uint8_t>(rng.bounded(256));
+      }
+      const std::string what =
+          "scalar vs " + table_name(*avx2) + " n=" + std::to_string(n);
+      expect_bit_equal(avx2->dot(a.data(), b.data(), n),
+                       scalar.dot(a.data(), b.data(), n), what);
+      expect_bit_equal(avx2->l2_sq(a.data(), b.data(), n),
+                       scalar.l2_sq(a.data(), b.data(), n), what);
+      expect_bit_equal(avx2->dot_fp16(half.data(), b.data(), n),
+                       scalar.dot_fp16(half.data(), b.data(), n), what);
+      expect_bit_equal(avx2->dot_u8(codes.data(), b.data(), n),
+                       scalar.dot_u8(codes.data(), b.data(), n), what);
+      // The fp16 tile at every width: the AVX2 table runs one body per
+      // width, the scalar table one loop over qn.
+      std::vector<std::vector<float>> queries;
+      const float* qs[kernels::kTileQ];
+      for (std::size_t q = 0; q < kernels::kTileQ; ++q) {
+        queries.push_back(random_row(n, rng));
+        qs[q] = queries[q].data();
+      }
+      for (std::size_t qn = 1; qn <= kernels::kTileQ; ++qn) {
+        float got[kernels::kTileQ];
+        float want[kernels::kTileQ];
+        avx2->dot_fp16_tile(half.data(), qs, qn, n, got);
+        scalar.dot_fp16_tile(half.data(), qs, qn, n, want);
+        for (std::size_t q = 0; q < qn; ++q) {
+          expect_bit_equal(got[q], want[q],
+                           what + " dot_fp16_tile qn=" + std::to_string(qn) +
+                               " q=" + std::to_string(q));
+        }
       }
     }
   }

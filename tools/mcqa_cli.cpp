@@ -109,6 +109,10 @@ int cmd_version() {
               std::getenv("MCQA_KERNEL_ISA") != nullptr
                   ? " (MCQA_KERNEL_ISA override)"
                   : "");
+  const std::string_view int8 =
+      index::kernels::int8_body_name(index::kernels::dispatched_int8_body());
+  std::printf("kernel int8:    %.*s\n", static_cast<int>(int8.size()),
+              int8.data());
   std::printf("kernel tile q:  %zu\n", index::kernels::kTileQ);
   std::printf("avx2 table:     %s\n",
               index::kernels::ops_for(KernelIsa::kAvx2) != nullptr
