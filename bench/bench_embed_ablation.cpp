@@ -13,7 +13,7 @@
 // Beyond the google-benchmark sweeps this binary:
 //   * verifies streaming == reference over the whole corpus sample,
 //   * verifies add_batch index save() blobs == sequential add() blobs
-//     for flat / SQ8 / IVF-PQ,
+//     for flat and IVF-PQ,
 //   * verifies VectorStore::add_batch query results == sequential at
 //     1/2/4/8 threads,
 //   * measures the content-hash embedding-cache hit rate on a repeated
@@ -174,11 +174,6 @@ bool batch_blobs_match_sequential(std::vector<std::string>* kinds_checked) {
     kinds_checked->push_back("flat");
   }
   {
-    const auto [seq, batch] = blob_pair([&] { return index::Sq8Index(dim); });
-    ok = ok && seq == batch;
-    kinds_checked->push_back("sq8");
-  }
-  {
     const auto [seq, batch] =
         blob_pair([&] { return index::IvfPqIndex(dim); });
     ok = ok && seq == batch;
@@ -313,7 +308,7 @@ int run_checks_and_report(bool smoke) {
       "%s\n",
       data().texts.size(), id_stream ? "PASS" : "FAIL");
   std::printf(
-      "shape check: add_batch save() blobs == sequential (flat/sq8/ivfpq): "
+      "shape check: add_batch save() blobs == sequential (flat/ivfpq): "
       "%s\n",
       id_blobs ? "PASS" : "FAIL");
   std::printf(

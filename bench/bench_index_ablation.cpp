@@ -1,5 +1,5 @@
 // Index ablation (A1 in DESIGN.md): recall@10, query throughput and
-// bytes/vector for flat / SQ8 / IVF-PQ indexes, reproducing the
+// bytes/vector for flat and IVF-PQ indexes, reproducing the
 // accuracy/speed/memory trade-off surface the paper delegates to FAISS.
 //
 // Two corpora:
@@ -7,7 +7,7 @@
 //     context (google-benchmark sweeps + the per-kind JSON entries), and
 //   * a clustered synthetic vector corpus (corpus/vector_corpus.hpp)
 //     scaled to ~1M rows — the sweep that actually separates the tiers:
-//     {flat, sq8, ivfpq} x {resident, mmap}, reporting QPS,
+//     {flat, ivfpq} x {resident, mmap}, reporting QPS,
 //     bytes/vector and recall@10 to BENCH_index.json.
 //
 // Flags (defaults reproduce the historic tracking numbers exactly):
@@ -18,14 +18,14 @@
 //   --smoke              shape checks on a shrunk (~2k-row) sweep; no
 //                        timing, no JSON (the ctest entry)
 //
-// Shape checks (smoke and full):
-//   * batched == sequential results at 1/2/8 threads, all three kinds,
-//   * SQ8/IVF-PQ with candidates covering the store are bit-identical
+// Shape checks (smoke and full; a full run exits non-zero when one
+// fails):
+//   * batched == sequential results at 1/2/8 threads, both kinds,
+//   * IVF-PQ with candidates covering the store is bit-identical
 //     (rows AND scores) to FlatIndex — the exact-rerank contract
 //     (smoke scale only; at 1M the covering scan would dwarf the sweep),
-//   * quantized recall@10 >= 0.95 after rerank,
-//   * IVF-PQ scan payload <= 0.35x flat bytes/vector (SQ8 is 0.5x by
-//     construction: 1 byte/dim vs fp16's 2),
+//   * IVF-PQ recall@10 >= 0.95 after rerank,
+//   * IVF-PQ scan payload <= 0.35x flat bytes/vector,
 //   * mmap variants open without copying (payload stays a view:
 //     mmap_backed()) and return results bit-identical to the resident
 //     index.
@@ -156,8 +156,6 @@ std::unique_ptr<index::VectorIndex> make_kind(index::IndexKind kind,
   switch (kind) {
     case index::IndexKind::kFlat:
       return std::make_unique<index::FlatIndex>(dim);
-    case index::IndexKind::kSq8:
-      return std::make_unique<index::Sq8Index>(dim);
     case index::IndexKind::kIvfPq: {
       index::IvfPqConfig cfg;
       cfg.nlist = 64;
@@ -168,8 +166,8 @@ std::unique_ptr<index::VectorIndex> make_kind(index::IndexKind kind,
   return nullptr;
 }
 
-constexpr index::IndexKind kAllKinds[] = {
-    index::IndexKind::kFlat, index::IndexKind::kSq8, index::IndexKind::kIvfPq};
+constexpr index::IndexKind kAllKinds[] = {index::IndexKind::kFlat,
+                                           index::IndexKind::kIvfPq};
 
 void BM_FlatSearch(benchmark::State& state) {
   run_search_bench(state, [] {
@@ -180,20 +178,6 @@ void BM_FlatSearch(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_FlatSearch);
-
-void BM_Sq8Search(benchmark::State& state) {
-  const auto oversample = static_cast<std::size_t>(state.range(0));
-  run_search_bench(state, [oversample] {
-    index::Sq8Config cfg;
-    cfg.oversample = oversample;
-    auto idx =
-        std::make_unique<index::Sq8Index>(data().base[0].size(), cfg);
-    for (const auto& v : data().base) idx->add(v);
-    idx->build();
-    return idx;
-  });
-}
-BENCHMARK(BM_Sq8Search)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_IvfPqSearch(benchmark::State& state) {
   const auto nprobe = static_cast<std::size_t>(state.range(0));
@@ -632,11 +616,6 @@ std::unique_ptr<index::VectorIndex> make_sweep_index(index::IndexKind kind,
   switch (kind) {
     case index::IndexKind::kFlat:
       return std::make_unique<index::FlatIndex>(sc.dim);
-    case index::IndexKind::kSq8: {
-      index::Sq8Config cfg;
-      cfg.oversample = 16;
-      return std::make_unique<index::Sq8Index>(sc.dim, cfg);
-    }
     case index::IndexKind::kIvfPq: {
       index::IvfPqConfig cfg;
       cfg.nlist = sweep_nlist(sc.rows);
@@ -789,52 +768,34 @@ SweepOutcome run_sweep(const SweepConfig& sc, bool timing) {
     }
 
     // Quantized-tier checks: recall floor and memory envelope.
-    if (kind == index::IndexKind::kSq8 || kind == index::IndexKind::kIvfPq) {
-      std::snprintf(label, sizeof(label), "%s: recall@10 >= 0.95",
-                    std::string(index::index_kind_name(kind)).c_str());
-      out.checks_pass &= check(recall >= 0.95, label);
-    }
-    if (kind == index::IndexKind::kIvfPq && have_truth) {
+    if (kind != index::IndexKind::kIvfPq) continue;
+    out.checks_pass &= check(recall >= 0.95, "ivfpq: recall@10 >= 0.95");
+    if (have_truth) {
       out.checks_pass &= check(bytes_per_vec <= 0.35 * flat_bytes_per_vec,
                                "ivfpq: scan payload <= 0.35x flat");
     }
-    if (kind == index::IndexKind::kSq8 && have_truth) {
-      out.checks_pass &= check(bytes_per_vec <= 0.52 * flat_bytes_per_vec,
-                               "sq8: scan payload <= 0.52x flat");
-    }
 
     // Exact-rerank bit-identity under full candidate coverage.
-    if (sc.check_rerank_identity &&
-        (kind == index::IndexKind::kSq8 ||
-         kind == index::IndexKind::kIvfPq)) {
-      std::unique_ptr<index::VectorIndex> covering;
-      if (kind == index::IndexKind::kSq8) {
-        index::Sq8Config cfg;
-        cfg.min_candidates = sc.rows;
-        covering = std::make_unique<index::Sq8Index>(sc.dim, cfg);
-      } else {
-        index::IvfPqConfig cfg;
-        cfg.nlist = sweep_nlist(sc.rows);
-        cfg.nprobe = sc.rows;  // probe everything
-        cfg.ksub = 64;
-        cfg.min_candidates = sc.rows;
-        covering = std::make_unique<index::IvfPqIndex>(sc.dim, cfg);
-      }
+    if (sc.check_rerank_identity) {
+      index::IvfPqConfig cfg;
+      cfg.nlist = sweep_nlist(sc.rows);
+      cfg.nprobe = sc.rows;  // probe everything
+      cfg.ksub = 64;
+      cfg.min_candidates = sc.rows;
+      index::IvfPqIndex covering(sc.dim, cfg);
       for (std::size_t at = 0; at < sc.rows; at += kBlock) {
-        covering->add_batch(vc.block(at, std::min(sc.rows, at + kBlock),
-                                     pool));
+        covering.add_batch(vc.block(at, std::min(sc.rows, at + kBlock),
+                                    pool));
       }
-      covering->build(pool);
+      covering.build(pool);
       bool identical = true;
       for (std::size_t j = 0; j < queries.size(); ++j) {
         identical = identical &&
-                    results_equal(covering->search(queries[j], sc.k),
+                    results_equal(covering.search(queries[j], sc.k),
                                   truth[j]);
       }
-      std::snprintf(label, sizeof(label),
-                    "%s: covering rerank == FlatIndex bit-identical",
-                    std::string(index::index_kind_name(kind)).c_str());
-      out.checks_pass &= check(identical, label);
+      out.checks_pass &=
+          check(identical, "ivfpq: covering rerank == FlatIndex bit-identical");
     }
   }
   out.report["indexes"] = json::Value(std::move(entries));
@@ -900,7 +861,10 @@ int run_smoke() {
   return pass ? 0 : 1;
 }
 
-void write_bench_json() {
+/// The full run: writes BENCH_index.json and returns whether every
+/// check passed (per-kind determinism, the width sweep with its
+/// per-table digests, and the synthetic sweep).
+bool write_bench_json() {
   const std::size_t dim = data().base[0].size();
   parallel::ThreadPool pool;  // machine-sized
 
@@ -994,6 +958,7 @@ void write_bench_json() {
   std::printf("sweep shape checks: %s\n",
               sweep.checks_pass ? "PASS" : "FAIL");
   std::printf("wrote BENCH_index.json\n");
+  return all_deterministic && sweep.checks_pass;
 }
 
 }  // namespace
@@ -1003,8 +968,8 @@ int main(int argc, char** argv) {
   const bool smoke = mcqa::bench::parse_args(&argc, argv);
   std::printf(
       "Index ablation (A1): recall@10 vs throughput vs bytes/vector — "
-      "flat plus the quantized tier (SQ8, IVF-PQ with exact fp16 "
-      "rerank), resident and mmap.\n"
+      "flat plus the quantized tier (IVF-PQ with exact fp16 rerank), "
+      "resident and mmap.\n"
       "Similarity kernels: blocked fixed-lane-order (see DESIGN.md); "
       "top-k via bounded heap; batched path fans across the thread "
       "pool.\n\n");
@@ -1012,6 +977,5 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  write_bench_json();
-  return 0;
+  return write_bench_json() ? 0 : 1;
 }

@@ -174,9 +174,7 @@ json::Array check_live_epoch_identity(
     const std::vector<qgen::McqRecord>& records) {
   const embed::Embedder& embedder = ctx.chunk_store().embedder();
   serve::LiveStoreConfig lcfg;
-  lcfg.compact_kind = index::IndexKind::kSq8;
   lcfg.compact_threshold = 48;
-  lcfg.min_candidates = 1u << 20;  // candidate floor covers any base: exact
   serve::LiveStore live(ctx.chunk_store(), lcfg);
 
   const std::size_t ticks = bench::smoke() ? 6 : 16;

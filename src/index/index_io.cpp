@@ -3,8 +3,8 @@
 // (indexes are a cache, not an interchange format — the canonical
 // artifacts are the JSON records).
 //
-// The three formats (flatidx2, sq8idx1, ivfpqidx1) zero-pad every bulk
-// payload block to an 8-byte offset from the blob start.  The pad is
+// Both formats (flatidx2, ivfpqidx1) zero-pad every bulk payload block
+// to an 8-byte offset from the blob start.  The pad is
 // recomputed from the stream position on both sides — nothing variable
 // is stored — and buys view-mode loads: when the blob is a whole mapped
 // file (page-aligned base), every float/fp16/u8 payload is naturally
@@ -13,7 +13,8 @@
 // copy — view mode is an optimization, never a correctness knob.
 //
 // Anything else — unknown magic, truncated payload, out-of-range
-// structure or PQ codes — throws from load_index() and returns nullptr
+// structure or PQ codes, IVF-PQ lists that do not hold each row exactly
+// once — throws from load_index() and returns nullptr
 // from try_load_index(), which the checkpoint restore path treats as a
 // corrupt-blob miss and rebuilds from scratch.  Older formats need no
 // reader: every checkpoint key chains core::code_fingerprint(), so a
@@ -112,18 +113,6 @@ TypedRows<T> take_block(std::string_view blob, std::size_t& pos,
   return out;
 }
 
-void put_float_vec(std::string& out, const std::vector<float>& v) {
-  put_bytes(out, v.data(), v.size() * sizeof(float));
-}
-
-std::vector<float> take_float_vec(std::string_view blob, std::size_t& pos,
-                                  std::size_t n) {
-  const char* p = take_bytes(blob, pos, n * sizeof(float));
-  std::vector<float> v(n);
-  if (n > 0) std::memcpy(v.data(), p, n * sizeof(float));
-  return v;
-}
-
 bool has_magic(std::string_view blob, std::string_view magic) {
   return blob.substr(0, magic.size()) == magic;
 }
@@ -161,44 +150,6 @@ struct IndexIo {
     FlatIndex idx(dim);
     idx.data_ = take_block<util::fp16_t>(blob, pos, rows, dim, view);
     idx.derive_codes();
-    return idx;
-  }
-
-  // --- SQ8 -------------------------------------------------------------------
-
-  static std::string save_sq8(const Sq8Index& idx) {
-    if (!idx.built_) {
-      throw std::logic_error("Sq8Index::save: build() the index first");
-    }
-    std::string out = "sq8idx1\n";
-    put_u64(out, idx.dim_);
-    put_u64(out, idx.config_.oversample);
-    put_u64(out, idx.config_.min_candidates);
-    put_u64(out, idx.rows_.size());
-    put_float_vec(out, idx.min_);
-    put_float_vec(out, idx.scale_);
-    put_block(out, idx.codes_);
-    put_block(out, idx.rows_);
-    return out;
-  }
-
-  static Sq8Index load_sq8(std::string_view blob, bool view) {
-    constexpr std::string_view kMagic = "sq8idx1\n";
-    if (!has_magic(blob, kMagic)) {
-      throw std::runtime_error("Sq8Index::load: bad magic");
-    }
-    std::size_t pos = kMagic.size();
-    const std::size_t dim = checked_dim(take_u64(blob, pos));
-    Sq8Config cfg;
-    cfg.oversample = take_u64(blob, pos);
-    cfg.min_candidates = take_u64(blob, pos);
-    const std::size_t n = take_u64(blob, pos);
-    Sq8Index idx(dim, cfg);
-    idx.min_ = take_float_vec(blob, pos, dim);
-    idx.scale_ = take_float_vec(blob, pos, dim);
-    idx.codes_ = take_block<std::uint8_t>(blob, pos, n, dim, view);
-    idx.rows_ = take_block<util::fp16_t>(blob, pos, n, dim, view);
-    idx.built_ = true;
     return idx;
   }
 
@@ -266,16 +217,31 @@ struct IndexIo {
       }
     }
     idx.rows_ = take_block<util::fp16_t>(blob, pos, n, dim, view);
+    // The lists must partition the rows: search_block's rerank gives
+    // each row one slot per querying tile member, so a row listed twice
+    // would overrun it.  One pass over a row bitmap (n is bounded by
+    // the code block above).
+    std::vector<bool> listed(n, false);
+    std::size_t listed_count = 0;
     idx.lists_.resize(nlist);
     for (std::size_t c = 0; c < nlist; ++c) {
       const std::size_t len = take_u64(blob, pos);
-      if (len > n) throw std::runtime_error("IvfPqIndex::load: bad list");
+      if (len > n - listed_count) {
+        throw std::runtime_error("IvfPqIndex::load: bad list");
+      }
       idx.lists_[c].reserve(len);
       for (std::size_t i = 0; i < len; ++i) {
         const std::uint64_t row = take_u64(blob, pos);
-        if (row >= n) throw std::runtime_error("IvfPqIndex::load: bad row");
+        if (row >= n || listed[row]) {
+          throw std::runtime_error("IvfPqIndex::load: bad row");
+        }
+        listed[row] = true;
         idx.lists_[c].push_back(static_cast<std::uint32_t>(row));
       }
+      listed_count += len;
+    }
+    if (listed_count != n) {
+      throw std::runtime_error("IvfPqIndex::load: unlisted row");
     }
     idx.built_ = true;
     return idx;
@@ -290,14 +256,6 @@ FlatIndex FlatIndex::load(std::string_view blob) {
 }
 FlatIndex FlatIndex::load_view(std::string_view blob) {
   return IndexIo::load_flat(blob, /*view=*/true);
-}
-
-std::string Sq8Index::save() const { return IndexIo::save_sq8(*this); }
-Sq8Index Sq8Index::load(std::string_view blob) {
-  return IndexIo::load_sq8(blob, /*view=*/false);
-}
-Sq8Index Sq8Index::load_view(std::string_view blob) {
-  return IndexIo::load_sq8(blob, /*view=*/true);
 }
 
 std::string IvfPqIndex::save() const { return IndexIo::save_ivfpq(*this); }
@@ -315,9 +273,6 @@ namespace {
 std::unique_ptr<VectorIndex> load_dispatch(std::string_view blob, bool view) {
   if (has_magic(blob, "flatidx2\n")) {
     return std::make_unique<FlatIndex>(IndexIo::load_flat(blob, view));
-  }
-  if (has_magic(blob, "sq8idx1\n")) {
-    return std::make_unique<Sq8Index>(IndexIo::load_sq8(blob, view));
   }
   if (has_magic(blob, "ivfpqidx1\n")) {
     return std::make_unique<IvfPqIndex>(IndexIo::load_ivfpq(blob, view));

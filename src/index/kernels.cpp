@@ -179,10 +179,6 @@ float dot_fp16(const util::fp16_t* a, const float* b, std::size_t n) {
   return detail::active_ops().dot_fp16(a, b, n);
 }
 
-float dot_u8(const std::uint8_t* codes, const float* w, std::size_t n) {
-  return detail::active_ops().dot_u8(codes, w, n);
-}
-
 float pq_lookup(const std::uint8_t* codes, const float* tables,
                 std::size_t m, std::size_t ksub) {
   return detail::active_ops().pq_lookup(codes, tables, m, ksub);
@@ -196,11 +192,6 @@ void dot_tile(const float* row, const float* const* qs, std::size_t qn,
 void dot_fp16_tile(const util::fp16_t* row, const float* const* qs,
                    std::size_t qn, std::size_t n, float* out) {
   detail::active_ops().dot_fp16_tile(row, qs, qn, n, out);
-}
-
-void dot_u8_tile(const std::uint8_t* codes, const float* const* ws,
-                 std::size_t qn, std::size_t n, float* out) {
-  detail::active_ops().dot_u8_tile(codes, ws, qn, n, out);
 }
 
 void pq_lookup_tile(const std::uint8_t* codes, const float* const* tables,

@@ -20,8 +20,8 @@
 //
 //  * Tiled multi-query variants (`*_tile`): score one row against a
 //    block of up to kTileQ queries in a single pass, loading /
-//    fp16-widening / SQ8-decoding / ADC-indexing the row ONCE per tile
-//    instead of once per query.  Each query's accumulator sees exactly
+//    fp16-widening / ADC-indexing the row ONCE per tile instead of
+//    once per query.  Each query's accumulator sees exactly
 //    the per-element operation sequence of the single-query kernel, so
 //    tiling can change throughput but never a score bit (property-
 //    tested in tiled_scan_test).
@@ -73,13 +73,6 @@ float l2_sq(const float* a, const float* b, std::size_t n);
 /// (scalar table), both bit-identical to util::fp16_to_float.
 float dot_fp16(const util::fp16_t* a, const float* b, std::size_t n);
 
-/// Fused uint8-decode + blocked inner product for the SQ8 tier:
-/// sum_i float(codes[i]) * w[i] in the fixed 8-lane order.  Callers
-/// fold the per-dimension scale into `w` (w[d] = scale[d] * q[d]) and
-/// add the query-constant bias dot(min, q) afterwards, so the scan
-/// itself is one widening multiply-add per element.
-float dot_u8(const std::uint8_t* codes, const float* w, std::size_t n);
-
 /// PQ asymmetric-distance lookup: sum_{j<m} tables[j * ksub + codes[j]]
 /// in the fixed 8-lane order.  `tables` is the per-query score table
 /// laid out [subquantizer][centroid].
@@ -101,10 +94,6 @@ void dot_tile(const float* row, const float* const* qs, std::size_t qn,
 /// out[q] = dot_fp16(row, qs[q], n) — the row is widened once.
 void dot_fp16_tile(const util::fp16_t* row, const float* const* qs,
                    std::size_t qn, std::size_t n, float* out);
-
-/// out[q] = dot_u8(codes, ws[q], n) — the codes are widened once.
-void dot_u8_tile(const std::uint8_t* codes, const float* const* ws,
-                 std::size_t qn, std::size_t n, float* out);
 
 /// out[q] = pq_lookup(codes, tables[q], m, ksub) — code bytes and table
 /// offsets are computed once per tile.
@@ -159,15 +148,12 @@ struct KernelOps {
   float (*dot)(const float*, const float*, std::size_t);
   float (*l2_sq)(const float*, const float*, std::size_t);
   float (*dot_fp16)(const util::fp16_t*, const float*, std::size_t);
-  float (*dot_u8)(const std::uint8_t*, const float*, std::size_t);
   float (*pq_lookup)(const std::uint8_t*, const float*, std::size_t,
                      std::size_t);
   void (*dot_tile)(const float*, const float* const*, std::size_t,
                    std::size_t, float*);
   void (*dot_fp16_tile)(const util::fp16_t*, const float* const*,
                         std::size_t, std::size_t, float*);
-  void (*dot_u8_tile)(const std::uint8_t*, const float* const*, std::size_t,
-                      std::size_t, float*);
   void (*pq_lookup_tile)(const std::uint8_t*, const float* const*,
                          std::size_t, std::size_t, std::size_t, float*);
   I8RowSums (*encode_i8)(const util::fp16_t*, std::size_t, std::uint8_t*);

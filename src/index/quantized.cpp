@@ -1,7 +1,6 @@
 #include "index/quantized.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "index/kmeans.hpp"
@@ -72,156 +71,6 @@ void rerank_tile(const Fp16Rows& rows, std::size_t dim,
 }
 
 }  // namespace
-
-// --- Sq8Index ----------------------------------------------------------------
-
-Sq8Index::Sq8Index(std::size_t dim, Sq8Config config)
-    : dim_(dim), config_(config), rows_(dim), codes_(dim) {}
-
-void Sq8Index::add(const embed::Vector& v) {
-  if (v.size() != dim_) throw std::invalid_argument("Sq8Index::add: dim");
-  for (const float x : v) rows_.push_value(util::float_to_fp16(x));
-  built_ = false;
-}
-
-void Sq8Index::add_batch(const std::vector<embed::Vector>& vs) {
-  rows_.reserve(rows_.size() + vs.size());
-  for (const auto& v : vs) add(v);
-}
-
-void Sq8Index::build() { build(parallel::ThreadPool::global()); }
-
-void Sq8Index::build(parallel::ThreadPool& pool) {
-  const std::size_t n = rows_.size();
-  // Per-dimension affine range over the fp16-widened values (the same
-  // values the rerank pass sees), scanned sequentially in row order so
-  // the params never depend on thread count.
-  min_.assign(dim_, 0.0f);
-  scale_.assign(dim_, 0.0f);
-  std::vector<float> max_v(dim_, 0.0f);
-  for (std::size_t i = 0; i < n; ++i) {
-    const util::fp16_t* row = rows_.row(i);
-    for (std::size_t d = 0; d < dim_; ++d) {
-      const float x = util::fp16_to_float(row[d]);
-      if (i == 0 || x < min_[d]) min_[d] = x;
-      if (i == 0 || x > max_v[d]) max_v[d] = x;
-    }
-  }
-  std::vector<float> inv_scale(dim_, 0.0f);
-  for (std::size_t d = 0; d < dim_; ++d) {
-    scale_[d] = (max_v[d] - min_[d]) / 255.0f;
-    inv_scale[d] = scale_[d] > 0.0f ? 1.0f / scale_[d] : 0.0f;
-  }
-
-  // Encode rows in parallel: each row writes its own pre-sized slot, so
-  // the codes are byte-identical at any thread count.
-  codes_ = CodeRows(dim_);
-  codes_.resize_rows(n);
-  std::uint8_t* base = n > 0 ? codes_.mutable_raw() : nullptr;
-  parallel::parallel_for(pool, 0, n, [&](std::size_t i) {
-    const util::fp16_t* row = rows_.row(i);
-    std::uint8_t* dst = base + i * dim_;
-    for (std::size_t d = 0; d < dim_; ++d) {
-      const float x = util::fp16_to_float(row[d]);
-      const long q = std::lround((x - min_[d]) * inv_scale[d]);
-      dst[d] = static_cast<std::uint8_t>(std::clamp<long>(q, 0, 255));
-    }
-  });
-  built_ = true;
-}
-
-embed::Vector Sq8Index::decode(std::size_t row) const {
-  embed::Vector out(dim_);
-  const std::uint8_t* codes = codes_.row(row);
-  for (std::size_t d = 0; d < dim_; ++d) {
-    out[d] = min_[d] + scale_[d] * static_cast<float>(codes[d]);
-  }
-  return out;
-}
-
-std::vector<SearchResult> Sq8Index::approx_candidates(
-    const embed::Vector& query, std::size_t count) const {
-  if (!built_) {
-    throw std::logic_error("Sq8Index::search called before build()");
-  }
-  const std::size_t n = size();
-  if (n == 0) return {};
-  // score = dot(min, q) + sum_d code[d] * (scale[d] * q[d]): fold the
-  // scale into a per-query weight vector once, scan codes with the
-  // fused decode-and-dot kernel.
-  auto& w = float_scratch();
-  w.resize(dim_);
-  for (std::size_t d = 0; d < dim_; ++d) w[d] = scale_[d] * query[d];
-  const float bias = kernels::dot(min_.data(), query.data(), dim_);
-
-  TopK top(std::min(count, n));
-  for (std::size_t row = 0; row < n; ++row) {
-    top.push(row, bias + kernels::dot_u8(codes_.row(row), w.data(), dim_));
-  }
-  return top.take_sorted();
-}
-
-std::vector<SearchResult> Sq8Index::search(const embed::Vector& query,
-                                           std::size_t k) const {
-  const std::size_t n = size();
-  const auto cands = approx_candidates(
-      query,
-      candidate_count(k, config_.oversample, config_.min_candidates, n));
-  // Exact rerank: same fp16 bits, same kernel, same comparator as
-  // FlatIndex — bit-identical output whenever `cands` covers the true
-  // top-k.
-  TopK exact(std::min(k, n));
-  for (const auto& cand : cands) {
-    exact.push(cand.row,
-               kernels::dot_fp16(rows_.row(cand.row), query.data(), dim_));
-  }
-  return exact.take_sorted();
-}
-
-void Sq8Index::search_block(
-    const std::vector<embed::Vector>& queries, std::size_t begin,
-    std::size_t end, std::size_t k,
-    std::vector<std::vector<SearchResult>>& out) const {
-  if (!built_) {
-    throw std::logic_error("Sq8Index::search called before build()");
-  }
-  const std::size_t n = size();
-  if (n == 0) {
-    for (std::size_t i = begin; i < end; ++i) out[i] = {};
-    return;
-  }
-  constexpr std::size_t kQ = kernels::kTileQ;
-  const std::size_t count =
-      candidate_count(k, config_.oversample, config_.min_candidates, n);
-  std::vector<float> w(kQ * dim_);
-  std::vector<TopK> approx(kQ, TopK(0));
-  const float* ws[kQ];
-  const float* qs[kQ];
-  float bias[kQ];
-  float scores[kQ];
-  for (std::size_t t = begin; t < end; t += kQ) {
-    const std::size_t qn = std::min(kQ, end - t);
-    for (std::size_t qi = 0; qi < qn; ++qi) {
-      const embed::Vector& q = queries[t + qi];
-      qs[qi] = q.data();
-      float* wq = w.data() + qi * dim_;
-      for (std::size_t d = 0; d < dim_; ++d) wq[d] = scale_[d] * q[d];
-      ws[qi] = wq;
-      bias[qi] = kernels::dot(min_.data(), q.data(), dim_);
-      approx[qi].reset(std::min(count, n));
-    }
-    // One pass over the codes: each row is decoded once per tile, and
-    // every member's score is bias + dot_u8 exactly as in the
-    // per-query approx_candidates scan.
-    for (std::size_t row = 0; row < n; ++row) {
-      kernels::dot_u8_tile(codes_.row(row), ws, qn, dim_, scores);
-      for (std::size_t qi = 0; qi < qn; ++qi) {
-        approx[qi].push(row, bias[qi] + scores[qi]);
-      }
-    }
-    rerank_tile(rows_, dim_, qs, qn, approx, std::min(k, n), out, t);
-  }
-}
 
 // --- IvfPqIndex --------------------------------------------------------------
 

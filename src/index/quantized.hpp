@@ -1,7 +1,6 @@
 #pragma once
-// Quantized index tier: SQ8 (scalar quantization, 1 byte/dim) and
-// IVF-PQ (inverted lists over product-quantized codes, m bytes/row),
-// both followed by an exact FP16 rerank pass.
+// Quantized index tier: IVF-PQ (inverted lists over product-quantized
+// codes, m bytes/row), followed by an exact FP16 rerank pass.
 //
 // Rerank contract (property-tested): the approximate scan only selects
 // an oversampled candidate set — max(min_candidates, k * oversample)
@@ -19,10 +18,9 @@
 // byte-identical across 1/2/8 threads and across add() vs add_batch()
 // construction.
 //
-// Memory accounting (bytes/vector in the ablation bench): SQ8 scans
-// 1 byte/dim codes (0.5x the FP16 flat payload), IVF-PQ scans m-byte
-// codes plus amortized centroids/codebooks (<= 0.35x flat at the 1M
-// scale).  The FP16 rerank source is reported separately
+// Memory accounting (bytes/vector in the ablation bench): IVF-PQ scans
+// m-byte codes plus amortized centroids/codebooks (<= 0.35x flat at the
+// 1M scale).  The FP16 rerank source is reported separately
 // (rerank_bytes()); under mmap those pages stay cold except for the
 // few candidate rows each query touches.
 
@@ -33,88 +31,6 @@
 #include "index/vector_index.hpp"
 
 namespace mcqa::index {
-
-struct Sq8Config {
-  /// Candidate set size = max(min_candidates, k * oversample), clamped
-  /// to the store size.
-  std::size_t oversample = 4;
-  std::size_t min_candidates = 64;
-};
-
-/// Scalar-quantized index: per-dimension affine codes
-/// code[d] = round((x[d] - min[d]) / scale[d]) in [0, 255], scanned by
-/// the fused kernels::dot_u8 decode-and-dot, then exact-reranked.
-class Sq8Index final : public VectorIndex {
- public:
-  explicit Sq8Index(std::size_t dim, Sq8Config config = {});
-
-  std::string_view name() const override { return "sq8"; }
-  IndexKind kind() const override { return IndexKind::kSq8; }
-  std::size_t dim() const override { return dim_; }
-  std::size_t size() const override { return rows_.size(); }
-  void add(const embed::Vector& v) override;
-  void add_batch(const std::vector<embed::Vector>& vs) override;
-  void build() override;
-  void build(parallel::ThreadPool& pool) override;
-  std::vector<SearchResult> search(const embed::Vector& query,
-                                   std::size_t k) const override;
-  /// Tiled: codes are widened once per kTileQ queries on the approx
-  /// scan, and the rerank scores each candidate row once per querying
-  /// tile member (bit-identical — see DESIGN.md §18).
-  void search_block(const std::vector<embed::Vector>& queries,
-                    std::size_t begin, std::size_t end, std::size_t k,
-                    std::vector<std::vector<SearchResult>>& out) const override;
-
-  std::string save() const override;
-  static Sq8Index load(std::string_view blob);
-  /// Codes and rerank rows view `blob` (caller keeps the bytes alive).
-  static Sq8Index load_view(std::string_view blob);
-
-  std::size_t payload_bytes() const override {
-    return codes_.value_count() * sizeof(std::uint8_t) +
-           2 * dim_ * sizeof(float);  // min + scale
-  }
-  std::size_t rerank_bytes() const override {
-    return rows_.value_count() * sizeof(util::fp16_t);
-  }
-  bool mmap_backed() const override { return codes_.is_view(); }
-
-  void set_oversample(std::size_t oversample) {
-    config_.oversample = oversample;
-  }
-  /// Raise the candidate floor — with min_candidates >= size() the scan
-  /// covers the store and results are bit-identical to FlatIndex.
-  void set_min_candidates(std::size_t min_candidates) {
-    config_.min_candidates = min_candidates;
-  }
-
-  // --- introspection (tests / round-trip error bounds) -----------------------
-
-  /// Per-dimension quantization params (valid after build()).
-  float min_of(std::size_t d) const { return min_[d]; }
-  float scale_of(std::size_t d) const { return scale_[d]; }
-  /// Decoded (dequantized) row — |decode(d) - fp16(x[d])| <= scale[d]/2
-  /// + half-ulp, the SQ8 round-trip bound.
-  embed::Vector decode(std::size_t row) const;
-  const CodeRows& codes() const { return codes_; }
-  const Fp16Rows& rows() const { return rows_; }
-
-  /// Approximate candidate rows (pre-rerank), best first — exposed so
-  /// tests can check the rerank contract's coverage condition directly.
-  std::vector<SearchResult> approx_candidates(const embed::Vector& query,
-                                              std::size_t count) const;
-
- private:
-  friend struct IndexIo;
-
-  std::size_t dim_;
-  Sq8Config config_;
-  bool built_ = false;
-  Fp16Rows rows_;    ///< exact-rerank source, same bits as FlatIndex
-  CodeRows codes_;   ///< 1 byte/dim affine codes
-  std::vector<float> min_;    ///< per-dimension code-0 value
-  std::vector<float> scale_;  ///< per-dimension step ((max-min)/255)
-};
 
 struct IvfPqConfig {
   std::size_t nlist = 64;   ///< coarse cells

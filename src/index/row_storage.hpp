@@ -18,7 +18,7 @@
 // Instantiations: RowStorage (float rows: IVF-PQ centroids and
 // codebooks, k-means training data), Fp16Rows (fp16-at-rest rows:
 // FlatIndex payload and the quantized tier's exact-rerank source),
-// CodeRows (uint8 codes of the SQ8/PQ tier).
+// CodeRows (uint8 codes of the IVF-PQ tier).
 
 #include <cstdint>
 #include <cstring>

@@ -16,8 +16,6 @@ std::string_view index_kind_name(IndexKind kind) {
   switch (kind) {
     case IndexKind::kFlat:
       return "flat";
-    case IndexKind::kSq8:
-      return "sq8";
     case IndexKind::kIvfPq:
       return "ivfpq";
   }

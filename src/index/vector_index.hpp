@@ -1,10 +1,9 @@
 #pragma once
 // Vector similarity indexes (FAISS-equivalent substrate).
 //
-// Three implementations with the classic accuracy/speed/memory
-// trade-offs:
+// Two implementations with the classic accuracy/speed/memory
+// trade-off:
 //   FlatIndex    exact brute force over FP16-at-rest vectors
-//   Sq8Index     scalar-quantized (uint8/dim) scan + exact fp16 rerank
 //   IvfPqIndex   IVF cells over product-quantized codes + exact rerank
 // (the quantized tier lives in quantized.hpp; this header carries the
 // interface and the exact flat index).
@@ -28,7 +27,7 @@
 // throwing, which the checkpoint cache treats as a corrupt-blob miss.
 //
 // The index ablation bench (A1) sweeps recall@k versus queries/second
-// and bytes/vector across all three kinds x {resident, mmap},
+// and bytes/vector across both kinds x {resident, mmap},
 // reproducing the trade-off surface the paper delegates to FAISS.
 
 #include <cstdint>
@@ -50,10 +49,10 @@ class ThreadPool;
 
 namespace mcqa::index {
 
-/// Values 1 and 2 are retired, not reused: value-parameterized tests
+/// Values 1 to 3 are retired, not reused: value-parameterized tests
 /// print a kind's raw bytes in their names, and checkpoint keys hash
 /// the value, so renumbering would rename tests and re-key stores.
-enum class IndexKind { kFlat = 0, kSq8 = 3, kIvfPq = 4 };
+enum class IndexKind { kFlat = 0, kIvfPq = 4 };
 
 std::string_view index_kind_name(IndexKind kind);
 

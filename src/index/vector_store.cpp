@@ -13,7 +13,6 @@ namespace {
 std::unique_ptr<VectorIndex> make_index(IndexKind kind, std::size_t dim) {
   switch (kind) {
     case IndexKind::kFlat: return std::make_unique<FlatIndex>(dim);
-    case IndexKind::kSq8: return std::make_unique<Sq8Index>(dim);
     case IndexKind::kIvfPq: return std::make_unique<IvfPqIndex>(dim);
   }
   throw std::invalid_argument("unknown IndexKind");
@@ -21,7 +20,6 @@ std::unique_ptr<VectorIndex> make_index(IndexKind kind, std::size_t dim) {
 
 IndexKind kind_from_name(std::string_view name) {
   if (name == "flat") return IndexKind::kFlat;
-  if (name == "sq8") return IndexKind::kSq8;
   if (name == "ivfpq") return IndexKind::kIvfPq;
   throw std::runtime_error("VectorStore::load: unknown index kind");
 }

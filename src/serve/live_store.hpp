@@ -21,22 +21,18 @@
 //     and the epoch pointer swaps atomically.  Writers serialize on a
 //     writer mutex that readers never touch.
 //   * When the accumulated deltas + tombstones reach the compaction
-//     threshold, publish() folds everything into one rebuilt base
-//     segment (flat, or SQ8 via Sq8Index::add_batch — the quantized
-//     tier's deterministic construction path), resetting ordinals and
-//     clearing the dead bitmap.
+//     threshold, publish() folds everything into one rebuilt flat base
+//     segment, resetting ordinals and clearing the dead bitmap.
 //
 // Exactness contract (the live analogue of the sharded scatter-gather
-// argument, DESIGN.md §11/§14): every segment's per-query scores are
-// exact fp16 kernel evaluations (FlatIndex rows, or the SQ8 rerank pass
-// over the same bits), each segment is asked for k + dead_count rows so
-// tombstone filtering can never evict a true top-k member, and the
-// merge comparator is (score desc, live-ordinal asc) where ordinals
-// increase in insertion order.  A from-scratch flat store built from
-// the snapshot's live rows in ordinal order therefore returns
-// bit-identical hits (ids, texts, scores) at every published epoch —
-// for SQ8 bases whenever the candidate floor covers the base (the same
-// coverage condition the quantized tier documents; flat bases always).
+// argument, DESIGN.md §11): every segment is a FlatIndex, so its
+// per-query scores are the exact fp16 kernel evaluations a flat rebuild
+// makes; each segment is asked for k + dead_count rows so tombstone
+// filtering can never evict a true top-k member, and the merge
+// comparator is (score desc, live-ordinal asc) where ordinals increase
+// in insertion order.  A from-scratch flat store built from the
+// snapshot's live rows in ordinal order therefore returns bit-identical
+// hits (ids, texts, scores) at every published epoch.
 //
 // Determinism: publish/compaction decisions are pure functions of the
 // mutation sequence and config — no wall-clock, no thread-count
@@ -59,16 +55,12 @@
 namespace mcqa::serve {
 
 struct LiveStoreConfig {
-  /// Index kind the compacted base is rebuilt as: kFlat (always exact)
-  /// or kSq8 (exact whenever min_candidates covers the base — the
-  /// quantized tier's rerank-coverage condition).
-  index::IndexKind compact_kind = index::IndexKind::kSq8;
+  /// Index kind of every segment.  Only kFlat: the LiveStore
+  /// constructors throw std::invalid_argument on any other kind.
+  index::IndexKind compact_kind = index::IndexKind::kFlat;
   /// Fold deltas + tombstones into a rebuilt base when their combined
   /// count reaches this at publish time.  0 compacts on every publish.
   std::size_t compact_threshold = 256;
-  /// Sq8Config knobs for the compacted base.
-  std::size_t min_candidates = 64;
-  std::size_t oversample = 4;
 };
 
 /// One immutable published epoch: a base segment, zero or more sealed
@@ -89,7 +81,7 @@ class StoreSnapshot {
   std::size_t tombstones() const { return dead_count_; }
 
   /// Exact top-k over the live rows: bit-identical to a from-scratch
-  /// flat store of live_rows() under the coverage condition above.
+  /// flat store of live_rows().
   std::vector<index::Hit> query(std::string_view text, std::size_t k) const;
   std::vector<index::Hit> query_vector(const embed::Vector& v,
                                        std::size_t k) const;
@@ -112,13 +104,22 @@ class StoreSnapshot {
 
   /// One immutable run of rows sharing a contiguous ordinal range.
   struct Segment {
-    std::unique_ptr<const index::VectorIndex> index;
+    explicit Segment(std::size_t dim) : index(dim) {}
+    index::FlatIndex index;
     std::vector<std::string> ids;
     std::vector<std::string> texts;
     std::size_t first_ordinal = 0;
-    /// Widened copy of stored row `r` (fp16 bits -> float, exact).
-    embed::Vector widen(std::size_t r) const;
   };
+
+  /// The base (if any), then the deltas: ascending ordinal order.
+  std::vector<const Segment*> segments() const;
+  /// One query's live top-k from each segment's top k + dead_count_
+  /// rows (found[s] belongs to segments()[s]): dead rows are dropped,
+  /// the rest merged by (score desc, ordinal asc).
+  std::vector<index::Hit> merge(
+      const std::vector<const Segment*>& segments,
+      const std::vector<std::vector<index::SearchResult>>& found,
+      std::size_t k) const;
 
   const embed::Embedder* embedder_ = nullptr;
   std::uint64_t epoch_ = 0;
@@ -137,7 +138,8 @@ class LiveStore {
   LiveStore(const embed::Embedder& embedder, LiveStoreConfig config = {});
   /// Seed from a frozen store's rows (flat stores copy their fp16 rows
   /// without re-embedding; other kinds re-embed, which is pure).  The
-  /// seed rows become epoch 1's base segment.
+  /// seed rows become epoch 1's base segment.  Both constructors throw
+  /// std::invalid_argument unless config.compact_kind is kFlat.
   LiveStore(const index::VectorStore& seed, LiveStoreConfig config = {});
 
   // --- write path (serialized on a writer mutex; never blocks readers) ------
@@ -181,8 +183,6 @@ class LiveStore {
   std::shared_ptr<const StoreSnapshot> publish_locked(double sim_now_ms);
   std::shared_ptr<const StoreSnapshot> compact_locked(
       const StoreSnapshot& sealed, double sim_now_ms);
-  std::unique_ptr<index::VectorIndex> make_base_index(
-      std::size_t dim) const;
 
   const embed::Embedder* embedder_;
   LiveStoreConfig config_;

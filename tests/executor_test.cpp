@@ -161,8 +161,7 @@ TEST(Checkpoint, UnknownIndexKindFallsBackToBuild) {
                       std::istreambuf_iterator<char>());
     in.close();
     bool changed = false;
-    for (const std::string_view magic :
-         {"flatidx", "sq8idx", "ivfpqidx"}) {
+    for (const std::string_view magic : {"flatidx", "ivfpqidx"}) {
       for (auto pos = bytes.find(magic); pos != std::string::npos;
            pos = bytes.find(magic, pos + 1)) {
         bytes.replace(pos, 3, "zzz");

@@ -32,7 +32,6 @@ std::vector<embed::Vector> random_unit_vectors(std::size_t n, std::size_t dim,
 std::unique_ptr<VectorIndex> make_index(IndexKind kind, std::size_t dim) {
   switch (kind) {
     case IndexKind::kFlat: return std::make_unique<FlatIndex>(dim);
-    case IndexKind::kSq8: return std::make_unique<Sq8Index>(dim);
     case IndexKind::kIvfPq: return std::make_unique<IvfPqIndex>(dim);
   }
   return nullptr;
@@ -144,28 +143,22 @@ TEST_P(AnyIndex, AddBatchBitIdenticalToSequentialAdds) {
 
 TEST(AddBatch, SaveBlobsMatchSequentialForAllKinds) {
   // Stronger than search identity: the serialized state (flat rows,
-  // SQ8 codes, IVF-PQ lists and codes) must be byte-identical.
+  // IVF-PQ lists and codes) must be byte-identical.
   constexpr std::size_t kDim = 16;
   const auto vecs = random_unit_vectors(48, kDim, 11);
 
   FlatIndex flat_seq(kDim), flat_batch(kDim);
-  Sq8Index sq8_seq(kDim), sq8_batch(kDim);
   IvfPqIndex pq_seq(kDim), pq_batch(kDim);
   for (const auto& v : vecs) {
     flat_seq.add(v);
-    sq8_seq.add(v);
     pq_seq.add(v);
   }
   flat_batch.add_batch(vecs);
-  sq8_batch.add_batch(vecs);
   pq_batch.add_batch(vecs);
-  sq8_seq.build();
-  sq8_batch.build();
   pq_seq.build();
   pq_batch.build();
 
   EXPECT_EQ(flat_seq.save(), flat_batch.save());
-  EXPECT_EQ(sq8_seq.save(), sq8_batch.save());
   EXPECT_EQ(pq_seq.save(), pq_batch.save());
 }
 
@@ -183,7 +176,7 @@ TEST_P(AnyIndex, AddBatchEmptyAndIncremental) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, AnyIndex,
-                         ::testing::Values(IndexKind::kFlat, IndexKind::kSq8,
+                         ::testing::Values(IndexKind::kFlat,
                                            IndexKind::kIvfPq),
                          [](const auto& info) {
                            return std::string(index_kind_name(info.param));
@@ -359,6 +352,26 @@ TEST(VectorStore, HostileLengthsThrow) {
   const std::uint64_t count = std::uint64_t{1} << 40;
   std::memcpy(huge.data() + rows_at, &count, 8);
   EXPECT_THROW(VectorStore::load(emb, huge), std::runtime_error);
+}
+
+TEST(VectorStore, UnknownKindNameThrows) {
+  // Retired kinds' names load like any other unknown name.
+  const embed::HashedNGramEmbedder emb;
+  VectorStore store(emb, IndexKind::kFlat);
+  store.add("c1", "alpha beta");
+  store.build();
+  const std::string blob = store.save();
+  // vstore2 layout: magic, then the kind name as a u64 length and bytes.
+  const std::string_view flat = index_kind_name(IndexKind::kFlat);
+  const std::string rest = blob.substr(8 + 8 + flat.size());
+  for (const std::string_view name : {"sq8", "hnsw", "ivf"}) {
+    std::string renamed = blob.substr(0, 8);
+    const std::uint64_t len = name.size();
+    renamed.append(reinterpret_cast<const char*>(&len), 8);
+    renamed.append(name);
+    renamed += rest;
+    EXPECT_THROW(VectorStore::load(emb, renamed), std::runtime_error) << name;
+  }
 }
 
 }  // namespace

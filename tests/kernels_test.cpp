@@ -234,7 +234,6 @@ TEST(RowStorage, ContiguousLayoutAndAccessors) {
 std::unique_ptr<VectorIndex> make_index(IndexKind kind, std::size_t dim) {
   switch (kind) {
     case IndexKind::kFlat: return std::make_unique<FlatIndex>(dim);
-    case IndexKind::kSq8: return std::make_unique<Sq8Index>(dim);
     case IndexKind::kIvfPq: return std::make_unique<IvfPqIndex>(dim);
   }
   return nullptr;
@@ -280,7 +279,7 @@ TEST_P(BatchedSearch, EmptyBatchAndDefaultPool) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, BatchedSearch,
-                         ::testing::Values(IndexKind::kFlat, IndexKind::kSq8,
+                         ::testing::Values(IndexKind::kFlat,
                                            IndexKind::kIvfPq),
                          [](const auto& info) {
                            return std::string(index_kind_name(info.param));

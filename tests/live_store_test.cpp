@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,18 +60,7 @@ void expect_matches_rebuild(const embed::Embedder& embedder,
 
 LiveStoreConfig flat_config(std::size_t threshold = 1u << 20) {
   LiveStoreConfig config;
-  config.compact_kind = index::IndexKind::kFlat;
   config.compact_threshold = threshold;
-  return config;
-}
-
-/// SQ8 base with a candidate floor covering any test-sized store, so
-/// the rerank-coverage condition holds and results stay exact.
-LiveStoreConfig sq8_config(std::size_t threshold = 1u << 20) {
-  LiveStoreConfig config;
-  config.compact_kind = index::IndexKind::kSq8;
-  config.compact_threshold = threshold;
-  config.min_candidates = 4096;
   return config;
 }
 
@@ -190,22 +180,36 @@ TEST(LiveStoreTest, SeededFromFlatStoreIsBitIdentical) {
   for (int i = 0; i < 32; ++i) seed.add(row_id(i), row_text(i));
   seed.build();
 
-  for (const auto& config : {flat_config(), sq8_config()}) {
-    LiveStore store(seed, config);
-    const auto snap = store.snapshot();
-    EXPECT_EQ(snap->epoch(), 1u);
-    EXPECT_EQ(snap->rows(), 32u);
-    EXPECT_EQ(snap->base_rows(), 32u);
-    EXPECT_EQ(snap->delta_segments(), 0u);
-    for (const std::string& q : {row_text(4), row_text(21)}) {
-      expect_same_hits(snap->query(q, 5), seed.query(q, 5));
-    }
+  LiveStore store(seed, flat_config());
+  const auto snap = store.snapshot();
+  EXPECT_EQ(snap->epoch(), 1u);
+  EXPECT_EQ(snap->rows(), 32u);
+  EXPECT_EQ(snap->base_rows(), 32u);
+  EXPECT_EQ(snap->delta_segments(), 0u);
+  for (const std::string& q : {row_text(4), row_text(21)}) {
+    expect_same_hits(snap->query(q, 5), seed.query(q, 5));
+  }
+}
+
+TEST(LiveStoreTest, ConstructorsRejectKindsOtherThanFlat) {
+  // Every segment is a FlatIndex; a store that could only fail at its
+  // first compaction is refused when it is built.
+  const embed::HashedNGramEmbedder embedder;
+  index::VectorStore seed(embedder, index::IndexKind::kFlat);
+  seed.add(row_id(0), row_text(0));
+  seed.build();
+  for (const index::IndexKind kind :
+       {index::IndexKind::kIvfPq, static_cast<index::IndexKind>(3)}) {
+    LiveStoreConfig config;
+    config.compact_kind = kind;
+    EXPECT_THROW((LiveStore{embedder, config}), std::invalid_argument);
+    EXPECT_THROW((LiveStore{seed, config}), std::invalid_argument);
   }
 }
 
 TEST(LiveStoreTest, CompactionFoldsDeltasAndTombstones) {
   const embed::HashedNGramEmbedder embedder;
-  LiveStore store(embedder, sq8_config(/*threshold=*/16));
+  LiveStore store(embedder, flat_config(/*threshold=*/16));
   for (int round = 0; round < 4; ++round) {
     for (int i = round * 8; i < (round + 1) * 8; ++i) {
       store.append(row_id(i), row_text(i));
@@ -231,27 +235,25 @@ TEST(LiveStoreTest, CompactionFoldsDeltasAndTombstones) {
 TEST(LiveStoreTest, EveryEpochMatchesFromScratchRebuild) {
   const embed::HashedNGramEmbedder embedder;
   // Threshold low enough that the script crosses several compactions.
-  for (const auto& config : {flat_config(12), sq8_config(12)}) {
-    LiveStore store(embedder, config);
-    int next_row = 0;
-    for (int epoch = 0; epoch < 10; ++epoch) {
-      for (int j = 0; j < 5; ++j) {
-        store.append(row_id(next_row), row_text(next_row));
-        ++next_row;
-      }
-      if (epoch % 2 == 1) store.tombstone(row_id(epoch));
-      if (epoch % 3 == 2) store.append(row_id(1), row_text(90 + epoch));
-      store.publish(epoch * 10.0);
-      expect_matches_rebuild(embedder, *store.snapshot());
+  LiveStore store(embedder, flat_config(12));
+  int next_row = 0;
+  for (int epoch = 0; epoch < 10; ++epoch) {
+    for (int j = 0; j < 5; ++j) {
+      store.append(row_id(next_row), row_text(next_row));
+      ++next_row;
     }
-    EXPECT_GE(store.compactions(), 1u);
+    if (epoch % 2 == 1) store.tombstone(row_id(epoch));
+    if (epoch % 3 == 2) store.append(row_id(1), row_text(90 + epoch));
+    store.publish(epoch * 10.0);
+    expect_matches_rebuild(embedder, *store.snapshot());
   }
+  EXPECT_GE(store.compactions(), 1u);
 }
 
 TEST(LiveStoreTest, CompactionIsDeterministic) {
   const embed::HashedNGramEmbedder embedder;
   const auto run = [&embedder] {
-    LiveStore store(embedder, sq8_config(/*threshold=*/8));
+    LiveStore store(embedder, flat_config(/*threshold=*/8));
     for (int i = 0; i < 30; ++i) {
       store.append(row_id(i), row_text(i));
       if (i % 5 == 4) {
@@ -276,7 +278,7 @@ TEST(LiveStoreTest, CompactionIsDeterministic) {
 
 TEST(LiveStoreConcurrency, ReadersNeverBlockDuringPublish) {
   const embed::HashedNGramEmbedder embedder;
-  LiveStore store(embedder, sq8_config(/*threshold=*/24));
+  LiveStore store(embedder, flat_config(/*threshold=*/24));
   for (int i = 0; i < 16; ++i) store.append(row_id(i), row_text(i));
   store.publish();
 
@@ -311,7 +313,7 @@ TEST(LiveStoreConcurrency, ReadersNeverBlockDuringPublish) {
 
 TEST(LiveStoreConcurrency, PinnedSnapshotStableUnderWriterChurn) {
   const embed::HashedNGramEmbedder embedder;
-  LiveStore store(embedder, sq8_config(/*threshold=*/16));
+  LiveStore store(embedder, flat_config(/*threshold=*/16));
   for (int i = 0; i < 12; ++i) store.append(row_id(i), row_text(i));
   store.publish();
 
@@ -337,7 +339,7 @@ TEST(LiveStoreConcurrency, PinnedSnapshotStableUnderWriterChurn) {
 
 TEST(LiveStoreConcurrency, ConcurrentWritersSerialize) {
   const embed::HashedNGramEmbedder embedder;
-  LiveStore store(embedder, sq8_config(/*threshold=*/32));
+  LiveStore store(embedder, flat_config(/*threshold=*/32));
   std::vector<std::thread> writers;
   for (int w = 0; w < 4; ++w) {
     writers.emplace_back([&store, w] {

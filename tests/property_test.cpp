@@ -51,9 +51,6 @@ TEST_P(IndexRecallSweep, RecallAboveFloor) {
     case index::IndexKind::kFlat:
       idx = std::make_unique<index::FlatIndex>(dim);
       break;
-    case index::IndexKind::kSq8:
-      idx = std::make_unique<index::Sq8Index>(dim);
-      break;
     case index::IndexKind::kIvfPq:
       idx = std::make_unique<index::IvfPqIndex>(dim);
       break;
@@ -79,8 +76,6 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, IndexRecallSweep,
     ::testing::Values(IndexCase{index::IndexKind::kFlat, 100, 8},
                       IndexCase{index::IndexKind::kFlat, 1000, 64},
-                      IndexCase{index::IndexKind::kSq8, 300, 16},
-                      IndexCase{index::IndexKind::kSq8, 2000, 32},
                       IndexCase{index::IndexKind::kIvfPq, 300, 16},
                       IndexCase{index::IndexKind::kIvfPq, 2000, 32}));
 

@@ -1,6 +1,6 @@
-// Property tests for the quantized index tier (SQ8 + IVF-PQ): encode
-// round-trip bounds, codebook determinism, the exact-rerank contract,
-// fail-soft IO and the mmap-backed read path.
+// Property tests for the quantized index tier (IVF-PQ): codebook
+// determinism, the exact-rerank contract, fail-soft IO and the
+// mmap-backed read path.
 
 #include <gtest/gtest.h>
 
@@ -71,60 +71,21 @@ void expect_same_results(const std::vector<SearchResult>& a,
   }
 }
 
-// --- SQ8 round-trip ----------------------------------------------------------
-
-TEST(Sq8RoundTrip, DecodeErrorWithinHalfScale) {
-  constexpr std::size_t kDim = 48;
-  const auto vecs = random_unit_vectors(200, kDim, 21);
-  Sq8Index idx(kDim);
-  idx.add_batch(vecs);
-  idx.build();
-  for (std::size_t i = 0; i < vecs.size(); ++i) {
-    const embed::Vector decoded = idx.decode(i);
-    for (std::size_t d = 0; d < kDim; ++d) {
-      // The code grid spans the fp16-at-rest values, so the bound is
-      // half a quantization step plus fp16 rounding of the input.
-      const float stored = util::fp16_to_float(util::float_to_fp16(vecs[i][d]));
-      const float bound = 0.5f * idx.scale_of(d) + 1e-3f;
-      EXPECT_LE(std::abs(decoded[d] - stored), bound)
-          << "row " << i << " dim " << d;
-    }
-  }
-}
-
-TEST(Sq8RoundTrip, ConstantDimensionEncodesExactly) {
-  // A zero-range dimension has scale 0; codes collapse to 0 and decode
-  // back to the (fp16) constant.
-  Sq8Index idx(2);
-  for (float x : {0.25f, 0.5f, 0.75f}) idx.add(embed::Vector{0.125f, x});
-  idx.build();
-  EXPECT_EQ(idx.scale_of(0), 0.0f);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_FLOAT_EQ(idx.decode(i)[0], 0.125f);
-  }
-}
-
 // --- determinism -------------------------------------------------------------
 
 TEST(QuantizedDeterminism, BlobsIdenticalAcrossThreadCounts) {
   constexpr std::size_t kDim = 32;
   const auto vecs = random_unit_vectors(500, kDim, 31);
 
-  std::string sq8_blob;
   std::string pq_blob;
   for (const std::size_t threads : {1u, 2u, 8u}) {
     parallel::ThreadPool pool(threads);
-    Sq8Index sq8(kDim);
-    sq8.add_batch(vecs);
-    sq8.build(pool);
     IvfPqIndex pq(kDim);
     pq.add_batch(vecs);
     pq.build(pool);
-    if (sq8_blob.empty()) {
-      sq8_blob = sq8.save();
+    if (pq_blob.empty()) {
       pq_blob = pq.save();
     } else {
-      EXPECT_EQ(sq8.save(), sq8_blob) << threads << " threads";
       EXPECT_EQ(pq.save(), pq_blob) << threads << " threads";
     }
   }
@@ -201,12 +162,6 @@ TEST(RerankContract, CoveringCandidatesBitIdenticalToFlat) {
   FlatIndex flat(kDim);
   flat.add_batch(vecs);
 
-  Sq8Config sq8_cfg;
-  sq8_cfg.min_candidates = kN;  // candidate set spans the store
-  Sq8Index sq8(kDim, sq8_cfg);
-  sq8.add_batch(vecs);
-  sq8.build();
-
   IvfPqConfig pq_cfg;
   pq_cfg.nprobe = kN;  // probe every cell
   pq_cfg.min_candidates = kN;
@@ -216,7 +171,6 @@ TEST(RerankContract, CoveringCandidatesBitIdenticalToFlat) {
 
   for (const auto& q : queries) {
     const auto want = flat.search(q, 10);
-    expect_same_results(sq8.search(q, 10), want);
     expect_same_results(pq.search(q, 10), want);
   }
 }
@@ -234,11 +188,6 @@ TEST(RerankContract, QuantizedRecallFloorOnClusteredCorpus) {
 
   FlatIndex flat(cc.dim);
   flat.add_batch(rows);
-  Sq8Config sq8_cfg;
-  sq8_cfg.oversample = 16;
-  Sq8Index sq8(cc.dim, sq8_cfg);
-  sq8.add_batch(rows);
-  sq8.build();
   IvfPqConfig pq_cfg;
   pq_cfg.nprobe = 16;
   pq_cfg.ksub = 64;
@@ -247,29 +196,34 @@ TEST(RerankContract, QuantizedRecallFloorOnClusteredCorpus) {
   pq.add_batch(rows);
   pq.build();
 
-  double sq8_recall = 0.0;
   double pq_recall = 0.0;
   constexpr std::size_t kQueries = 16;
   for (std::size_t j = 0; j < kQueries; ++j) {
     const auto truth = flat.search(vc.query(j), 10);
-    sq8_recall += recall_at_k(sq8.search(vc.query(j), 10), truth);
     pq_recall += recall_at_k(pq.search(vc.query(j), 10), truth);
   }
-  EXPECT_GE(sq8_recall / kQueries, 0.95);
   EXPECT_GE(pq_recall / kQueries, 0.95);
 }
 
 TEST(RerankContract, ApproxCandidatesAreTheRerankPool) {
   // search(k) results must all come from the approximate candidate set
-  // of the size the config implies.
+  // of the size the config implies: max(min_candidates, k * oversample)
+  // = 40, fewer than the rows of the 4 probed cells.
   constexpr std::size_t kDim = 24;
   const auto vecs = random_unit_vectors(300, kDim, 61);
-  Sq8Index sq8(kDim);
-  sq8.add_batch(vecs);
-  sq8.build();
+  IvfPqConfig cfg;
+  cfg.nlist = 8;
+  cfg.nprobe = 4;
+  cfg.oversample = 4;
+  cfg.min_candidates = 32;
+  IvfPqIndex pq(kDim, cfg);
+  pq.add_batch(vecs);
+  pq.build();
   const auto q = random_unit_vectors(1, kDim, 62)[0];
-  const auto cands = sq8.approx_candidates(q, 64);  // min_candidates
-  for (const auto& hit : sq8.search(q, 10)) {
+  const auto cands = pq.approx_candidates(q, 40);
+  ASSERT_EQ(cands.size(), 40u);
+  ASSERT_GT(pq.approx_candidates(q, vecs.size()).size(), cands.size());
+  for (const auto& hit : pq.search(q, 10)) {
     const bool in_cands =
         std::any_of(cands.begin(), cands.end(),
                     [&](const SearchResult& c) { return c.row == hit.row; });
@@ -284,14 +238,6 @@ TEST(QuantizedIo, SaveLoadRoundTripSearchesIdentically) {
   const auto vecs = random_unit_vectors(250, kDim, 71);
   const auto queries = random_unit_vectors(8, kDim, 72);
 
-  Sq8Index sq8(kDim);
-  sq8.add_batch(vecs);
-  sq8.build();
-  const std::string sq8_blob = sq8.save();
-  const Sq8Index sq8_loaded = Sq8Index::load(sq8_blob);
-  const Sq8Index sq8_view = Sq8Index::load_view(sq8_blob);
-  EXPECT_EQ(sq8_loaded.save(), sq8_blob);
-
   IvfPqIndex pq(kDim);
   pq.add_batch(vecs);
   pq.build();
@@ -301,17 +247,12 @@ TEST(QuantizedIo, SaveLoadRoundTripSearchesIdentically) {
   EXPECT_EQ(pq_loaded.save(), pq_blob);
 
   for (const auto& q : queries) {
-    expect_same_results(sq8_loaded.search(q, 7), sq8.search(q, 7));
-    expect_same_results(sq8_view.search(q, 7), sq8.search(q, 7));
     expect_same_results(pq_loaded.search(q, 7), pq.search(q, 7));
     expect_same_results(pq_view.search(q, 7), pq.search(q, 7));
   }
 }
 
 TEST(QuantizedIo, SaveBeforeBuildThrows) {
-  Sq8Index sq8(8);
-  sq8.add(embed::Vector(8, 0.5f));
-  EXPECT_THROW(sq8.save(), std::logic_error);
   IvfPqIndex pq(8);
   pq.add(embed::Vector(8, 0.5f));
   EXPECT_THROW(pq.save(), std::logic_error);
@@ -320,11 +261,11 @@ TEST(QuantizedIo, SaveBeforeBuildThrows) {
 TEST(QuantizedIo, DispatchLoadsByMagic) {
   constexpr std::size_t kDim = 16;
   const auto vecs = random_unit_vectors(60, kDim, 81);
-  for (const IndexKind kind : {IndexKind::kSq8, IndexKind::kIvfPq}) {
+  for (const IndexKind kind : {IndexKind::kFlat, IndexKind::kIvfPq}) {
     std::unique_ptr<VectorIndex> idx =
-        kind == IndexKind::kSq8
+        kind == IndexKind::kFlat
             ? static_cast<std::unique_ptr<VectorIndex>>(
-                  std::make_unique<Sq8Index>(kDim))
+                  std::make_unique<FlatIndex>(kDim))
             : std::make_unique<IvfPqIndex>(kDim);
     idx->add_batch(vecs);
     idx->build();
@@ -341,13 +282,10 @@ TEST(QuantizedIo, TruncatedBlobFailsSoft) {
   const auto vecs = random_unit_vectors(60, kDim, 91);
   FlatIndex flat(kDim);
   flat.add_batch(vecs);
-  Sq8Index sq8(kDim);
-  sq8.add_batch(vecs);
-  sq8.build();
   IvfPqIndex pq(kDim);
   pq.add_batch(vecs);
   pq.build();
-  for (const std::string& blob : {flat.save(), sq8.save(), pq.save()}) {
+  for (const std::string& blob : {flat.save(), pq.save()}) {
     // Cut inside the header, inside each payload region, and mid-pad.
     for (const std::size_t keep :
          {std::size_t{3}, std::size_t{9}, std::size_t{17}, blob.size() / 4,
@@ -399,10 +337,87 @@ TEST(QuantizedIo, OutOfRangePqCodesFailSoft) {
   EXPECT_NE(try_load_index(blob), nullptr);
 }
 
+TEST(QuantizedIo, ListsThatDoNotPartitionTheRowsFailSoft) {
+  // search_block's rerank gives each row one slot per querying tile
+  // member, so a row listed twice would overrun it; the loader accepts
+  // only lists that hold each row exactly once.
+  constexpr std::size_t kDim = 16;
+  constexpr std::size_t kRows = 40;
+  IvfPqConfig cfg;
+  cfg.nlist = 2;
+  cfg.m = 4;
+  cfg.ksub = 16;
+  IvfPqIndex pq(kDim, cfg);
+  pq.add_batch(random_unit_vectors(kRows, kDim, 97));
+  pq.build();
+  const std::string blob = pq.save();
+
+  // ivfpqidx1 layout: magic, eight u64 header fields, 8-aligned
+  // centroid, codebook, code and fp16 row blocks, then per list its
+  // u64 length and u64 rows.
+  const auto align8 = [](std::size_t at) { return (at + 7) / 8 * 8; };
+  std::size_t lists_at = align8(std::string_view("ivfpqidx1\n").size() + 64);
+  lists_at = align8(lists_at + pq.nlist() * kDim * sizeof(float));
+  lists_at = align8(lists_at + pq.codebooks().value_count() * sizeof(float));
+  lists_at = align8(lists_at + pq.codes().value_count());
+  lists_at += kRows * kDim * sizeof(util::fp16_t);
+  std::vector<std::vector<std::uint64_t>> lists(pq.nlist());
+  std::size_t pos = lists_at;
+  const auto take = [&blob, &pos] {
+    std::uint64_t v = 0;
+    std::memcpy(&v, blob.data() + pos, 8);
+    pos += 8;
+    return v;
+  };
+  for (auto& list : lists) {
+    list.resize(take());
+    for (auto& row : list) row = take();
+  }
+  ASSERT_EQ(pos, blob.size());
+  ASSERT_EQ(lists.size(), 2u);
+  ASSERT_FALSE(lists[0].empty());
+  ASSERT_FALSE(lists[1].empty());
+  const auto with_lists = [&](std::vector<std::vector<std::uint64_t>> table) {
+    std::string out = blob.substr(0, lists_at);
+    for (const auto& list : table) {
+      const auto put = [&out](std::uint64_t v) {
+        out.append(reinterpret_cast<const char*>(&v), 8);
+      };
+      put(list.size());
+      for (const std::uint64_t row : list) put(row);
+    }
+    return out;
+  };
+  EXPECT_NE(try_load_index(with_lists(lists)), nullptr);
+
+  struct Case {
+    const char* what;
+    std::vector<std::vector<std::uint64_t>> table;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"row twice in one list", lists});
+  cases.back().table[0].push_back(lists[0].front());
+  cases.push_back({"row in two lists", lists});
+  cases.back().table[1].push_back(lists[0].front());
+  cases.push_back({"row in no list", lists});
+  cases.back().table[1].pop_back();
+  for (const Case& c : cases) {
+    const std::string bad = with_lists(c.table);
+    EXPECT_EQ(try_load_index(bad), nullptr) << c.what;
+    EXPECT_THROW(load_index(bad), std::runtime_error) << c.what;
+    EXPECT_THROW(load_index_view(bad), std::runtime_error) << c.what;
+  }
+}
+
 TEST(QuantizedIo, UnknownMagicFailsSoft) {
   EXPECT_EQ(try_load_index("zzzidx9\n\x10\x00\x00\x00"), nullptr);
   EXPECT_EQ(try_load_index(""), nullptr);
   EXPECT_THROW(load_index("zzzidx9\nmore"), std::runtime_error);
+  // A retired kind's magic followed by its dim field.
+  const std::string retired("sq8idx1\n\x10\0\0\0\0\0\0\0", 16);
+  EXPECT_EQ(try_load_index(retired), nullptr);
+  EXPECT_THROW(load_index(retired), std::runtime_error);
+  EXPECT_THROW(load_index_view(retired), std::runtime_error);
 }
 
 // --- mmap-backed reads -------------------------------------------------------
@@ -413,13 +428,12 @@ TEST(MmapIndex, OpenMatchesResidentBitExact) {
   const auto queries = random_unit_vectors(8, kDim, 102);
   const TempDir dir;
 
-  for (const IndexKind kind :
-       {IndexKind::kFlat, IndexKind::kSq8, IndexKind::kIvfPq}) {
+  for (const IndexKind kind : {IndexKind::kFlat, IndexKind::kIvfPq}) {
     std::unique_ptr<VectorIndex> idx;
-    switch (kind) {
-      case IndexKind::kFlat: idx = std::make_unique<FlatIndex>(kDim); break;
-      case IndexKind::kSq8: idx = std::make_unique<Sq8Index>(kDim); break;
-      default: idx = std::make_unique<IvfPqIndex>(kDim); break;
+    if (kind == IndexKind::kFlat) {
+      idx = std::make_unique<FlatIndex>(kDim);
+    } else {
+      idx = std::make_unique<IvfPqIndex>(kDim);
     }
     idx->add_batch(vecs);
     idx->build();
@@ -450,10 +464,10 @@ TEST(MmapConcurrency, SearchBatchOverMappedStore) {
   const auto queries = random_unit_vectors(24, kDim, 112);
   const TempDir dir;
 
-  Sq8Index built(kDim);
+  IvfPqIndex built(kDim);
   built.add_batch(vecs);
   built.build();
-  const auto path = write_file(dir.path / "sq8.idx", built.save());
+  const auto path = write_file(dir.path / "ivfpq.idx", built.save());
   const MappedIndex mapped = open_index_mmap(path);
   ASSERT_TRUE(mapped.index->mmap_backed());
 
@@ -472,7 +486,7 @@ TEST(MmapConcurrency, SearchBatchOverMappedStore) {
 TEST(MmapStore, OpenMmapMatchesLoadedStore) {
   const embed::HashedNGramEmbedder embedder;
   const TempDir dir;
-  for (const IndexKind kind : {IndexKind::kFlat, IndexKind::kSq8}) {
+  for (const IndexKind kind : {IndexKind::kFlat, IndexKind::kIvfPq}) {
     VectorStore store(embedder, kind);
     for (int i = 0; i < 120; ++i) {
       store.add("id-" + std::to_string(i),

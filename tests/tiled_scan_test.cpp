@@ -1,10 +1,10 @@
 // Property tests for the tiled multi-query scan layer and the runtime
 // kernel ISA dispatch (DESIGN.md §18): single-query vs tiled vs SIMD
-// bit-identity for all four scoring kernels on every usable table
+// bit-identity for all three scoring kernels on every usable table
 // (random dims off the kLanes/kTileQ multiples, ragged final tiles,
 // every fp16 code through both fp16 kernels), TopK push-order
 // invariance (the property that makes cross-tile row regrouping safe),
-// tiled search_block == per-query search over flat/SQ8/IVF-PQ and an
+// tiled search_block == per-query search over flat/IVF-PQ and an
 // mmap-opened blob, the grain-chunked search_batch at 1/2/8 threads,
 // and the serve-tier batch paths (ShardedStore, StoreSnapshot).
 //
@@ -186,34 +186,6 @@ TEST(TiledScanKernels, DotFp16EveryCodeEveryTable) {
   }
 }
 
-TEST(TiledScanKernels, DotU8TileMatchesSingleQuery) {
-  util::Rng rng(503);
-  for (const kernels::KernelOps* table : kernels::usable_ops()) {
-    const kernels::KernelOps& ops = *table;
-    for (const std::size_t n : kDims) {
-      std::vector<std::uint8_t> codes(n);
-      for (auto& c : codes) c = static_cast<std::uint8_t>(rng.bounded(256));
-      std::vector<std::vector<float>> weights;
-      const float* ws[kernels::kTileQ];
-      for (std::size_t q = 0; q < kernels::kTileQ; ++q) {
-        weights.push_back(random_row(n, rng));
-      }
-      for (std::size_t qn = 1; qn <= kernels::kTileQ; ++qn) {
-        for (std::size_t q = 0; q < qn; ++q) ws[q] = weights[q].data();
-        float out[kernels::kTileQ];
-        ops.dot_u8_tile(codes.data(), ws, qn, n, out);
-        for (std::size_t q = 0; q < qn; ++q) {
-          expect_bit_equal(out[q], ops.dot_u8(codes.data(), ws[q], n),
-                           "dot_u8_tile isa=" +
-                               table_name(ops) +
-                               " n=" + std::to_string(n) +
-                               " qn=" + std::to_string(qn));
-        }
-      }
-    }
-  }
-}
-
 TEST(TiledScanKernels, PqLookupTileMatchesSingleQuery) {
   util::Rng rng(504);
   // Subquantizer counts off the lane multiples, small/odd ksub.
@@ -265,11 +237,7 @@ TEST(TiledScanIsa, ScalarAndAvx2TablesBitIdentical) {
       const auto a = random_row(n, rng);
       const auto b = random_row(n, rng);
       std::vector<util::fp16_t> half(n);
-      std::vector<std::uint8_t> codes(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        half[i] = util::float_to_fp16(a[i]);
-        codes[i] = static_cast<std::uint8_t>(rng.bounded(256));
-      }
+      for (std::size_t i = 0; i < n; ++i) half[i] = util::float_to_fp16(a[i]);
       const std::string what =
           "scalar vs " + table_name(*avx2) + " n=" + std::to_string(n);
       expect_bit_equal(avx2->dot(a.data(), b.data(), n),
@@ -278,8 +246,6 @@ TEST(TiledScanIsa, ScalarAndAvx2TablesBitIdentical) {
                        scalar.l2_sq(a.data(), b.data(), n), what);
       expect_bit_equal(avx2->dot_fp16(half.data(), b.data(), n),
                        scalar.dot_fp16(half.data(), b.data(), n), what);
-      expect_bit_equal(avx2->dot_u8(codes.data(), b.data(), n),
-                       scalar.dot_u8(codes.data(), b.data(), n), what);
       // The fp16 tile at every width: the AVX2 table runs one body per
       // width, the scalar table one loop over qn.
       std::vector<std::vector<float>> queries;
@@ -375,12 +341,6 @@ std::unique_ptr<VectorIndex> make_case_index(const TiledIndexCase& c,
   switch (c.kind) {
     case IndexKind::kFlat:
       return std::make_unique<FlatIndex>(dim);
-    case IndexKind::kSq8: {
-      Sq8Config cfg;
-      cfg.min_candidates = c.covering ? rows : 24;
-      cfg.oversample = 2;
-      return std::make_unique<Sq8Index>(dim, cfg);
-    }
     case IndexKind::kIvfPq: {
       // Non-covering case probes a strict subset of cells, so the
       // per-cell sub-tiling must reproduce each query's own candidate
@@ -451,8 +411,6 @@ TEST_P(TiledScanIndex, SearchBatchMatchesSequentialAtAnyThreadCount) {
 INSTANTIATE_TEST_SUITE_P(
     Kinds, TiledScanIndex,
     ::testing::Values(TiledIndexCase{IndexKind::kFlat, true},
-                      TiledIndexCase{IndexKind::kSq8, true},
-                      TiledIndexCase{IndexKind::kSq8, false},
                       TiledIndexCase{IndexKind::kIvfPq, true},
                       TiledIndexCase{IndexKind::kIvfPq, false}),
     [](const auto& info) {
@@ -467,9 +425,9 @@ TEST(TiledScanIndex, EmptyStoreAndEmptyBatch) {
   for (const auto& out : flat.search_tiled(queries, 3)) {
     EXPECT_TRUE(out.empty());
   }
-  Sq8Index sq8(8);
-  sq8.build();
-  for (const auto& out : sq8.search_tiled(queries, 3)) {
+  IvfPqIndex pq(8);
+  pq.build();
+  for (const auto& out : pq.search_tiled(queries, 3)) {
     EXPECT_TRUE(out.empty());
   }
 }
@@ -498,19 +456,12 @@ TEST(TiledScanMmap, TiledBatchOverMappedIndexesMatchesSequential) {
   const auto queries = random_unit_vectors(19, kDim, 609);
   const TempDir dir;
 
-  for (const IndexKind kind :
-       {IndexKind::kFlat, IndexKind::kSq8, IndexKind::kIvfPq}) {
+  for (const IndexKind kind : {IndexKind::kFlat, IndexKind::kIvfPq}) {
     std::unique_ptr<VectorIndex> built;
-    switch (kind) {
-      case IndexKind::kFlat:
-        built = std::make_unique<FlatIndex>(kDim);
-        break;
-      case IndexKind::kSq8:
-        built = std::make_unique<Sq8Index>(kDim);
-        break;
-      default:
-        built = std::make_unique<IvfPqIndex>(kDim);
-        break;
+    if (kind == IndexKind::kFlat) {
+      built = std::make_unique<FlatIndex>(kDim);
+    } else {
+      built = std::make_unique<IvfPqIndex>(kDim);
     }
     built->add_batch(data);
     built->build();
