@@ -152,17 +152,18 @@ bool streaming_matches_reference() {
 /// add_batch must build the same index bytes as a sequential add() loop
 /// for every index kind (save() blobs compared after build()).
 bool batch_blobs_match_sequential(std::vector<std::string>* kinds_checked) {
+  parallel::ThreadPool& pool = bench::shared_sweep_pool();
   const std::vector<embed::Vector> vectors =
-      embedder().embed_batch(data().texts);
+      embedder().embed_batch(data().texts, pool);
   const std::size_t dim = embedder().dim();
 
   const auto blob_pair = [&](auto make) {
     auto seq = make();
     for (const auto& v : vectors) seq.add(v);
-    seq.build();
+    seq.build(pool);
     auto batch = make();
     batch.add_batch(vectors);
-    batch.build();
+    batch.build(pool);
     return std::pair<std::string, std::string>(seq.save(), batch.save());
   };
 

@@ -173,7 +173,6 @@ void BM_FlatSearch(benchmark::State& state) {
   run_search_bench(state, [] {
     auto idx = std::make_unique<index::FlatIndex>(data().base[0].size());
     for (const auto& v : data().base) idx->add(v);
-    idx->build();
     return idx;
   });
 }
@@ -189,7 +188,7 @@ void BM_IvfPqSearch(benchmark::State& state) {
     auto idx =
         std::make_unique<index::IvfPqIndex>(data().base[0].size(), cfg);
     for (const auto& v : data().base) idx->add(v);
-    idx->build();
+    idx->build(bench::shared_sweep_pool());
     return idx;
   });
 }
@@ -821,7 +820,7 @@ int run_smoke() {
   for (const index::IndexKind kind : kAllKinds) {
     auto idx = make_kind(kind, dim);
     idx->add_batch(data().base);
-    idx->build();
+    idx->build(bench::shared_sweep_pool());
     char label[64];
     std::snprintf(label, sizeof(label),
                   "%s: batched == sequential at 1/2/8 threads",
@@ -881,7 +880,7 @@ bool write_bench_json() {
   for (const index::IndexKind kind : kAllKinds) {
     auto idx = make_kind(kind, dim);
     for (const auto& v : data().base) idx->add(v);
-    idx->build();
+    idx->build(pool);
 
     // Single-query throughput (sequential loop).
     util::Stopwatch sw;
@@ -934,12 +933,13 @@ bool write_bench_json() {
   // Query-batch-width sweep on the tracking case (Q=1/4/8/16): the
   // certified hits equal a full fp16 scan's at every width and on every
   // kernel table; the tile speedup is reported, not gated.
+  bool width_sweep_pass = true;
   {
     std::printf("\nquery-batch-width sweep (tracking case):\n");
     const auto& c = flat_case();
     WidthSweepOutcome ws = run_width_sweep(*c.idx, c.queries, /*repeats=*/3);
     ws.report["speedup_at_tile_width"] = ws.best_speedup;
-    all_deterministic = all_deterministic && ws.checks_pass;
+    width_sweep_pass = ws.checks_pass;
     report["batch_width_sweep"] = std::move(ws.report);
   }
 
@@ -955,10 +955,12 @@ bool write_bench_json() {
       "\nshape check: batched results identical to sequential search at "
       "1/2/8 threads for all index kinds: %s\n",
       all_deterministic ? "PASS" : "FAIL");
+  std::printf("query-batch-width sweep checks: %s\n",
+              width_sweep_pass ? "PASS" : "FAIL");
   std::printf("sweep shape checks: %s\n",
               sweep.checks_pass ? "PASS" : "FAIL");
   std::printf("wrote BENCH_index.json\n");
-  return all_deterministic && sweep.checks_pass;
+  return all_deterministic && width_sweep_pass && sweep.checks_pass;
 }
 
 }  // namespace

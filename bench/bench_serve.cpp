@@ -168,7 +168,7 @@ index::VectorStore rebuild_store(const embed::Embedder& embedder,
 /// corpus: every published epoch must be bit-identical to a from-scratch
 /// rebuild of its live rows, with the same snapshot queried from 1/2/8
 /// concurrent readers.  Returns per-publish staleness rows for the JSON
-/// report (pending mutations at publish, epoch age, compactions).
+/// report (pending mutations at publish, rows, segments, compactions).
 json::Array check_live_epoch_identity(
     const core::PipelineContext& ctx,
     const std::vector<qgen::McqRecord>& records) {
@@ -179,11 +179,9 @@ json::Array check_live_epoch_identity(
 
   const std::size_t ticks = bench::smoke() ? 6 : 16;
   const std::size_t appends = 8;
-  const double tick_ms = 10.0;
   const std::size_t queries = std::min<std::size_t>(records.size(), 12);
   bool ok = true;
   json::Array staleness_rows;
-  double last_publish_ms = 0.0;
   std::vector<std::string> ids;  // appended ids eligible for tombstoning
   for (std::size_t t = 0; t < ticks; ++t) {
     for (std::size_t j = 0; j < appends; ++j) {
@@ -195,8 +193,7 @@ json::Array check_live_epoch_identity(
     }
     if (t % 3 == 2) live.tombstone(ids[(t / 3) * 5]);
     const std::size_t pending_before = live.pending();
-    const double now_ms = tick_ms * static_cast<double>(t + 1);
-    const auto snap = live.publish(now_ms);
+    const auto snap = live.publish();
     const index::VectorStore oracle = rebuild_store(embedder, *snap);
     for (const std::size_t threads : {1u, 2u, 8u}) {
       std::atomic<bool> all_ok{true};
@@ -230,13 +227,11 @@ json::Array check_live_epoch_identity(
     row["tick"] = t;
     row["epoch"] = snap->epoch();
     row["pending_at_publish"] = pending_before;
-    row["epoch_age_ms"] = now_ms - last_publish_ms;
     row["rows"] = snap->rows();
     row["delta_segments"] = snap->delta_segments();
     row["tombstones"] = snap->tombstones();
     row["compactions"] = live.compactions();
     staleness_rows.push_back(std::move(row));
-    last_publish_ms = now_ms;
   }
   ok = ok && live.compactions() > 0;  // the threshold actually crossed
   check("live epochs == from-scratch rebuild @ readers {1,2,8} "

@@ -68,23 +68,23 @@ void check_thread_identity(const std::string& trace_text) {
   std::string blob1, blob8;
   {
     parallel::ThreadPool pool(1);
-    blob1 = train::serialize_trained(train::train_lbl(prefix, cfg, &pool));
+    blob1 = train::serialize_trained(train::train_lbl(prefix, cfg, pool));
   }
   {
     parallel::ThreadPool pool(2);
     const std::string blob2 =
-        train::serialize_trained(train::train_lbl(prefix, cfg, &pool));
+        train::serialize_trained(train::train_lbl(prefix, cfg, pool));
     check("weights byte-identical, pool threads {1,2}", blob1 == blob2);
   }
   {
     parallel::ThreadPool pool(8);
-    blob8 = train::serialize_trained(train::train_lbl(prefix, cfg, &pool));
+    blob8 = train::serialize_trained(train::train_lbl(prefix, cfg, pool));
     check("weights byte-identical, pool threads {1,8}", blob1 == blob8);
   }
   {
     parallel::ThreadPool pool(8);
     const std::string again =
-        train::serialize_trained(train::train_lbl(prefix, cfg, &pool));
+        train::serialize_trained(train::train_lbl(prefix, cfg, pool));
     check("weights byte-identical across runs", blob8 == again);
   }
 }
@@ -100,8 +100,8 @@ void check_warm_cold(const std::string& trace_text) {
   const core::ArtifactCache cache(dir.path.string());
   const std::uint64_t key = train::trained_checkpoint_key(
       core::code_fingerprint(), cfg, prefix);
-  const std::string cold =
-      train::serialize_trained(train::train_lbl(prefix, cfg));
+  const std::string cold = train::serialize_trained(
+      train::train_lbl(prefix, cfg, bench::shared_sweep_pool()));
   cache.store("trained-lbl", key, cold);
   const auto blob = cache.load("trained-lbl", key);
   const bool hit = blob.has_value();
@@ -146,10 +146,10 @@ int main(int argc, char** argv) {
     cfg.train = tc;
     cfg.name = "lbl-traces";
     traces_owned = std::make_unique<llm::TrainedStudent>(
-        llm::TrainedStudent::train(trace_text, cfg, &bench::shared_sweep_pool()));
+        llm::TrainedStudent::train(trace_text, cfg, bench::shared_sweep_pool()));
     cfg.name = "lbl-chunks";
     chunks_owned = std::make_unique<llm::TrainedStudent>(
-        llm::TrainedStudent::train(chunk_text, cfg, &bench::shared_sweep_pool()));
+        llm::TrainedStudent::train(chunk_text, cfg, bench::shared_sweep_pool()));
     lbl_traces = traces_owned.get();
     lbl_chunks = chunks_owned.get();
   } else {
@@ -172,7 +172,7 @@ int main(int argc, char** argv) {
   untrained_cfg.train.epochs = 0;
   untrained_cfg.name = "lbl-untrained";
   const llm::TrainedStudent lbl_untrained = llm::TrainedStudent::train(
-      trace_text, untrained_cfg, &bench::shared_sweep_pool());
+      trace_text, untrained_cfg, bench::shared_sweep_pool());
 
   const auto records = bench::smoke_subset(ctx.benchmark(), 48);
   const auto exam = bench::smoke_subset(ctx.exam_no_math(), 48);

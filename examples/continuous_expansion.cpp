@@ -16,6 +16,7 @@
 #include "eval/report.hpp"
 #include "index/vector_store.hpp"
 #include "llm/student_model.hpp"
+#include "parallel/thread_pool.hpp"
 #include "rag/rag_pipeline.hpp"
 
 int main() {
@@ -25,6 +26,7 @@ int main() {
   const corpus::FactMatcher matcher(kb);
   const embed::HashedNGramEmbedder embedder = embed::make_biomed_encoder();
   const llm::TeacherModel teacher(kb, matcher);
+  parallel::ThreadPool pool(0);  // machine-sized; every stage runs on it
 
   std::vector<qgen::McqRecord> benchmark;
   std::array<std::vector<trace::TraceRecord>, trace::kTraceModeCount> traces;
@@ -45,7 +47,7 @@ int main() {
     const auto docs = build_corpus(kb, cfg).documents;
 
     const core::ExpansionResult result = core::expand_benchmark(
-        docs, seen_chunks, embedder, teacher);
+        docs, seen_chunks, embedder, teacher, pool);
 
     // Merge: extend the benchmark, remember ingested chunk content.
     for (const auto& r : result.new_records) {
@@ -82,7 +84,9 @@ int main() {
           trace_stores[static_cast<std::size_t>(m)].get();
     }
     const rag::RagPipeline rag(kb, matcher, stores, rag::RagConfig{});
-    const eval::EvalHarness harness(rag);
+    eval::HarnessConfig hc;
+    hc.pool = &pool;
+    const eval::EvalHarness harness(rag, hc);
     const eval::Accuracy acc = harness.evaluate(
         student, card.spec, benchmark, rag::Condition::kTraceFocused);
 

@@ -397,14 +397,39 @@ void OverlappedBuilder::run(parallel::ThreadPool& pool,
   // frozen codebooks when the changed fraction is at or under the
   // retrain threshold, every other kind (and every cold build) builds
   // from scratch.  `previous` is only ever set on the cache path.
-  const auto assemble = [&](std::unique_ptr<index::VectorStore>& target,
-                            const std::string& name, std::uint64_t key,
-                            StoreRows::Rows& data, double changed,
-                            std::uint64_t donor_key) {
+  struct StoreJob {
+    std::unique_ptr<index::VectorStore>* target;
+    std::string name;
+    std::uint64_t key;
+    std::uint64_t donor_key;
+    StoreRows::Rows* data;
+    double changed;
+    std::unique_ptr<index::VectorStore> donor;
+    bool assembled = false;  ///< built from rows, not restored
+  };
+  std::vector<StoreJob> jobs;
+  jobs.push_back({&ctx.chunk_store_, "chunk-store", keys.chunk_store,
+                  previous.has_value() ? previous->keys.chunk_store
+                                       : keys.chunk_store,
+                  &rows.chunks, fraction_of(dirty_chunk_rows, chunk_rows),
+                  nullptr});
+  for (int m = 0; m < trace::kTraceModeCount; ++m) {
+    const auto mi = static_cast<std::size_t>(m);
+    jobs.push_back(
+        {&ctx.trace_stores_[mi],
+         trace_mode_blob_name("trace-store", static_cast<trace::TraceMode>(m)),
+         keys.trace_stores[mi],
+         previous.has_value() ? previous->keys.trace_stores[mi]
+                              : keys.trace_stores[mi],
+         &rows.traces[mi], fraction_of(dirty_trace_rows[mi], trace_rows[mi]),
+         nullptr});
+  }
+
+  const auto assemble = [&](StoreJob& job) {
     if (cache != nullptr && dirty_count == 0) {
-      if (const auto blob = cache->load(name, key)) {
+      if (const auto blob = cache->load(job.name, job.key)) {
         try {
-          target = std::make_unique<index::VectorStore>(
+          *job.target = std::make_unique<index::VectorStore>(
               index::VectorStore::load(embedder, *blob));
           return;
         } catch (const std::exception&) {
@@ -412,49 +437,51 @@ void OverlappedBuilder::run(parallel::ThreadPool& pool,
         }
       }
     }
-    target = std::make_unique<index::VectorStore>(embedder, config.index_kind);
-    target->add_precomputed(std::move(data.ids), std::move(data.texts),
-                            data.vectors);
-    data.vectors = {};  // the index holds its own copy now
-    std::unique_ptr<index::VectorStore> donor;
+    auto target =
+        std::make_unique<index::VectorStore>(embedder, config.index_kind);
+    target->add_precomputed(std::move(job.data->ids),
+                            std::move(job.data->texts), job.data->vectors);
+    job.data->vectors = {};  // the index holds its own copy now
     if (config.index_kind == index::IndexKind::kIvfPq &&
-        previous.has_value() && changed <= config.ivfpq_retrain_threshold &&
-        donor_key != key) {
-      if (const auto blob = cache->load(name, donor_key)) {
+        previous.has_value() &&
+        job.changed <= config.ivfpq_retrain_threshold &&
+        job.donor_key != job.key) {
+      if (const auto blob = cache->load(job.name, job.donor_key)) {
         try {
-          donor = std::make_unique<index::VectorStore>(
+          job.donor = std::make_unique<index::VectorStore>(
               index::VectorStore::load(embedder, *blob));
         } catch (const std::exception&) {
           cache->note_corrupt();
         }
       }
     }
-    target->build_delta(donor.get(), changed, config.ivfpq_retrain_threshold);
-    if (cache != nullptr) cache->store(name, key, target->save());
+    *job.target = std::move(target);
+    job.assembled = true;
   };
 
-  // The four stores are independent of each other; assemble them as
-  // concurrent pool tasks.
-  parallel::TaskGroup stores(pool);
-  stores.spawn([&]() {
-    assemble(ctx.chunk_store_, "chunk-store", keys.chunk_store, rows.chunks,
-             fraction_of(dirty_chunk_rows, chunk_rows),
-             previous.has_value() ? previous->keys.chunk_store
-                                  : keys.chunk_store);
-  });
-  for (int m = 0; m < trace::kTraceModeCount; ++m) {
-    stores.spawn([&, m]() {
-      const auto mi = static_cast<std::size_t>(m);
-      assemble(ctx.trace_stores_[mi],
-               trace_mode_blob_name("trace-store",
-                                    static_cast<trace::TraceMode>(m)),
-               keys.trace_stores[mi], rows.traces[mi],
-               fraction_of(dirty_trace_rows[mi], trace_rows[mi]),
-               previous.has_value() ? previous->keys.trace_stores[mi]
-                                    : keys.trace_stores[mi]);
-    });
+  // The stores are independent: assemble them, and later save them, as
+  // concurrent pool tasks.  Training runs between the two phases, one
+  // store at a time across the whole pool, from this thread: a pool
+  // task may not wait on its own pool (parallel/dag.hpp).
+  parallel::parallel_for(
+      pool, 0, jobs.size(), [&](std::size_t j) { assemble(jobs[j]); },
+      /*grain=*/1);
+  for (StoreJob& job : jobs) {
+    if (!job.assembled) continue;
+    (*job.target)->build_delta(job.donor.get(), job.changed,
+                               config.ivfpq_retrain_threshold, pool);
+    job.donor.reset();
   }
-  stores.wait();
+  if (cache != nullptr) {
+    parallel::parallel_for(
+        pool, 0, jobs.size(),
+        [&](std::size_t j) {
+          if (jobs[j].assembled) {
+            cache->store(jobs[j].name, jobs[j].key, (*jobs[j].target)->save());
+          }
+        },
+        /*grain=*/1);
+  }
   ctx.stats_.embedding_bytes = ctx.chunk_store_->embedding_bytes();
 
   if (cache == nullptr) return;

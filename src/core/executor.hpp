@@ -31,8 +31,10 @@ class OverlappedBuilder {
  public:
   explicit OverlappedBuilder(PipelineContext& ctx) : ctx_(ctx) {}
 
-  /// Build every document subtree, merge, and assemble the four stores
-  /// (chunks + one per trace mode) as concurrent pool tasks.
+  /// Build every document subtree, merge, and finish the four stores
+  /// (chunks + one per trace mode): assembled and saved as concurrent
+  /// pool tasks, and trained in between, one store at a time across
+  /// the whole pool.  Call from outside `pool`.
   ///
   /// With `cache == nullptr` nothing is serialized: every document is
   /// computed and every store built cold.  With a cache the build is

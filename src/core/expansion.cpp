@@ -10,7 +10,7 @@ ExpansionResult expand_benchmark(
     const std::vector<corpus::RawDocument>& new_documents,
     const std::unordered_set<std::string>& existing_chunk_ids,
     const embed::Embedder& embedder, const llm::TeacherModel& teacher,
-    const ExpansionConfig& config) {
+    parallel::ThreadPool& pool, const ExpansionConfig& config) {
   ExpansionResult result;
   result.documents_in = new_documents.size();
 
@@ -20,7 +20,6 @@ ExpansionResult expand_benchmark(
   // One byte per document: the parse tasks write their own elements,
   // and std::vector<bool> would pack neighbours into one shared word.
   std::vector<char> ok(new_documents.size(), 0);
-  parallel::ThreadPool pool(config.threads);
   parallel::parallel_for(pool, 0, new_documents.size(), [&](std::size_t i) {
     parse::ParseOutcome outcome = parser.parse(new_documents[i].bytes);
     if (!outcome.ok) return;
@@ -50,19 +49,15 @@ ExpansionResult expand_benchmark(
   result.new_chunks = fresh_chunks.size();
 
   // Stage 3: generate + filter questions for the fresh chunks only.
-  qgen::BuilderConfig builder_cfg = config.builder;
-  builder_cfg.threads = config.threads;
-  const qgen::BenchmarkBuilder builder(teacher, builder_cfg);
-  result.new_records = builder.build(fresh_chunks, &result.funnel);
+  const qgen::BenchmarkBuilder builder(teacher, config.builder);
+  result.new_records = builder.build(fresh_chunks, pool, &result.funnel);
 
   // Stage 4: distill traces for the new records.
-  trace::TraceGenConfig trace_cfg = config.tracegen;
-  trace_cfg.threads = config.threads;
-  const trace::TraceGenerator tracer(teacher, trace_cfg);
+  const trace::TraceGenerator tracer(teacher, config.tracegen);
   for (int m = 0; m < trace::kTraceModeCount; ++m) {
     result.new_traces[static_cast<std::size_t>(m)] =
         tracer.generate_all(result.new_records,
-                            static_cast<trace::TraceMode>(m));
+                            static_cast<trace::TraceMode>(m), pool);
     trace::grade_all(result.new_traces[static_cast<std::size_t>(m)]);
   }
   return result;

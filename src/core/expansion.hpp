@@ -21,6 +21,10 @@
 #include "qgen/benchmark_builder.hpp"
 #include "trace/trace_generator.hpp"
 
+namespace mcqa::parallel {
+class ThreadPool;
+}
+
 namespace mcqa::core {
 
 struct ExpansionConfig {
@@ -28,7 +32,6 @@ struct ExpansionConfig {
   chunk::ChunkerConfig chunker;
   qgen::BuilderConfig builder;
   trace::TraceGenConfig tracegen;
-  std::size_t threads = 0;
 };
 
 struct ExpansionResult {
@@ -46,11 +49,12 @@ struct ExpansionResult {
 /// Process a batch of newly arrived documents against an existing
 /// benchmark.  `existing_chunk_ids` identifies already-ingested content
 /// (pass the chunk_ids of the current benchmark's chunks); records for
-/// those chunks are not regenerated.
+/// those chunks are not regenerated.  Every parallel stage runs on
+/// `pool`.
 ExpansionResult expand_benchmark(
     const std::vector<corpus::RawDocument>& new_documents,
     const std::unordered_set<std::string>& existing_chunk_ids,
     const embed::Embedder& embedder, const llm::TeacherModel& teacher,
-    const ExpansionConfig& config = {});
+    parallel::ThreadPool& pool, const ExpansionConfig& config = {});
 
 }  // namespace mcqa::core

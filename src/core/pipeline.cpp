@@ -173,7 +173,7 @@ namespace {
 /// truncated blobs fall through to a retrain, §12-style.
 std::unique_ptr<llm::TrainedStudent> build_trained_row(
     std::string name, const std::string& text, const train::TrainConfig& tc,
-    const std::string& checkpoint_dir) {
+    const std::string& checkpoint_dir, parallel::ThreadPool& pool) {
   llm::TrainedStudentConfig cfg;
   cfg.train = tc;
   cfg.name = std::move(name);
@@ -194,12 +194,12 @@ std::unique_ptr<llm::TrainedStudent> build_trained_row(
       }
     }
     auto model = std::make_unique<llm::TrainedStudent>(
-        llm::TrainedStudent::train(text, cfg));
+        llm::TrainedStudent::train(text, cfg, pool));
     cache.store("trained-lbl", key, model->serialize());
     return model;
   }
   return std::make_unique<llm::TrainedStudent>(
-      llm::TrainedStudent::train(text, cfg));
+      llm::TrainedStudent::train(text, cfg, pool));
 }
 
 }  // namespace
@@ -209,10 +209,11 @@ const PipelineContext::TrainedRoster& PipelineContext::trained_roster() const {
   if (trained_.traces == nullptr) {
     const auto [trace_text, chunk_text] = training_texts();
     const train::TrainConfig tc = roster_train_config();
-    trained_.traces =
-        build_trained_row("lbl-traces", trace_text, tc, config_.checkpoint_dir);
-    trained_.chunks =
-        build_trained_row("lbl-chunks", chunk_text, tc, config_.checkpoint_dir);
+    parallel::ThreadPool pool(config_.threads);
+    trained_.traces = build_trained_row("lbl-traces", trace_text, tc,
+                                        config_.checkpoint_dir, pool);
+    trained_.chunks = build_trained_row("lbl-chunks", chunk_text, tc,
+                                        config_.checkpoint_dir, pool);
     // Eval-cell keys for these rows must move when the training inputs
     // move (and only then) — see core/eval_cache.
     register_model_fingerprint(trained_.traces->name(),

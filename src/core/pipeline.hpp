@@ -52,8 +52,11 @@ struct PipelineConfig {
   rag::RagConfig rag;
   index::IndexKind index_kind = index::IndexKind::kFlat;
   llm::SimulationCoefficients sim;
-  /// Build pool size (0 = hardware concurrency).  A speed knob only:
-  /// artifacts are byte-identical at any thread count (tested).
+  /// Worker count of every pool the context runs on: the corpus and
+  /// stage 1-5 build, and trained_roster()'s training (0 = hardware
+  /// concurrency).  No other thread runs that work (tested at 1).  A
+  /// speed knob only: artifacts are byte-identical at any thread count
+  /// (tested).
   std::size_t threads = 0;
 
   /// Content-addressed artifact checkpoint directory; empty disables

@@ -21,16 +21,6 @@ std::vector<Vector> Embedder::embed_batch(const std::vector<std::string>& texts,
   return embed_batch(views, pool);
 }
 
-std::vector<Vector> Embedder::embed_batch(
-    const std::vector<std::string_view>& texts) const {
-  return embed_batch(texts, parallel::ThreadPool::global());
-}
-
-std::vector<Vector> Embedder::embed_batch(
-    const std::vector<std::string>& texts) const {
-  return embed_batch(texts, parallel::ThreadPool::global());
-}
-
 void normalize(Vector& v) {
   double norm_sq = 0.0;
   for (const float x : v) norm_sq += static_cast<double>(x) * x;

@@ -35,11 +35,6 @@ class Embedder {
                                   parallel::ThreadPool& pool) const;
   std::vector<Vector> embed_batch(const std::vector<std::string>& texts,
                                   parallel::ThreadPool& pool) const;
-
-  /// Batch embedding on the process-wide default pool.
-  std::vector<Vector> embed_batch(
-      const std::vector<std::string_view>& texts) const;
-  std::vector<Vector> embed_batch(const std::vector<std::string>& texts) const;
 };
 
 /// Dot product (== cosine for unit vectors).  Defined in the similarity

@@ -89,8 +89,6 @@ void IvfPqIndex::add_batch(const std::vector<embed::Vector>& vs) {
   for (const auto& v : vs) add(v);
 }
 
-void IvfPqIndex::build() { build(parallel::ThreadPool::global()); }
-
 void IvfPqIndex::build(parallel::ThreadPool& pool) {
   const std::size_t n = rows_.size();
   // Effective subquantizer count: largest divisor of dim <= config.m.

@@ -61,7 +61,6 @@ class IvfPqIndex final : public VectorIndex {
   std::size_t size() const override { return rows_.size(); }
   void add(const embed::Vector& v) override;
   void add_batch(const std::vector<embed::Vector>& vs) override;
-  void build() override;
   void build(parallel::ThreadPool& pool) override;
 
   /// Delta build: reuse `donor`'s trained coarse centroids and PQ
@@ -70,7 +69,7 @@ class IvfPqIndex final : public VectorIndex {
   /// regardless — the fp16 rerank never reads the quantizers' training
   /// provenance — so results remain bit-identical to FlatIndex whenever
   /// the candidate set covers the true top-k.  Falls back to a full
-  /// build() when the donor is unusable (dimension mismatch or
+  /// build(pool) when the donor is unusable (dimension mismatch or
   /// untrained).  The donor's quantizers are copied out, so the donor
   /// may be destroyed afterwards (it may view an mmap'd blob).
   void build_frozen(const IvfPqIndex& donor, parallel::ThreadPool& pool);

@@ -22,13 +22,6 @@ std::string_view index_kind_name(IndexKind kind) {
   return "unknown";
 }
 
-// --- build -------------------------------------------------------------------
-
-void VectorIndex::build(parallel::ThreadPool& pool) {
-  (void)pool;
-  build();
-}
-
 // --- batched search ----------------------------------------------------------
 
 std::vector<std::vector<SearchResult>> VectorIndex::search_tiled(
@@ -78,11 +71,6 @@ std::vector<std::vector<SearchResult>> VectorIndex::search_batch(
       },
       /*grain=*/1);
   return out;
-}
-
-std::vector<std::vector<SearchResult>> VectorIndex::search_batch(
-    const std::vector<embed::Vector>& queries, std::size_t k) const {
-  return search_batch(queries, k, parallel::ThreadPool::global());
 }
 
 // --- FlatIndex: certified scan (DESIGN.md §10) ------------------------------

@@ -78,14 +78,10 @@ class VectorIndex {
   /// once up front (bulk construction path).
   virtual void add_batch(const std::vector<embed::Vector>& vs) = 0;
 
-  /// Finalize after adds (train quantizers, encode rows).  Must be
-  /// called before search for the quantized tier; no-op for flat.
-  virtual void build() {}
-
-  /// Finalize using `pool` for the parallelizable build phases (row
-  /// encoding).  The result is bit-identical to build() at any thread
-  /// count; the default forwards to the sequential build().
-  virtual void build(parallel::ThreadPool& pool);
+  /// Finalize after adds (train quantizers, encode rows) on `pool`.
+  /// Must be called before search for the quantized tier; no-op for
+  /// flat.  The result is bit-identical at any pool width.
+  virtual void build(parallel::ThreadPool& /*pool*/) {}
 
   /// Serialize to the version-stamped blob format (index_io.cpp).
   virtual std::string save() const = 0;
@@ -135,10 +131,6 @@ class VectorIndex {
   std::vector<std::vector<SearchResult>> search_batch(
       const std::vector<embed::Vector>& queries, std::size_t k,
       parallel::ThreadPool& pool) const;
-
-  /// Batched search on the process-wide default pool.
-  std::vector<std::vector<SearchResult>> search_batch(
-      const std::vector<embed::Vector>& queries, std::size_t k) const;
 };
 
 // --- blob IO (index_io.cpp) --------------------------------------------------

@@ -50,11 +50,6 @@ void VectorStore::add_batch(std::vector<std::string> ids,
   built_ = false;
 }
 
-void VectorStore::add_batch(std::vector<std::string> ids,
-                            std::vector<std::string> texts) {
-  add_batch(std::move(ids), std::move(texts), parallel::ThreadPool::global());
-}
-
 void VectorStore::add_precomputed(std::vector<std::string> ids,
                                   std::vector<std::string> texts,
                                   const std::vector<embed::Vector>& vectors) {
@@ -76,25 +71,28 @@ void VectorStore::add_precomputed(std::vector<std::string> ids,
 }
 
 void VectorStore::build() {
-  index_->build();
+  parallel::ThreadPool own(1);
+  index_->build(own);
   built_ = true;
 }
 
 void VectorStore::build_delta(const VectorStore* donor,
                               double changed_fraction,
-                              double retrain_threshold) {
+                              double retrain_threshold,
+                              parallel::ThreadPool& pool) {
   if (kind_ == IndexKind::kIvfPq && donor != nullptr &&
       donor->kind() == IndexKind::kIvfPq && donor->built_ &&
       donor->size() > 0 && changed_fraction <= retrain_threshold) {
     const auto* src = static_cast<const IvfPqIndex*>(donor->index_.get());
     auto* dst = static_cast<IvfPqIndex*>(index_.get());
     if (src->dim() == dst->dim()) {
-      dst->build_frozen(*src, parallel::ThreadPool::global());
+      dst->build_frozen(*src, pool);
       built_ = true;
       return;
     }
   }
-  build();
+  index_->build(pool);
+  built_ = true;
 }
 
 embed::Vector VectorStore::row_vector(std::size_t row) const {

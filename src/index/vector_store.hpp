@@ -42,9 +42,6 @@ class VectorStore {
   void add_batch(std::vector<std::string> ids, std::vector<std::string> texts,
                  parallel::ThreadPool& pool);
 
-  /// Bulk construction on the process-wide default pool.
-  void add_batch(std::vector<std::string> ids, std::vector<std::string> texts);
-
   /// Bulk construction from embeddings computed elsewhere (the overlapped
   /// executor embeds chunk-by-chunk as upstream stages produce them).
   /// `vectors[i]` must equal `embedder().embed(texts[i])` — the store is
@@ -53,22 +50,25 @@ class VectorStore {
                        std::vector<std::string> texts,
                        const std::vector<embed::Vector>& vectors);
 
-  /// Finalize the underlying index (required before any query).
+  /// Finalize the underlying index (required before any query) on one
+  /// worker of the store's own, never on a pool the caller may be
+  /// running in.  Pipeline builds use build_delta on their pool.
   void build();
 
-  /// Delta-aware finalization for incremental rebuilds.  For an IVF-PQ
-  /// store whose row set changed by at most `retrain_threshold`
-  /// (fraction of rows) relative to `donor` — an older built store of
-  /// the same kind and dimension — the quantizers are NOT retrained:
-  /// rows are re-assigned and re-encoded against the donor's frozen
-  /// coarse centroids and PQ codebooks (IvfPqIndex::build_frozen).
-  /// Query results stay exact either way (the fp16 rerank contract does
-  /// not care how codes were trained), but the saved bytes of a
-  /// frozen-codebook store may differ from a cold retrain's.  Every
-  /// other index kind — and any unusable donor — falls through to a
-  /// plain build(), whose output is byte-identical to the cold path.
+  /// Delta-aware finalization for incremental rebuilds, on `pool`.  For
+  /// an IVF-PQ store whose row set changed by at most
+  /// `retrain_threshold` (fraction of rows) relative to `donor` — an
+  /// older built store of the same kind and dimension — the quantizers
+  /// are NOT retrained: rows are re-assigned and re-encoded against the
+  /// donor's frozen coarse centroids and PQ codebooks
+  /// (IvfPqIndex::build_frozen).  Query results stay exact either way
+  /// (the fp16 rerank contract does not care how codes were trained),
+  /// but the saved bytes of a frozen-codebook store may differ from a
+  /// cold retrain's.  Every other index kind — and any unusable donor —
+  /// falls through to a plain build, whose output is byte-identical to
+  /// build()'s.  Call it from outside `pool`: training waits on it.
   void build_delta(const VectorStore* donor, double changed_fraction,
-                   double retrain_threshold);
+                   double retrain_threshold, parallel::ThreadPool& pool);
 
   /// Serialize the built store: ids, payload texts and the index blob
   /// (index_io formats).  Deterministic bytes for a deterministic store.

@@ -23,7 +23,7 @@ std::vector<std::uint32_t> tail_window(const std::vector<std::uint32_t>& ids,
 
 TrainedStudent TrainedStudent::train(std::string_view corpus_text,
                                      TrainedStudentConfig config,
-                                     parallel::ThreadPool* pool) {
+                                     parallel::ThreadPool& pool) {
   TrainedStudent out;
   out.fingerprint_ =
       train::trained_model_fingerprint(config.train, corpus_text);

@@ -39,9 +39,10 @@ class TrainedStudent final : public LanguageModel {
   /// Minibatch-SGD train on raw text (see train/trainer.hpp for the
   /// byte-identity contract).  epochs == 0 gives the untrained-init
   /// baseline: seeded weights, same tokenizer/classes, no SGD steps.
+  /// The gradient lanes run on `pool`.
   static TrainedStudent train(std::string_view corpus_text,
                               TrainedStudentConfig config,
-                              parallel::ThreadPool* pool = nullptr);
+                              parallel::ThreadPool& pool);
 
   /// Warm restore from a serialize() blob (byte-identical to the cold
   /// train that produced it; throws on malformed blobs).  `fingerprint`

@@ -89,11 +89,6 @@ void ThreadPool::wait_idle() {
   });
 }
 
-ThreadPool& ThreadPool::global() {
-  static ThreadPool pool;
-  return pool;
-}
-
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body,
                   std::size_t grain) {

@@ -11,6 +11,12 @@
 // Determinism note: tasks themselves must be deterministic (each owns a
 // forked Rng keyed by item id); the pool only changes *when* work runs,
 // never *what* it computes.
+//
+// Ownership rule: there is no process-wide pool.  Every pool comes from
+// the caller, so a build or training run at `threads = N` runs on N
+// workers.  Nested parallel work (parallel_for, a TaskGroup wait) starts
+// only from the caller's thread, never from inside a task of the pool
+// it would wait on (parallel/dag.hpp).
 
 #include <atomic>
 #include <condition_variable>
@@ -57,10 +63,6 @@ class ThreadPool {
   /// Block until every submitted task (including tasks submitted by
   /// tasks) has finished.
   void wait_idle();
-
-  /// A process-wide default pool, sized to the machine.  Library code
-  /// that doesn't care about pool identity uses this.
-  static ThreadPool& global();
 
  private:
   struct WorkerQueue {

@@ -63,11 +63,11 @@ std::optional<McqRecord> BenchmarkBuilder::build_one(
 }
 
 std::vector<McqRecord> BenchmarkBuilder::build(
-    const std::vector<chunk::Chunk>& chunks, FunnelStats* stats) const {
+    const std::vector<chunk::Chunk>& chunks, parallel::ThreadPool& pool,
+    FunnelStats* stats) const {
   std::vector<std::optional<McqRecord>> slots(chunks.size());
   FunnelCounters tally;
 
-  parallel::ThreadPool pool(config_.threads);
   parallel::parallel_for(pool, 0, chunks.size(), [&](std::size_t i) {
     slots[i] = build_one(chunks[i], tally);
   });

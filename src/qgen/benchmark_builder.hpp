@@ -15,6 +15,10 @@
 #include "llm/teacher_model.hpp"
 #include "qgen/mcq_record.hpp"
 
+namespace mcqa::parallel {
+class ThreadPool;
+}
+
 namespace mcqa::qgen {
 
 struct BuilderConfig {
@@ -23,7 +27,6 @@ struct BuilderConfig {
   /// Residual flaw probability of accepted items (what the 1-10 filter
   /// cannot see); propagated into each record.
   double residual_ambiguity = 0.10;
-  std::size_t threads = 0;           ///< 0 = hardware concurrency
 };
 
 struct FunnelStats {
@@ -55,8 +58,10 @@ class BenchmarkBuilder {
  public:
   BenchmarkBuilder(const llm::TeacherModel& teacher, BuilderConfig config = {});
 
-  /// Build the benchmark from chunks.  Deterministic, order-stable.
+  /// Build the benchmark from chunks across `pool`.  Deterministic,
+  /// order-stable, identical at any pool width.
   std::vector<McqRecord> build(const std::vector<chunk::Chunk>& chunks,
+                               parallel::ThreadPool& pool,
                                FunnelStats* stats = nullptr) const;
 
   /// Draft + filter the candidate for one chunk.  Pure per chunk and

@@ -190,18 +190,12 @@ bool LiveStore::tombstone(std::string_view id) {
   return true;
 }
 
-std::shared_ptr<const StoreSnapshot> LiveStore::publish(double sim_now_ms) {
+std::shared_ptr<const StoreSnapshot> LiveStore::publish() {
   const std::lock_guard<std::mutex> lock(writer_mu_);
-  return publish_locked(sim_now_ms);
-}
-
-std::shared_ptr<const StoreSnapshot> LiveStore::publish_locked(
-    double sim_now_ms) {
   const auto old = head_.load(std::memory_order_acquire);
   auto next = std::make_shared<StoreSnapshot>();
   next->embedder_ = embedder_;
   next->epoch_ = old->epoch_ + 1;
-  next->published_at_ms_ = sim_now_ms;
   next->base_ = old->base_;
   next->deltas_ = old->deltas_;
   next->total_rows_ = old->total_rows_ + pend_ids_.size();
@@ -229,7 +223,7 @@ std::shared_ptr<const StoreSnapshot> LiveStore::publish_locked(
   std::shared_ptr<const StoreSnapshot> sealed = std::move(next);
   const std::size_t fold = sealed->delta_rows() + sealed->tombstones();
   if (fold > 0 && fold >= config_.compact_threshold) {
-    sealed = compact_locked(*sealed, sim_now_ms);
+    sealed = compact_locked(*sealed);
   }
   head_.store(sealed, std::memory_order_release);
   epoch_hint_.store(sealed->epoch(), std::memory_order_release);
@@ -239,7 +233,7 @@ std::shared_ptr<const StoreSnapshot> LiveStore::publish_locked(
 }
 
 std::shared_ptr<const StoreSnapshot> LiveStore::compact_locked(
-    const StoreSnapshot& sealed, double sim_now_ms) {
+    const StoreSnapshot& sealed) {
   auto base = std::make_shared<StoreSnapshot::Segment>(embedder_->dim());
   std::vector<embed::Vector> vecs;
   const std::size_t live = sealed.rows();
@@ -261,7 +255,6 @@ std::shared_ptr<const StoreSnapshot> LiveStore::compact_locked(
   auto next = std::make_shared<StoreSnapshot>();
   next->embedder_ = embedder_;
   next->epoch_ = sealed.epoch_;
-  next->published_at_ms_ = sim_now_ms;
   next->total_rows_ = base->ids.size();
   next->dead_ =
       std::make_shared<const std::vector<std::uint8_t>>(base->ids.size(), 0);

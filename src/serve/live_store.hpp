@@ -36,8 +36,7 @@
 //
 // Determinism: publish/compaction decisions are pure functions of the
 // mutation sequence and config — no wall-clock, no thread-count
-// dependence.  The time stamp on each snapshot is caller provided (a
-// logical time such as bench_serve's publish ticks), never measured.
+// dependence.
 
 #include <atomic>
 #include <cstdint>
@@ -70,9 +69,6 @@ struct LiveStoreConfig {
 class StoreSnapshot {
  public:
   std::uint64_t epoch() const { return epoch_; }
-  /// Caller-supplied simulated publish instant (0 when unstamped);
-  /// staleness of a query = its simulated time minus this.
-  double published_at_ms() const { return published_at_ms_; }
 
   std::size_t rows() const { return total_rows_ - dead_count_; }
   std::size_t base_rows() const;
@@ -123,7 +119,6 @@ class StoreSnapshot {
 
   const embed::Embedder* embedder_ = nullptr;
   std::uint64_t epoch_ = 0;
-  double published_at_ms_ = 0.0;
   std::shared_ptr<const Segment> base_;
   std::vector<std::shared_ptr<const Segment>> deltas_;
   /// Dead bitmap indexed by ordinal (size total_rows_); copied on
@@ -150,11 +145,10 @@ class LiveStore {
   /// Buffer a tombstone.  False when `id` is not live.
   bool tombstone(std::string_view id);
   /// Seal buffered mutations into a new immutable snapshot and swap the
-  /// epoch pointer.  `sim_now_ms` stamps the snapshot (caller-provided
-  /// logical time, never read from a clock).
-  /// Compacts when deltas + tombstones reach config.compact_threshold.
-  /// Publishing with nothing buffered still advances the epoch.
-  std::shared_ptr<const StoreSnapshot> publish(double sim_now_ms = 0.0);
+  /// epoch pointer.  Compacts when deltas + tombstones reach
+  /// config.compact_threshold.  Publishing with nothing buffered still
+  /// advances the epoch.
+  std::shared_ptr<const StoreSnapshot> publish();
 
   // --- read path (zero locks) -----------------------------------------------
 
@@ -180,9 +174,8 @@ class LiveStore {
   const LiveStoreConfig& config() const { return config_; }
 
  private:
-  std::shared_ptr<const StoreSnapshot> publish_locked(double sim_now_ms);
   std::shared_ptr<const StoreSnapshot> compact_locked(
-      const StoreSnapshot& sealed, double sim_now_ms);
+      const StoreSnapshot& sealed);
 
   const embed::Embedder* embedder_;
   LiveStoreConfig config_;

@@ -117,9 +117,9 @@ TraceRecord TraceGenerator::generate(const qgen::McqRecord& record,
 }
 
 std::vector<TraceRecord> TraceGenerator::generate_all(
-    const std::vector<qgen::McqRecord>& records, TraceMode mode) const {
+    const std::vector<qgen::McqRecord>& records, TraceMode mode,
+    parallel::ThreadPool& pool) const {
   std::vector<TraceRecord> out(records.size());
-  parallel::ThreadPool pool(config_.threads);
   parallel::parallel_for(pool, 0, records.size(), [&](std::size_t i) {
     out[i] = generate(records[i], mode);
   });

@@ -8,10 +8,13 @@
 #include "qgen/mcq_record.hpp"
 #include "trace/trace_record.hpp"
 
+namespace mcqa::parallel {
+class ThreadPool;
+}
+
 namespace mcqa::trace {
 
 struct TraceGenConfig {
-  std::size_t threads = 0;
   std::uint64_t seed = 0x7ace5eedu;
 };
 
@@ -22,9 +25,11 @@ class TraceGenerator {
   /// One trace for one record in one mode.
   TraceRecord generate(const qgen::McqRecord& record, TraceMode mode) const;
 
-  /// All records, one mode (parallel, order-stable).
+  /// All records, one mode, across `pool` (order-stable, identical at
+  /// any pool width).
   std::vector<TraceRecord> generate_all(
-      const std::vector<qgen::McqRecord>& records, TraceMode mode) const;
+      const std::vector<qgen::McqRecord>& records, TraceMode mode,
+      parallel::ThreadPool& pool) const;
 
  private:
   const llm::TeacherModel& teacher_;

@@ -201,10 +201,7 @@ double stream_perplexity(const LblModel& model,
 }
 
 TrainedLm train_lbl(std::string_view text, const TrainConfig& config,
-                    parallel::ThreadPool* pool) {
-  parallel::ThreadPool& workers =
-      pool != nullptr ? *pool : parallel::ThreadPool::global();
-
+                    parallel::ThreadPool& pool) {
   TrainedLm out;
   out.bpe = text::shared_bpe(text, config.bpe_vocab);
   const std::vector<std::uint32_t> stream = out.bpe->encode(text);
@@ -245,7 +242,7 @@ TrainedLm train_lbl(std::string_view text, const TrainConfig& config,
       // slice and accumulates them sequentially into its own buffer —
       // the pool decides when a lane runs, never what it sums.
       parallel::parallel_for(
-          workers, 0, kLanes,
+          pool, 0, kLanes,
           [&](std::size_t lane) {
             float* grad = lane_grad[lane].data();
             std::memset(grad, 0, psize * sizeof(float));
@@ -265,7 +262,7 @@ TrainedLm train_lbl(std::string_view text, const TrainConfig& config,
       // is independent, so chunking cannot change any sum).
       const float inv_batch = 1.0f / static_cast<float>(batch_n);
       parallel::parallel_for(
-          workers, 0, psize, [&](std::size_t i) {
+          pool, 0, psize, [&](std::size_t i) {
             float lanes[kLanes];
             for (std::size_t l = 0; l < kLanes; ++l) {
               lanes[l] = lane_grad[l][i];

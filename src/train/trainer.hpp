@@ -72,10 +72,10 @@ struct TrainedLm {
   TrainReport report;
 };
 
-/// Train on raw text.  `pool` hosts the gradient lanes (nullptr =
-/// the process-global pool); the result is byte-identical for any pool.
+/// Train on raw text.  `pool` hosts the gradient lanes; the result is
+/// byte-identical for any pool width.
 TrainedLm train_lbl(std::string_view text, const TrainConfig& config,
-                    parallel::ThreadPool* pool = nullptr);
+                    parallel::ThreadPool& pool);
 
 /// Perplexity of `model` over a token stream window [begin, end),
 /// reduced in the fixed 8-lane order.  Histories may reach back before

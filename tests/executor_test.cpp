@@ -12,10 +12,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
@@ -84,6 +86,42 @@ TEST(Executor, PerModeStatsAreIndependent) {
     EXPECT_GT(s.trace_grading_accuracy[mi], 0.0);
     EXPECT_LE(s.trace_grading_accuracy[mi], 1.0);
   }
+}
+
+// --- pool ownership ----------------------------------------------------------
+
+std::size_t live_threads() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(
+      std::distance(std::filesystem::begin(tasks), std::filesystem::end(tasks)));
+}
+
+// threads = 1 means one worker for every build and training path, an
+// IVF-PQ build's k-means and encoding and the trainable roster's SGD
+// included.  A sampler thread watches the process's thread count
+// meanwhile; afterwards every pool thread is gone.
+TEST(Executor, ThreadsOneRunsBuildAndTrainingOnOneWorker) {
+  std::size_t peak = 0;
+  std::jthread sampler([&peak](const std::stop_token& stop) {
+    while (!stop.stop_requested()) {
+      peak = std::max(peak, live_threads());
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  // Counted once the sampler runs, so a helper thread that a sanitizer
+  // runtime starts with the process's first extra thread counts too.
+  const std::size_t before = live_threads();
+  {
+    PipelineConfig cfg = test_config(1);
+    cfg.index_kind = index::IndexKind::kIvfPq;
+    const PipelineContext ctx(cfg);
+    ctx.trained_roster();
+  }
+  const std::size_t after = live_threads();
+  sampler.request_stop();
+  sampler.join();
+  EXPECT_LE(peak, before + 1) << "one pool worker at a time";
+  EXPECT_EQ(after, before);
 }
 
 // --- checkpoint restore ------------------------------------------------------

@@ -7,6 +7,7 @@
 
 #include "core/expansion.hpp"
 #include "corpus/fact_matcher.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace mcqa::core {
 namespace {
@@ -33,9 +34,10 @@ std::vector<corpus::RawDocument> make_batch(std::uint64_t seed,
 }
 
 TEST(Expansion, FirstBatchProducesRecordsAndTraces) {
+  parallel::ThreadPool pool(2);
   const auto batch = make_batch(1);
   const ExpansionResult result = expand_benchmark(
-      batch, /*existing=*/{}, world().embedder, world().teacher);
+      batch, /*existing=*/{}, world().embedder, world().teacher, pool);
   EXPECT_EQ(result.documents_in, batch.size());
   EXPECT_GT(result.documents_parsed, batch.size() * 9 / 10);
   EXPECT_GT(result.new_chunks, batch.size());
@@ -50,9 +52,10 @@ TEST(Expansion, FirstBatchProducesRecordsAndTraces) {
 }
 
 TEST(Expansion, ReingestionIsIdempotent) {
+  parallel::ThreadPool pool(2);
   const auto batch = make_batch(2);
   const ExpansionResult first = expand_benchmark(
-      batch, {}, world().embedder, world().teacher);
+      batch, {}, world().embedder, world().teacher, pool);
 
   // Collect the chunk ids now "in the benchmark".
   std::unordered_set<std::string> seen;
@@ -80,7 +83,7 @@ TEST(Expansion, ReingestionIsIdempotent) {
   }
 
   const ExpansionResult second = expand_benchmark(
-      batch, seen, world().embedder, world().teacher);
+      batch, seen, world().embedder, world().teacher, pool);
   EXPECT_EQ(second.new_chunks, 0u);
   EXPECT_TRUE(second.new_records.empty());
   EXPECT_EQ(second.documents_skipped, second.documents_parsed);
@@ -88,9 +91,10 @@ TEST(Expansion, ReingestionIsIdempotent) {
 }
 
 TEST(Expansion, NewBatchExtendsWithoutIdCollisions) {
+  parallel::ThreadPool pool(2);
   const auto batch1 = make_batch(3);
   const ExpansionResult first = expand_benchmark(
-      batch1, {}, world().embedder, world().teacher);
+      batch1, {}, world().embedder, world().teacher, pool);
 
   std::unordered_set<std::string> seen;
   for (const auto& r : first.new_records) seen.insert(r.chunk_id);
@@ -98,7 +102,7 @@ TEST(Expansion, NewBatchExtendsWithoutIdCollisions) {
   // Different seed -> different doc ids -> genuinely new content.
   const auto batch2 = make_batch(4);
   const ExpansionResult second = expand_benchmark(
-      batch2, seen, world().embedder, world().teacher);
+      batch2, seen, world().embedder, world().teacher, pool);
   EXPECT_GT(second.new_records.size(), 0u);
 
   std::set<std::string> all_ids;
@@ -111,9 +115,10 @@ TEST(Expansion, NewBatchExtendsWithoutIdCollisions) {
 }
 
 TEST(Expansion, ExpandedRecordsPassSameQualityBar) {
+  parallel::ThreadPool pool(2);
   const auto batch = make_batch(5);
   const ExpansionResult result = expand_benchmark(
-      batch, {}, world().embedder, world().teacher);
+      batch, {}, world().embedder, world().teacher, pool);
   for (const auto& r : result.new_records) {
     EXPECT_GE(r.quality_score, 7.0);
     EXPECT_TRUE(world().matcher.contains(r.text, r.fact));
@@ -121,20 +126,22 @@ TEST(Expansion, ExpandedRecordsPassSameQualityBar) {
 }
 
 TEST(Expansion, EmptyBatch) {
+  parallel::ThreadPool pool(2);
   const ExpansionResult result = expand_benchmark(
-      {}, {}, world().embedder, world().teacher);
+      {}, {}, world().embedder, world().teacher, pool);
   EXPECT_EQ(result.documents_in, 0u);
   EXPECT_TRUE(result.new_records.empty());
 }
 
 TEST(Expansion, CorruptDocumentsSkippedGracefully) {
+  parallel::ThreadPool pool(2);
   std::vector<corpus::RawDocument> batch = make_batch(6, 0.001);
   corpus::RawDocument corrupt;
   corrupt.doc_id = "corrupt_1";
   corrupt.bytes = "%SPDF-1.2\n%%Title: broken\n";  // no pages
   batch.push_back(corrupt);
   const ExpansionResult result = expand_benchmark(
-      batch, {}, world().embedder, world().teacher);
+      batch, {}, world().embedder, world().teacher, pool);
   EXPECT_EQ(result.documents_parsed, batch.size() - 1);
 }
 

@@ -29,6 +29,12 @@ std::vector<embed::Vector> random_unit_vectors(std::size_t n, std::size_t dim,
   return out;
 }
 
+/// Build `idx` on a two-worker pool of the test's own.
+void build_index(VectorIndex& idx) {
+  parallel::ThreadPool pool(2);
+  idx.build(pool);
+}
+
 std::unique_ptr<VectorIndex> make_index(IndexKind kind, std::size_t dim) {
   switch (kind) {
     case IndexKind::kFlat: return std::make_unique<FlatIndex>(dim);
@@ -46,7 +52,7 @@ TEST_P(AnyIndex, SelfQueryReturnsSelfFirst) {
   const auto data = random_unit_vectors(300, kDim, 1);
   auto idx = make_index(GetParam(), kDim);
   for (const auto& v : data) idx->add(v);
-  idx->build();
+  build_index(*idx);
   for (std::size_t probe : {std::size_t{0}, std::size_t{137}, data.size() - 1}) {
     const auto results = idx->search(data[probe], 1);
     ASSERT_FALSE(results.empty());
@@ -62,7 +68,7 @@ TEST_P(AnyIndex, RecallAgainstExactSearch) {
   const auto queries = random_unit_vectors(40, kDim, 3);
   auto idx = make_index(GetParam(), kDim);
   for (const auto& v : data) idx->add(v);
-  idx->build();
+  build_index(*idx);
 
   double recall_sum = 0.0;
   for (const auto& q : queries) {
@@ -84,7 +90,7 @@ TEST_P(AnyIndex, KLargerThanSizeReturnsAll) {
   const auto data = random_unit_vectors(5, kDim, 4);
   auto idx = make_index(GetParam(), kDim);
   for (const auto& v : data) idx->add(v);
-  idx->build();
+  build_index(*idx);
   const auto results = idx->search(data[0], 50);
   EXPECT_EQ(results.size(), 5u);
 }
@@ -94,7 +100,7 @@ TEST_P(AnyIndex, ScoresSortedDescending) {
   const auto data = random_unit_vectors(200, kDim, 5);
   auto idx = make_index(GetParam(), kDim);
   for (const auto& v : data) idx->add(v);
-  idx->build();
+  build_index(*idx);
   const auto results = idx->search(data[7], 20);
   for (std::size_t i = 1; i < results.size(); ++i) {
     EXPECT_GE(results[i - 1].score, results[i].score);
@@ -110,7 +116,7 @@ TEST_P(AnyIndex, SingleElementIndex) {
   auto idx = make_index(GetParam(), 4);
   embed::Vector v{1.0f, 0.0f, 0.0f, 0.0f};
   idx->add(v);
-  idx->build();
+  build_index(*idx);
   const auto results = idx->search(v, 3);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].row, 0u);
@@ -122,11 +128,11 @@ TEST_P(AnyIndex, AddBatchBitIdenticalToSequentialAdds) {
 
   auto seq = make_index(GetParam(), kDim);
   for (const auto& v : vecs) seq->add(v);
-  seq->build();
+  build_index(*seq);
 
   auto batch = make_index(GetParam(), kDim);
   batch->add_batch(vecs);
-  batch->build();
+  build_index(*batch);
 
   ASSERT_EQ(batch->size(), seq->size());
   const auto queries = random_unit_vectors(24, kDim, 7);
@@ -155,8 +161,8 @@ TEST(AddBatch, SaveBlobsMatchSequentialForAllKinds) {
   }
   flat_batch.add_batch(vecs);
   pq_batch.add_batch(vecs);
-  pq_seq.build();
-  pq_batch.build();
+  build_index(pq_seq);
+  build_index(pq_batch);
 
   EXPECT_EQ(flat_seq.save(), flat_batch.save());
   EXPECT_EQ(pq_seq.save(), pq_batch.save());
@@ -309,7 +315,8 @@ TEST(VectorStore, AddBatchMatchesSequentialAtEveryThreadCount) {
 TEST(VectorStore, AddBatchSizeMismatchThrows) {
   const embed::HashedNGramEmbedder emb;
   VectorStore store(emb);
-  EXPECT_THROW(store.add_batch({"a", "b"}, {"only one"}),
+  parallel::ThreadPool pool(1);
+  EXPECT_THROW(store.add_batch({"a", "b"}, {"only one"}, pool),
                std::invalid_argument);
 }
 

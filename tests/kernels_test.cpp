@@ -248,7 +248,8 @@ TEST_P(BatchedSearch, IdenticalToSequentialAtAnyThreadCount) {
   const auto queries = random_unit_vectors(40, kDim, 32);
   auto idx = make_index(GetParam(), kDim);
   for (const auto& v : data) idx->add(v);
-  idx->build();
+  parallel::ThreadPool build_pool(2);
+  idx->build(build_pool);
 
   std::vector<std::vector<SearchResult>> want;
   want.reserve(queries.size());
@@ -273,9 +274,10 @@ TEST_P(BatchedSearch, IdenticalToSequentialAtAnyThreadCount) {
 }
 
 TEST_P(BatchedSearch, EmptyBatchAndDefaultPool) {
+  parallel::ThreadPool pool;  // default-constructed: machine-sized
   auto idx = make_index(GetParam(), 8);
-  idx->build();
-  EXPECT_TRUE(idx->search_batch({}, 3).empty());
+  idx->build(pool);
+  EXPECT_TRUE(idx->search_batch({}, 3, pool).empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, BatchedSearch,

@@ -74,9 +74,8 @@ TEST(LiveStoreTest, EmptyStoreQueriesAndPublishes) {
   EXPECT_TRUE(snap->live_rows().empty());
 
   // Publishing with nothing buffered still advances the epoch.
-  const auto next = store.publish(12.5);
+  const auto next = store.publish();
   EXPECT_EQ(next->epoch(), 1u);
-  EXPECT_EQ(next->published_at_ms(), 12.5);
   EXPECT_EQ(next->rows(), 0u);
   EXPECT_EQ(store.epoch(), 1u);
 }
@@ -244,7 +243,7 @@ TEST(LiveStoreTest, EveryEpochMatchesFromScratchRebuild) {
     }
     if (epoch % 2 == 1) store.tombstone(row_id(epoch));
     if (epoch % 3 == 2) store.append(row_id(1), row_text(90 + epoch));
-    store.publish(epoch * 10.0);
+    store.publish();
     expect_matches_rebuild(embedder, *store.snapshot());
   }
   EXPECT_GE(store.compactions(), 1u);
@@ -301,7 +300,7 @@ TEST(LiveStoreConcurrency, ReadersNeverBlockDuringPublish) {
   for (int i = 16; i < 112; ++i) {
     store.append(row_id(i), row_text(i));
     if (i % 7 == 0) store.tombstone(row_id(i - 10));
-    if (i % 4 == 0) store.publish(i * 1.0);
+    if (i % 4 == 0) store.publish();
   }
   store.publish();
   stop.store(true, std::memory_order_release);

@@ -14,6 +14,7 @@
 #include "index/quantized.hpp"
 #include "index/vector_index.hpp"
 #include "llm/student_model.hpp"
+#include "parallel/thread_pool.hpp"
 #include "text/tokenizer.hpp"
 #include "text/bpe.hpp"
 
@@ -56,7 +57,8 @@ TEST_P(IndexRecallSweep, RecallAboveFloor) {
       break;
   }
   for (const auto& v : data) idx->add(v);
-  idx->build();
+  parallel::ThreadPool pool(2);
+  idx->build(pool);
 
   double recall = 0.0;
   constexpr int kQueries = 20;

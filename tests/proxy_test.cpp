@@ -8,6 +8,7 @@
 #include "corpus/fact_matcher.hpp"
 #include "corpus/realization.hpp"
 #include "llm/argo_proxy.hpp"
+#include "parallel/thread_pool.hpp"
 #include "qgen/benchmark_builder.hpp"
 
 namespace mcqa::llm {
@@ -201,7 +202,8 @@ TEST(SubDomain, BenchmarkRecordsCarrySubDomain) {
   const TeacherModel teacher(test_kb(), matcher);
   std::vector<chunk::Chunk> chunks = test_chunks(80);
   const qgen::BenchmarkBuilder builder(teacher);
-  const auto records = builder.build(chunks);
+  parallel::ThreadPool pool(2);
+  const auto records = builder.build(chunks, pool);
   ASSERT_FALSE(records.empty());
   for (const auto& r : records) {
     EXPECT_FALSE(r.sub_domain.empty()) << r.record_id;

@@ -8,6 +8,7 @@
 #include "corpus/fact_matcher.hpp"
 #include "corpus/realization.hpp"
 #include "llm/teacher_model.hpp"
+#include "parallel/thread_pool.hpp"
 #include "qgen/benchmark_builder.hpp"
 #include "qgen/mcq_record.hpp"
 
@@ -146,8 +147,9 @@ TEST(BenchmarkBuilder, FunnelAccounting) {
   const corpus::FactMatcher matcher(test_kb());
   const llm::TeacherModel teacher(test_kb(), matcher);
   const BenchmarkBuilder builder(teacher);
+  parallel::ThreadPool pool(2);
   FunnelStats stats;
-  const auto records = builder.build(test_chunks(), &stats);
+  const auto records = builder.build(test_chunks(), pool, &stats);
   EXPECT_EQ(stats.chunks, test_chunks().size());
   EXPECT_EQ(stats.accepted, records.size());
   EXPECT_EQ(stats.chunks, stats.candidates + stats.rejected_no_fact);
@@ -161,7 +163,8 @@ TEST(BenchmarkBuilder, AcceptedRecordsAreWellFormed) {
   const corpus::FactMatcher matcher(test_kb());
   const llm::TeacherModel teacher(test_kb(), matcher);
   const BenchmarkBuilder builder(teacher);
-  const auto records = builder.build(test_chunks());
+  parallel::ThreadPool pool(2);
+  const auto records = builder.build(test_chunks(), pool);
   ASSERT_FALSE(records.empty());
   std::set<std::string> ids;
   for (const auto& r : records) {
@@ -188,8 +191,10 @@ TEST(BenchmarkBuilder, HigherThresholdAcceptsFewer) {
   lenient.quality_threshold = 5.0;
   BuilderConfig strict;
   strict.quality_threshold = 8.5;
-  const auto many = BenchmarkBuilder(teacher, lenient).build(test_chunks());
-  const auto few = BenchmarkBuilder(teacher, strict).build(test_chunks());
+  parallel::ThreadPool pool(2);
+  const auto many =
+      BenchmarkBuilder(teacher, lenient).build(test_chunks(), pool);
+  const auto few = BenchmarkBuilder(teacher, strict).build(test_chunks(), pool);
   EXPECT_GT(many.size(), few.size());
 }
 
@@ -197,8 +202,10 @@ TEST(BenchmarkBuilder, DeterministicAcrossRuns) {
   const corpus::FactMatcher matcher(test_kb());
   const llm::TeacherModel teacher(test_kb(), matcher);
   const BenchmarkBuilder builder(teacher);
-  const auto a = builder.build(test_chunks());
-  const auto b = builder.build(test_chunks());
+  parallel::ThreadPool one(1);
+  parallel::ThreadPool four(4);
+  const auto a = builder.build(test_chunks(), one);
+  const auto b = builder.build(test_chunks(), four);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].record_id, b[i].record_id);
@@ -211,8 +218,9 @@ TEST(BenchmarkBuilder, EmptyInput) {
   const corpus::FactMatcher matcher(test_kb());
   const llm::TeacherModel teacher(test_kb(), matcher);
   const BenchmarkBuilder builder(teacher);
+  parallel::ThreadPool pool(1);
   FunnelStats stats;
-  EXPECT_TRUE(builder.build({}, &stats).empty());
+  EXPECT_TRUE(builder.build({}, pool, &stats).empty());
   EXPECT_EQ(stats.chunks, 0u);
   EXPECT_DOUBLE_EQ(stats.acceptance_rate(), 0.0);
 }

@@ -40,6 +40,12 @@ std::vector<embed::Vector> random_unit_vectors(std::size_t n, std::size_t dim,
   return out;
 }
 
+/// Build `idx` on a two-worker pool of the test's own.
+void build_index(VectorIndex& idx) {
+  parallel::ThreadPool pool(2);
+  idx.build(pool);
+}
+
 struct TempDir {
   std::filesystem::path path;
   TempDir() {
@@ -134,7 +140,7 @@ TEST(QuantizedDeterminism, PqCodebooksIdenticalAddVsAddBatch) {
 
   IvfPqIndex seq(kDim);
   for (const auto& v : vecs) seq.add(v);
-  seq.build();
+  build_index(seq);
 
   IvfPqIndex batch(kDim);
   batch.add_batch(vecs);
@@ -167,7 +173,7 @@ TEST(RerankContract, CoveringCandidatesBitIdenticalToFlat) {
   pq_cfg.min_candidates = kN;
   IvfPqIndex pq(kDim, pq_cfg);
   pq.add_batch(vecs);
-  pq.build();
+  build_index(pq);
 
   for (const auto& q : queries) {
     const auto want = flat.search(q, 10);
@@ -194,7 +200,7 @@ TEST(RerankContract, QuantizedRecallFloorOnClusteredCorpus) {
   pq_cfg.oversample = 16;
   IvfPqIndex pq(cc.dim, pq_cfg);
   pq.add_batch(rows);
-  pq.build();
+  build_index(pq);
 
   double pq_recall = 0.0;
   constexpr std::size_t kQueries = 16;
@@ -218,7 +224,7 @@ TEST(RerankContract, ApproxCandidatesAreTheRerankPool) {
   cfg.min_candidates = 32;
   IvfPqIndex pq(kDim, cfg);
   pq.add_batch(vecs);
-  pq.build();
+  build_index(pq);
   const auto q = random_unit_vectors(1, kDim, 62)[0];
   const auto cands = pq.approx_candidates(q, 40);
   ASSERT_EQ(cands.size(), 40u);
@@ -240,7 +246,7 @@ TEST(QuantizedIo, SaveLoadRoundTripSearchesIdentically) {
 
   IvfPqIndex pq(kDim);
   pq.add_batch(vecs);
-  pq.build();
+  build_index(pq);
   const std::string pq_blob = pq.save();
   const IvfPqIndex pq_loaded = IvfPqIndex::load(pq_blob);
   const IvfPqIndex pq_view = IvfPqIndex::load_view(pq_blob);
@@ -268,7 +274,7 @@ TEST(QuantizedIo, DispatchLoadsByMagic) {
                   std::make_unique<FlatIndex>(kDim))
             : std::make_unique<IvfPqIndex>(kDim);
     idx->add_batch(vecs);
-    idx->build();
+    build_index(*idx);
     const auto loaded = load_index(idx->save());
     ASSERT_NE(loaded, nullptr);
     EXPECT_EQ(loaded->kind(), kind);
@@ -284,7 +290,7 @@ TEST(QuantizedIo, TruncatedBlobFailsSoft) {
   flat.add_batch(vecs);
   IvfPqIndex pq(kDim);
   pq.add_batch(vecs);
-  pq.build();
+  build_index(pq);
   for (const std::string& blob : {flat.save(), pq.save()}) {
     // Cut inside the header, inside each payload region, and mid-pad.
     for (const std::size_t keep :
@@ -307,7 +313,7 @@ TEST(QuantizedIo, OutOfRangePqCodesFailSoft) {
   cfg.ksub = 4;
   IvfPqIndex pq(kDim, cfg);
   pq.add_batch(random_unit_vectors(64, kDim, 95));
-  pq.build();
+  build_index(pq);
   ASSERT_EQ(pq.codebook_size(), 4u);
   const std::string blob = pq.save();
 
@@ -349,7 +355,7 @@ TEST(QuantizedIo, ListsThatDoNotPartitionTheRowsFailSoft) {
   cfg.ksub = 16;
   IvfPqIndex pq(kDim, cfg);
   pq.add_batch(random_unit_vectors(kRows, kDim, 97));
-  pq.build();
+  build_index(pq);
   const std::string blob = pq.save();
 
   // ivfpqidx1 layout: magic, eight u64 header fields, 8-aligned
@@ -436,7 +442,7 @@ TEST(MmapIndex, OpenMatchesResidentBitExact) {
       idx = std::make_unique<IvfPqIndex>(kDim);
     }
     idx->add_batch(vecs);
-    idx->build();
+    build_index(*idx);
     const auto path = write_file(
         dir.path / (std::string(index_kind_name(kind)) + ".idx"),
         idx->save());
@@ -466,7 +472,7 @@ TEST(MmapConcurrency, SearchBatchOverMappedStore) {
 
   IvfPqIndex built(kDim);
   built.add_batch(vecs);
-  built.build();
+  build_index(built);
   const auto path = write_file(dir.path / "ivfpq.idx", built.save());
   const MappedIndex mapped = open_index_mmap(path);
   ASSERT_TRUE(mapped.index->mmap_backed());

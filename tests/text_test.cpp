@@ -1,5 +1,5 @@
 // Unit tests for text processing: normalization, sentence splitting,
-// tokenization, BPE, vocabulary.
+// tokenization, BPE.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include "text/normalize.hpp"
 #include "text/sentence.hpp"
 #include "text/tokenizer.hpp"
-#include "text/vocab.hpp"
 
 namespace mcqa::text {
 namespace {
@@ -210,46 +209,6 @@ TEST(Bpe, EmptyInputEncodesEmpty) {
   const BpeTokenizer t = BpeTokenizer::train("some text here", 32);
   EXPECT_TRUE(t.encode("").empty());
   EXPECT_EQ(t.decode({}), "");
-}
-
-// --- vocabulary -------------------------------------------------------------------
-
-TEST(Vocabulary, InternAndLookup) {
-  Vocabulary v;
-  const auto id1 = v.intern("apoptosis");
-  const auto id2 = v.intern("apoptosis");
-  EXPECT_EQ(id1, id2);
-  EXPECT_EQ(v.id("apoptosis"), id1);
-  EXPECT_EQ(v.id("never-seen"), Vocabulary::kUnknown);
-  EXPECT_EQ(v.word(id1), "apoptosis");
-}
-
-TEST(Vocabulary, FrequenciesFromText) {
-  Vocabulary v;
-  v.add_text("a b a a c");
-  EXPECT_EQ(v.frequency(v.id("a")), 3u);
-  EXPECT_EQ(v.frequency(v.id("b")), 1u);
-  EXPECT_EQ(v.total_count(), 5u);
-}
-
-TEST(Vocabulary, IdfOrdering) {
-  Vocabulary v;
-  std::string text;
-  for (int i = 0; i < 100; ++i) text += "common ";
-  text += "rare";
-  v.add_text(text);
-  EXPECT_GT(v.idf(v.id("rare")), v.idf(v.id("common")));
-  EXPECT_GE(v.idf(v.id("common")), 0.0);
-}
-
-TEST(Vocabulary, EncodeMapsUnknowns) {
-  Vocabulary v;
-  v.add_text("alpha beta");
-  const auto ids = v.encode("alpha gamma beta");
-  ASSERT_EQ(ids.size(), 3u);
-  EXPECT_NE(ids[0], Vocabulary::kUnknown);
-  EXPECT_EQ(ids[1], Vocabulary::kUnknown);
-  EXPECT_NE(ids[2], Vocabulary::kUnknown);
 }
 
 }  // namespace

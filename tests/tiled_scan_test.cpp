@@ -56,6 +56,12 @@ std::vector<embed::Vector> random_unit_vectors(std::size_t n, std::size_t dim,
   return out;
 }
 
+/// Build `idx` on a two-worker pool of the test's own.
+void build_index(VectorIndex& idx) {
+  parallel::ThreadPool pool(2);
+  idx.build(pool);
+}
+
 void expect_bit_equal(float got, float want, const std::string& what) {
   EXPECT_EQ(std::bit_cast<std::uint32_t>(got),
             std::bit_cast<std::uint32_t>(want))
@@ -369,7 +375,7 @@ TEST_P(TiledScanIndex, SearchTiledMatchesPerQuerySearch) {
   const auto queries = random_unit_vectors(21, kDim, 602);
   auto idx = make_case_index(GetParam(), kDim, kRows);
   idx->add_batch(data);
-  idx->build();
+  build_index(*idx);
 
   for (const std::size_t k : {std::size_t{1}, std::size_t{9}}) {
     const auto got = idx->search_tiled(queries, k);
@@ -390,7 +396,7 @@ TEST_P(TiledScanIndex, SearchBatchMatchesSequentialAtAnyThreadCount) {
   const auto queries = random_unit_vectors(43, kDim, 604);
   auto idx = make_case_index(GetParam(), kDim, kRows);
   idx->add_batch(data);
-  idx->build();
+  build_index(*idx);
 
   std::vector<std::vector<SearchResult>> want;
   want.reserve(queries.size());
@@ -426,7 +432,7 @@ TEST(TiledScanIndex, EmptyStoreAndEmptyBatch) {
     EXPECT_TRUE(out.empty());
   }
   IvfPqIndex pq(8);
-  pq.build();
+  build_index(pq);
   for (const auto& out : pq.search_tiled(queries, 3)) {
     EXPECT_TRUE(out.empty());
   }
@@ -464,7 +470,7 @@ TEST(TiledScanMmap, TiledBatchOverMappedIndexesMatchesSequential) {
       built = std::make_unique<IvfPqIndex>(kDim);
     }
     built->add_batch(data);
-    built->build();
+    build_index(*built);
     const auto path =
         dir.path / (std::string(index_kind_name(kind)) + ".idx");
     {

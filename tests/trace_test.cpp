@@ -7,6 +7,7 @@
 #include "corpus/fact_matcher.hpp"
 #include "corpus/realization.hpp"
 #include "llm/teacher_model.hpp"
+#include "parallel/thread_pool.hpp"
 #include "qgen/mcq_record.hpp"
 #include "trace/trace_generator.hpp"
 #include "trace/trace_record.hpp"
@@ -197,14 +198,11 @@ TEST(TraceGen, GenerateAllParallelOrderStable) {
   std::vector<qgen::McqRecord> records;
   for (std::size_t i = 0; i < 24; ++i) records.push_back(sample_record(i));
 
-  TraceGenConfig cfg1;
-  cfg1.threads = 1;
-  TraceGenConfig cfg4;
-  cfg4.threads = 4;
-  const auto a = TraceGenerator(teacher, cfg1).generate_all(
-      records, TraceMode::kDetailed);
-  const auto b = TraceGenerator(teacher, cfg4).generate_all(
-      records, TraceMode::kDetailed);
+  const TraceGenerator tracer(teacher);
+  parallel::ThreadPool one(1);
+  parallel::ThreadPool four(4);
+  const auto a = tracer.generate_all(records, TraceMode::kDetailed, one);
+  const auto b = tracer.generate_all(records, TraceMode::kDetailed, four);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].trace_id, b[i].trace_id);

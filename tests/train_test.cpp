@@ -148,9 +148,9 @@ TEST(TrainDeterminism, ByteIdenticalAcrossThreadCounts) {
   parallel::ThreadPool pool1(1);
   parallel::ThreadPool pool2(2);
   parallel::ThreadPool pool8(8);
-  const train::TrainedLm a = train::train_lbl(text, cfg, &pool1);
-  const train::TrainedLm b = train::train_lbl(text, cfg, &pool2);
-  const train::TrainedLm c = train::train_lbl(text, cfg, &pool8);
+  const train::TrainedLm a = train::train_lbl(text, cfg, pool1);
+  const train::TrainedLm b = train::train_lbl(text, cfg, pool2);
+  const train::TrainedLm c = train::train_lbl(text, cfg, pool8);
   EXPECT_EQ(a.model.weights_digest(), b.model.weights_digest());
   EXPECT_EQ(a.model.weights_digest(), c.model.weights_digest());
   EXPECT_EQ(a.model.params(), c.model.params());
@@ -162,15 +162,17 @@ TEST(TrainDeterminism, ByteIdenticalAcrossThreadCounts) {
 TEST(TrainDeterminism, RunToRun) {
   const std::string text = sample_text();
   const train::TrainConfig cfg = small_config();
-  const train::TrainedLm a = train::train_lbl(text, cfg);
-  const train::TrainedLm b = train::train_lbl(text, cfg);
+  parallel::ThreadPool pool(2);
+  const train::TrainedLm a = train::train_lbl(text, cfg, pool);
+  const train::TrainedLm b = train::train_lbl(text, cfg, pool);
   EXPECT_EQ(train::serialize_trained(a), train::serialize_trained(b));
 }
 
 TEST(TrainDeterminism, WarmRestoreMatchesColdTrain) {
   const std::string text = sample_text();
   const train::TrainConfig cfg = small_config();
-  const train::TrainedLm cold = train::train_lbl(text, cfg);
+  parallel::ThreadPool pool(2);
+  const train::TrainedLm cold = train::train_lbl(text, cfg, pool);
   const std::string blob = train::serialize_trained(cold);
   const train::TrainedLm warm = train::deserialize_trained(blob);
   EXPECT_EQ(cold.model.params(), warm.model.params());
@@ -190,8 +192,9 @@ TEST(TrainIo, HostileSectionLengthThrows) {
   // 2^64 - pos wrapped `pos + n` to zero: the old check accepted it,
   // loaded the model from the rest of the blob and read the report from
   // the magic bytes.
-  std::string blob =
-      train::serialize_trained(train::train_lbl(sample_text(), small_config()));
+  parallel::ThreadPool pool(2);
+  std::string blob = train::serialize_trained(
+      train::train_lbl(sample_text(), small_config(), pool));
   const std::size_t bpe_at = blob.find('\n') + 1;
   std::uint64_t bpe_len = 0;
   std::memcpy(&bpe_len, blob.data() + bpe_at, 8);
@@ -206,8 +209,10 @@ TEST(TrainDeterminism, SgdLowersHeldOutPerplexity) {
   const train::TrainConfig trained_cfg = small_config();
   train::TrainConfig untrained_cfg = trained_cfg;
   untrained_cfg.epochs = 0;
-  const train::TrainedLm trained = train::train_lbl(text, trained_cfg);
-  const train::TrainedLm untrained = train::train_lbl(text, untrained_cfg);
+  parallel::ThreadPool pool(2);
+  const train::TrainedLm trained = train::train_lbl(text, trained_cfg, pool);
+  const train::TrainedLm untrained =
+      train::train_lbl(text, untrained_cfg, pool);
   EXPECT_LT(trained.report.held_out_perplexity,
             untrained.report.held_out_perplexity);
   EXPECT_GT(trained.report.minibatches, 0u);
@@ -219,8 +224,9 @@ TEST(TrainStudent, AnswerPicksSeenContinuation) {
   cfg.train = small_config();
   cfg.train.epochs = 6;
   cfg.name = "lbl-test";
+  parallel::ThreadPool pool(2);
   const llm::TrainedStudent student =
-      llm::TrainedStudent::train(sample_text(), cfg);
+      llm::TrainedStudent::train(sample_text(), cfg, pool);
 
   llm::McqTask task;
   task.stem = "the spectral line of ionized";
@@ -236,7 +242,8 @@ TEST(TrainStudent, RestoreAnswersIdentically) {
   cfg.train = small_config();
   cfg.name = "lbl-test";
   const std::string text = sample_text();
-  const llm::TrainedStudent cold = llm::TrainedStudent::train(text, cfg);
+  parallel::ThreadPool pool(2);
+  const llm::TrainedStudent cold = llm::TrainedStudent::train(text, cfg, pool);
   const llm::TrainedStudent warm = llm::TrainedStudent::restore(
       cold.serialize(), cfg, cold.fingerprint());
   EXPECT_EQ(cold.fingerprint(), warm.fingerprint());
@@ -377,7 +384,8 @@ TEST(TrainRoster, CheckpointWarmRestoreByteIdentical) {
       core::code_fingerprint(), cfg, text);
 
   // Cold: train and store, the way trained_roster() does.
-  const train::TrainedLm cold = train::train_lbl(text, cfg);
+  parallel::ThreadPool pool(2);
+  const train::TrainedLm cold = train::train_lbl(text, cfg, pool);
   cache.store("trained-lbl", key, train::serialize_trained(cold));
 
   // Warm: the blob round-trips byte-identically.

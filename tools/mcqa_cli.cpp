@@ -433,7 +433,10 @@ int cmd_train(const Args& args) {
 
   std::printf("training %s on %zu KB of %s text...\n", cfg.name.c_str(),
               text.size() / 1024, source.c_str());
-  const llm::TrainedStudent student = llm::TrainedStudent::train(text, cfg);
+  // One pool, sized like the build's, for training and evaluation.
+  parallel::ThreadPool pool(ctx.config().threads);
+  const llm::TrainedStudent student =
+      llm::TrainedStudent::train(text, cfg, pool);
   const train::TrainReport& report = student.report();
   std::printf(
       "trained: %zu params, %zu train tokens, %zu minibatches, "
@@ -441,7 +444,9 @@ int cmd_train(const Args& args) {
       student.model().param_count(), report.train_tokens, report.minibatches,
       report.final_epoch_loss, report.held_out_perplexity);
 
-  const eval::EvalHarness harness(ctx.rag());
+  eval::HarnessConfig hc;
+  hc.pool = &pool;
+  const eval::EvalHarness harness(ctx.rag(), hc);
   const llm::ModelSpec spec = student.spec();
   const double synth = harness
                            .evaluate(student, spec, ctx.benchmark(),
