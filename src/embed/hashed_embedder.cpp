@@ -19,64 +19,6 @@ inline std::uint64_t fnv_extend(std::uint64_t h, std::string_view s) {
   return h;
 }
 
-// --- reference (strings) formulation ----------------------------------------
-//
-// The original multi-pass, string-materializing implementation, kept
-// verbatim as the oracle and throughput baseline for the streaming
-// kernel: per-call locale-aware <cctype> normalization in three passes,
-// materialized n-gram strings, and a 64-bit divide per feature.  It must
-// produce the same bits as the streaming path (property-tested); only
-// the work it performs per byte differs.
-
-std::string reference_normalize_ws(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  bool in_space = true;  // leading whitespace is dropped
-  for (const char c : s) {
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      if (!in_space) out += ' ';
-      in_space = true;
-    } else {
-      out += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-      in_space = false;
-    }
-  }
-  while (!out.empty() && out.back() == ' ') out.pop_back();
-  return out;
-}
-
-std::string reference_normalize_for_matching(std::string_view s) {
-  const std::string lowered = reference_normalize_ws(s);
-  std::string out;
-  out.reserve(lowered.size());
-  for (std::size_t i = 0; i < lowered.size(); ++i) {
-    const char c = lowered[i];
-    if (std::isalnum(static_cast<unsigned char>(c)) || c == ' ') {
-      out += c;
-    } else if ((c == '-' || c == '.') && i > 0 && i + 1 < lowered.size() &&
-               std::isalnum(static_cast<unsigned char>(lowered[i - 1])) &&
-               std::isalnum(static_cast<unsigned char>(lowered[i + 1]))) {
-      out += c;  // intra-word: cobalt-60, 2.5
-    }
-    // other punctuation dropped
-  }
-  // Collapse possible double spaces introduced by dropped punctuation.
-  std::string collapsed;
-  collapsed.reserve(out.size());
-  bool in_space = true;
-  for (const char c : out) {
-    if (c == ' ') {
-      if (!in_space) collapsed += ' ';
-      in_space = true;
-    } else {
-      collapsed += c;
-      in_space = false;
-    }
-  }
-  while (!collapsed.empty() && collapsed.back() == ' ') collapsed.pop_back();
-  return collapsed;
-}
-
 }  // namespace
 
 HashedNGramEmbedder::HashedNGramEmbedder(HashedEmbedderConfig config)
@@ -100,17 +42,6 @@ void HashedNGramEmbedder::add_hashed(Vector& v, std::uint64_t h,
   v[bucket] += sign * static_cast<float>(weight);
 }
 
-void HashedNGramEmbedder::add_feature(Vector& v, std::string_view feature,
-                                      double weight) const {
-  // Reference-path bucket: a divide per feature, exactly as the original
-  // formulation computed it.  h % dim == h & mask_ for power-of-two
-  // dims, so the two paths always agree on the bucket.
-  const std::uint64_t h = util::fnv1a64(feature, config_.seed);
-  const std::size_t bucket = h % config_.dim;
-  const float sign = ((h >> 61) & 1) != 0 ? 1.0f : -1.0f;
-  v[bucket] += sign * static_cast<float>(weight);
-}
-
 Vector HashedNGramEmbedder::embed(std::string_view text) const {
   Vector v(config_.dim, 0.0f);
 
@@ -125,11 +56,12 @@ Vector HashedNGramEmbedder::embed(std::string_view text) const {
   text::normalize_for_matching_into(text, norm);
   if (norm.empty()) return v;
 
-  // Accumulation order is part of the bit-identity contract with
-  // embed_reference(): all unigrams, then all bigrams, then all char
-  // trigrams, each in left-to-right text order.  Every feature hash
-  // starts from the precomputed first-byte state (words are never empty,
-  // trigrams have three bytes), saving one xor-multiply per feature.
+  // Accumulation order is part of the embedding's bytes: all unigrams,
+  // then all bigrams, then all char trigrams, each in left-to-right text
+  // order (bench_embed_ablation's string-materializing oracle follows
+  // it).  Every feature hash starts from the precomputed first-byte
+  // state (words are never empty, trigrams have three bytes), saving one
+  // xor-multiply per feature.
   if (config_.word_unigrams || config_.word_bigrams) {
     words.clear();
     word_states.clear();
@@ -164,34 +96,6 @@ Vector HashedNGramEmbedder::embed(std::string_view text) const {
       h = (h ^ p[i + 1]) * util::kFnvPrime64;
       h = (h ^ p[i + 2]) * util::kFnvPrime64;
       add_hashed(v, h, config_.trigram_weight);
-    }
-  }
-  normalize(v);
-  return v;
-}
-
-Vector HashedNGramEmbedder::embed_reference(std::string_view text) const {
-  Vector v(config_.dim, 0.0f);
-  const std::string norm = reference_normalize_for_matching(text);
-  if (norm.empty()) return v;
-
-  if (config_.word_unigrams || config_.word_bigrams) {
-    const auto unigrams = text::word_ngrams(norm, 1);
-    if (config_.word_unigrams) {
-      for (const auto& g : unigrams) {
-        // Sublinear weighting: repeated terms shouldn't dominate.
-        add_feature(v, g, config_.unigram_weight);
-      }
-    }
-    if (config_.word_bigrams) {
-      for (const auto& g : text::word_ngrams(norm, 2)) {
-        add_feature(v, g, config_.bigram_weight);
-      }
-    }
-  }
-  if (config_.char_trigrams) {
-    for (std::size_t i = 0; i + 3 <= norm.size(); ++i) {
-      add_feature(v, norm.substr(i, 3), config_.trigram_weight);
     }
   }
   normalize(v);

@@ -13,10 +13,10 @@
 // over string views — no per-feature string is ever materialized, and
 // the per-thread normalize buffers are reused across calls, so the hot
 // path performs zero allocations beyond the output vector once warm.
-// embed_reference() keeps the original string-materializing
-// formulation; the two are bit-identical (asserted by property tests),
-// because FNV-1a folds bytes one at a time: hashing w1, ' ', w2
-// piecewise equals hashing the "w1 w2" string.
+// It equals the original string-materializing formulation bit for bit
+// (bench_embed_ablation keeps that one as its oracle; embed_test pins
+// digests), because FNV-1a folds bytes one at a time: hashing w1, ' ',
+// w2 piecewise equals hashing the "w1 w2" string.
 
 #include <array>
 #include <cstdint>
@@ -45,15 +45,9 @@ class HashedNGramEmbedder final : public Embedder {
   std::size_t dim() const override { return config_.dim; }
   Vector embed(std::string_view text) const override;
 
-  /// The original string-materializing implementation, kept as the
-  /// oracle for the streaming kernel: allocates per n-gram, returns the
-  /// same bits.  Used by equivalence tests and the embed ablation bench.
-  Vector embed_reference(std::string_view text) const;
-
   const HashedEmbedderConfig& config() const { return config_; }
 
  private:
-  void add_feature(Vector& v, std::string_view feature, double weight) const;
   void add_hashed(Vector& v, std::uint64_t h, double weight) const;
 
   HashedEmbedderConfig config_;

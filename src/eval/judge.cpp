@@ -1,8 +1,6 @@
 #include "eval/judge.hpp"
 
-#include <algorithm>
-#include <cctype>
-
+#include "text/char_class.hpp"
 #include "text/normalize.hpp"
 #include "util/strings.hpp"
 
@@ -10,9 +8,15 @@ namespace mcqa::eval {
 
 namespace {
 
+using text::detail::byte;
+
 /// Find "(C)", "option 3", "answer: B", "3." style references.
 int extract_pattern(const std::string& text, std::size_t n_options) {
-  const std::string lower = util::to_lower(text);
+  const auto& t = text::detail::char_tables();
+  std::string lower(text.size(), '\0');
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    lower[i] = t.lower[byte(text[i])];
+  }
 
   // "(c)" / "(3)" parenthesized markers, first occurrence wins.
   for (std::size_t i = 0; i + 2 < lower.size(); ++i) {
@@ -37,8 +41,8 @@ int extract_pattern(const std::string& text, std::size_t n_options) {
       pos = at;
       if (at >= lower.size()) break;
       const char c = lower[at];
-      const bool end_ok = at + 1 >= lower.size() ||
-                          !std::isalnum(static_cast<unsigned char>(lower[at + 1]));
+      const bool end_ok =
+          at + 1 >= lower.size() || !t.alnum[byte(lower[at + 1])];
       if (!end_ok) continue;
       if (c >= 'a' && c < static_cast<char>('a' + n_options)) return c - 'a';
       if (c >= '1' && c < static_cast<char>('1' + n_options)) return c - '1';
@@ -60,12 +64,13 @@ int Judge::extract_option(const std::string& answer_text,
   // appear, prefer the one mentioned first in the answer.
   const std::string norm_answer =
       text::normalize_for_matching(answer_text);
+  std::vector<std::string> norm_opts(options.size());
   int best = -1;
   std::size_t best_pos = std::string::npos;
   for (std::size_t i = 0; i < options.size(); ++i) {
-    const std::string norm_opt = text::normalize_for_matching(options[i]);
-    if (norm_opt.empty()) continue;
-    const std::size_t pos = norm_answer.find(norm_opt);
+    text::normalize_for_matching_into(options[i], norm_opts[i]);
+    if (norm_opts[i].empty()) continue;
+    const std::size_t pos = norm_answer.find(norm_opts[i]);
     if (pos != std::string::npos && pos < best_pos) {
       best_pos = pos;
       best = static_cast<int>(i);
@@ -82,14 +87,22 @@ int Judge::extract_option(const std::string& answer_text,
   double best_sim = min_similarity_;
   best = -1;
   for (std::size_t i = 0; i < options.size(); ++i) {
-    const std::string norm_opt = text::normalize_for_matching(options[i]);
-    if (norm_opt.empty() || norm_opt.size() > tail.size() + 2) continue;
+    const std::string& opt = norm_opts[i];
+    if (opt.empty() || opt.size() > tail.size() + 2) continue;
     // Slide the option over the tail for the best local alignment; the
     // final windows clip at the string end so a truncated restatement
-    // ("cisplatn") still aligns.
+    // ("cisplatn") still aligns.  A window is never longer than the
+    // option, so util::string_similarity's 1 - d / max(|window|, |opt|)
+    // is 1 - d / |opt|.  Options of at most 64 bytes build their match
+    // masks once for all windows.
+    const bool bit_parallel = opt.size() <= util::BitPattern::kMaxSize;
+    const util::BitPattern pattern(bit_parallel ? opt : std::string_view());
     for (std::size_t off = 0; off < tail.size(); ++off) {
-      const double sim = util::string_similarity(
-          tail.substr(off, norm_opt.size()), norm_opt);
+      const std::string_view window = tail.substr(off, opt.size());
+      const std::size_t d = bit_parallel ? pattern.distance(window)
+                                         : util::edit_distance(window, opt);
+      const double sim = 1.0 - static_cast<double>(d) /
+                                   static_cast<double>(opt.size());
       if (sim > best_sim) {
         best_sim = sim;
         best = static_cast<int>(i);

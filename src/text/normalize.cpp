@@ -1,38 +1,11 @@
 #include "text/normalize.hpp"
 
-#include <array>
-#include <cctype>
+#include "text/char_class.hpp"
 
 namespace mcqa::text {
 
-namespace {
-
-// Per-byte classification tables, built once from the <cctype> calls the
-// scalar code used (the process never calls setlocale, so the "C" locale
-// answers are frozen at first use).  A table load per byte replaces a
-// locale-aware libc call per byte on the normalization hot path.
-struct CharTables {
-  std::array<char, 256> lower;
-  std::array<bool, 256> space;
-  std::array<bool, 256> alnum;
-  CharTables() {
-    for (int c = 0; c < 256; ++c) {
-      lower[static_cast<std::size_t>(c)] = static_cast<char>(std::tolower(c));
-      space[static_cast<std::size_t>(c)] = std::isspace(c) != 0;
-      alnum[static_cast<std::size_t>(c)] = std::isalnum(c) != 0;
-    }
-  }
-};
-
-const CharTables& tables() {
-  static const CharTables t;
-  return t;
-}
-
-}  // namespace
-
 void normalize_ws_into(std::string_view s, std::string& out) {
-  const CharTables& t = tables();
+  const auto& t = detail::char_tables();
   // Size to the upper bound and write through a raw pointer: one bounds
   // decision per call instead of a capacity check per emitted byte.
   out.resize(s.size());
@@ -72,7 +45,7 @@ std::string normalize_ws(std::string_view s) {
 // Dropped punctuation never introduces a space and leaves the in-space
 // state untouched, so collapsing while filtering is also exact.
 void normalize_for_matching_into(std::string_view s, std::string& out) {
-  const CharTables& t = tables();
+  const auto& t = detail::char_tables();
   out.resize(s.size());
   char* const base = out.data();
   char* dst = base;
@@ -109,7 +82,5 @@ std::string normalize_for_matching(std::string_view s) {
   normalize_for_matching_into(s, out);
   return out;
 }
-
-bool is_sentence_terminator(char c) { return c == '.' || c == '!' || c == '?'; }
 
 }  // namespace mcqa::text

@@ -25,7 +25,4 @@ std::string normalize_for_matching(std::string_view s);
 /// punctuation filter.
 void normalize_for_matching_into(std::string_view s, std::string& out);
 
-/// True if the character ends a sentence candidate.
-bool is_sentence_terminator(char c);
-
 }  // namespace mcqa::text

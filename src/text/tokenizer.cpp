@@ -1,21 +1,21 @@
 #include "text/tokenizer.hpp"
 
-#include <cctype>
+#include "text/char_class.hpp"
 
 namespace mcqa::text {
 
-namespace {
-bool is_word_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
-}
-}  // namespace
+using detail::byte;
 
 std::vector<Token> word_tokenize(std::string_view s) {
+  const auto& t = detail::char_tables();
+  const auto is_word_char = [&t](char c) {
+    return t.alnum[byte(c)] || c == '_';
+  };
   std::vector<Token> out;
   std::size_t i = 0;
   while (i < s.size()) {
     const char c = s[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (t.space[byte(c)]) {
       ++i;
       continue;
     }
@@ -36,10 +36,11 @@ std::vector<Token> word_tokenize(std::string_view s) {
 }
 
 std::size_t count_words(std::string_view s) {
+  const auto& t = detail::char_tables();
   std::size_t count = 0;
   bool in_word = false;
   for (const char c : s) {
-    const bool w = !std::isspace(static_cast<unsigned char>(c));
+    const bool w = !t.space[byte(c)];
     if (w && !in_word) ++count;
     in_word = w;
   }
@@ -51,24 +52,6 @@ std::size_t approx_llm_tokens(std::string_view s) {
   // scientific English across GPT-2/Llama-family tokenizers.
   const std::size_t words = count_words(s);
   return words + (words / 3) + 1;
-}
-
-std::vector<std::string> word_ngrams(std::string_view normalized, int n) {
-  std::vector<std::string> out;
-  if (n <= 0) return out;
-  std::vector<std::string_view> words;
-  for (const std::string_view w : WordViews(normalized)) words.push_back(w);
-  if (words.size() < static_cast<std::size_t>(n)) return out;
-  out.reserve(words.size() - static_cast<std::size_t>(n) + 1);
-  for (std::size_t i = 0; i + static_cast<std::size_t>(n) <= words.size(); ++i) {
-    std::string gram;
-    for (int j = 0; j < n; ++j) {
-      if (j != 0) gram += ' ';
-      gram += words[i + static_cast<std::size_t>(j)];
-    }
-    out.push_back(std::move(gram));
-  }
-  return out;
 }
 
 }  // namespace mcqa::text

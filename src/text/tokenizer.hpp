@@ -29,14 +29,11 @@ std::size_t count_words(std::string_view s);
 /// Approximate LLM (subword) token count for budgeting.
 std::size_t approx_llm_tokens(std::string_view s);
 
-/// Word n-grams (normalized) for embedding features.
-std::vector<std::string> word_ngrams(std::string_view normalized, int n);
-
 /// Allocation-free iteration over the space-delimited words of an
 /// already-normalized string.  Each dereference is a std::string_view
-/// into the original buffer; runs of ' ' separate words exactly as in
-/// word_ngrams, so `for (auto w : WordViews(s))` visits the same words
-/// word_ngrams(s, 1) materializes — without the per-word std::string.
+/// into the original buffer; runs of ' ' separate words, so
+/// `for (auto w : WordViews(s))` visits every word without a per-word
+/// std::string.
 class WordViews {
  public:
   class iterator {

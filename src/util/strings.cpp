@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <stdexcept>
 
 namespace mcqa::util {
 
@@ -62,14 +63,6 @@ std::string_view trim(std::string_view s) {
   while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
   while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
   return s.substr(b, e - b);
-}
-
-std::string to_lower(std::string_view s) {
-  std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return out;
 }
 
 std::string to_upper(std::string_view s) {
@@ -144,8 +137,44 @@ std::string format_param_count(double billions) {
   return buf;
 }
 
+BitPattern::BitPattern(std::string_view pattern) : size_(pattern.size()) {
+  if (size_ > kMaxSize) {
+    throw std::length_error("BitPattern: pattern longer than 64 bytes");
+  }
+  for (std::size_t i = 0; i < size_; ++i) {
+    match_[static_cast<unsigned char>(pattern[i])] |= std::uint64_t{1} << i;
+  }
+}
+
+// Myers' algorithm in Hyyrö's global form.  Bit i of vp / vn says the DP
+// column steps up / down by one from row i to row i+1; bits at and above
+// size_ never reach the low bits (carries and shifts only move up).
+// D[0][j] = j, so the top row grows by one per text byte: that is the 1
+// shifted into hp.  `score` follows the bottom row, D[m][j].
+std::size_t BitPattern::distance(std::string_view text) const {
+  if (size_ == 0) return text.size();
+  const std::uint64_t last = std::uint64_t{1} << (size_ - 1);
+  std::uint64_t vp = ~std::uint64_t{0};
+  std::uint64_t vn = 0;
+  std::size_t score = size_;
+  for (const char c : text) {
+    const std::uint64_t x = match_[static_cast<unsigned char>(c)];
+    const std::uint64_t d0 = (((x & vp) + vp) ^ vp) | x | vn;
+    std::uint64_t hp = vn | ~(d0 | vp);
+    std::uint64_t hn = d0 & vp;
+    score += (hp & last) != 0;
+    score -= (hn & last) != 0;
+    hp = (hp << 1) | 1;
+    hn <<= 1;
+    vp = hn | ~(d0 | hp);
+    vn = hp & d0;
+  }
+  return score;
+}
+
 std::size_t edit_distance(std::string_view a, std::string_view b) {
   if (a.size() > b.size()) std::swap(a, b);
+  if (a.size() <= BitPattern::kMaxSize) return BitPattern(a).distance(b);
   std::vector<std::size_t> prev(a.size() + 1);
   std::vector<std::size_t> cur(a.size() + 1);
   for (std::size_t i = 0; i <= a.size(); ++i) prev[i] = i;

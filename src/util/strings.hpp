@@ -3,6 +3,8 @@
 // allocation-conscious: splitters return string_views into the input
 // where lifetime permits.
 
+#include <array>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,7 +23,6 @@ std::string join(const std::vector<std::string_view>& parts,
                  std::string_view sep);
 
 std::string_view trim(std::string_view s);
-std::string to_lower(std::string_view s);
 std::string to_upper(std::string_view s);
 
 bool starts_with(std::string_view s, std::string_view prefix);
@@ -39,8 +40,29 @@ std::string format_double(double v, int precision);
 std::string format_param_count(double billions);
 
 /// Levenshtein edit distance (used by the judge to match noisy option
-/// references back to canonical option text).
+/// references back to canonical option text).  Bit-parallel
+/// (BitPattern) when the shorter string has at most 64 bytes, a
+/// two-row DP otherwise.
 std::size_t edit_distance(std::string_view a, std::string_view b);
+
+/// A pattern of at most 64 bytes prepared for Myers' bit-parallel edit
+/// distance: its per-byte match masks are built once, and each
+/// distance() then costs a few word operations per text byte.  The
+/// judge slides one option's pattern over many answer windows.
+class BitPattern {
+ public:
+  static constexpr std::size_t kMaxSize = 64;
+
+  /// Throws std::length_error past kMaxSize bytes.
+  explicit BitPattern(std::string_view pattern);
+
+  /// edit_distance(pattern, text), exactly.
+  std::size_t distance(std::string_view text) const;
+
+ private:
+  std::array<std::uint64_t, 256> match_{};  ///< bit i: pattern[i] == byte
+  std::size_t size_;
+};
 
 /// Normalized similarity in [0,1] derived from edit distance.
 double string_similarity(std::string_view a, std::string_view b);

@@ -2,15 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
 #include "embed/embedding_cache.hpp"
 #include "embed/hashed_embedder.hpp"
 #include "parallel/thread_pool.hpp"
-#include "util/rng.hpp"
+#include "util/hash.hpp"
 
 namespace mcqa::embed {
 namespace {
@@ -112,73 +115,89 @@ INSTANTIATE_TEST_SUITE_P(
                         "strand breaks are repaired by homologous "
                         "recombination")));
 
-// --- streaming kernel vs string-materializing reference ------------------------
-
 void expect_bit_identical(const Vector& a, const Vector& b,
                           const std::string& text) {
   ASSERT_EQ(a.size(), b.size()) << "text: " << text;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    // Bit equality, not tolerance: the streaming path must hash and
-    // accumulate the exact same features in the exact same order.
+    // Bit equality, not tolerance: both sides must hash and accumulate
+    // the exact same features in the exact same order.
     EXPECT_EQ(a[i], b[i]) << "dim " << i << ", text: " << text;
   }
 }
 
-TEST(StreamingEmbed, MatchesReferenceOnEdgeCases) {
-  const HashedNGramEmbedder emb;
-  const std::vector<std::string> cases{
-      "",                      // empty
-      " \t\n ",                // whitespace only
-      "!!! ... ---",           // punctuation only
-      "a",                     // single char: no bigrams, no trigrams
-      "ab",                    // sub-trigram word
-      "a b c d",               // 1-char words: bigrams but no word trigrams
-      "p53 cobalt-60 2.5",     // intra-word hyphen/dot survivors
-      "-start end- a-b a.b.",  // boundary hyphens/dots dropped
-      "  Mixed   CASE\ttext,\nwith (punct)!  ",
-      "word",                  // exactly one word
-      "xy zw",                 // two sub-trigram words -> one bigram
-  };
-  for (const auto& s : cases) {
-    expect_bit_identical(emb.embed(s), emb.embed_reference(s), s);
+// --- pinned embeddings ----------------------------------------------------------
+
+// fnv1a over an embedding's float bits, in dimension order.
+std::uint64_t embedding_digest(const Vector& v) {
+  std::uint64_t h = util::fnv1a64("embedding");
+  for (const float x : v) {
+    h = util::hash_combine(h, util::fnv1a64(std::bit_cast<std::uint32_t>(x)));
   }
+  return h;
 }
 
-TEST(StreamingEmbed, PropertyMatchesReferenceOnRandomText) {
-  const HashedNGramEmbedder emb;
-  util::Rng rng(0x5eedf00dULL);
-  // Random byte soup: words of random lengths (including 1 and 2 chars)
-  // from a pool that exercises case folding, digits, intra-word and
-  // stray punctuation, and multi-space runs.
-  const std::string pool =
-      "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
-      "-.,;:!?()[]\"'/ \t\n";
-  for (int trial = 0; trial < 200; ++trial) {
-    std::string s;
-    const auto len = static_cast<std::size_t>(rng.uniform_int(0, 160));
-    for (std::size_t i = 0; i < len; ++i) {
-      s += pool[static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1))];
-    }
-    expect_bit_identical(emb.embed(s), emb.embed_reference(s), s);
-  }
+// One row per (config, text).  The digests were taken from embed() when
+// it was still checked bit for bit against the string-materializing
+// oracle (now bench_embed_ablation's strings row), so each row pins the
+// reference's embedding.
+struct EmbedCase {
+  std::size_t dim;
+  int features;  // bit 0 word unigrams, 1 word bigrams, 2 char trigrams
+  std::string_view text;
+  std::uint64_t digest;
+};
+
+void expect_pinned(const EmbedCase& c) {
+  HashedEmbedderConfig cfg;
+  cfg.dim = c.dim;
+  cfg.word_unigrams = (c.features & 1) != 0;
+  cfg.word_bigrams = (c.features & 2) != 0;
+  cfg.char_trigrams = (c.features & 4) != 0;
+  const HashedNGramEmbedder emb(cfg);
+  EXPECT_EQ(embedding_digest(emb.embed(c.text)), c.digest)
+      << "dim " << c.dim << ", features " << c.features
+      << ", text: " << c.text;
+}
+
+TEST(StreamingEmbed, MatchesReferenceOnEdgeCases) {
+  const EmbedCase cases[] = {
+      {256, 7, "", 0xe9efe2ae19a3c32bULL},  // the zero vector
+      {256, 7, " \t\n ", 0xe9efe2ae19a3c32bULL},
+      {256, 7, "!!! ... ---", 0xe9efe2ae19a3c32bULL},
+      {256, 7, "a", 0x6f2d327ee9e6602aULL},   // no bigram, no trigram
+      {256, 7, "ab", 0x6726e2e186babb45ULL},  // sub-trigram word
+      {256, 7, "a b c d", 0x8c9da563beaa27b3ULL},
+      {256, 7, "p53 cobalt-60 2.5", 0xf2175909359fd97dULL},
+      {256, 7, "-start end- a-b a.b.", 0x6955fd142048b574ULL},
+      {256, 7, "  Mixed   CASE\ttext,\nwith (punct)!  ", 0x1ecba5c27b052d96ULL},
+      {256, 7, "word", 0xcb5b1d9b31264a19ULL},
+      {256, 7, "xy zw", 0xa62f5fc8c17bd3e0ULL},  // one bigram
+  };
+  for (const EmbedCase& c : cases) expect_pinned(c);
 }
 
 TEST(StreamingEmbed, MatchesReferenceAcrossFeatureConfigs) {
-  // Each feature family on its own, and non-power-of-two dim (modulo
-  // bucket path instead of the mask).
-  for (const std::size_t dim : {256u, 100u}) {
-    for (int mask = 1; mask < 8; ++mask) {
-      HashedEmbedderConfig cfg;
-      cfg.dim = dim;
-      cfg.word_unigrams = (mask & 1) != 0;
-      cfg.word_bigrams = (mask & 2) != 0;
-      cfg.char_trigrams = (mask & 4) != 0;
-      const HashedNGramEmbedder emb(cfg);
-      const std::string s = "Dose-rate effects in p53 pathways, 2.5 Gy!";
-      expect_bit_identical(emb.embed(s), emb.embed_reference(s), s);
-    }
-  }
+  // Each feature family mix at a power-of-two dim (mask bucket) and at
+  // dim 100 (modulo bucket).
+  constexpr std::string_view kMixed =
+      "Dose-rate effects in p53 pathways, 2.5 Gy!";
+  const EmbedCase cases[] = {
+      {256, 1, kMixed, 0x768ad56714141252ULL},
+      {256, 2, kMixed, 0xe20e9d4bc6b608baULL},
+      {256, 3, kMixed, 0xe50d9b828a7d2433ULL},
+      {256, 4, kMixed, 0x31be0e5eed1c9045ULL},
+      {256, 5, kMixed, 0xfb020b0aed874a28ULL},
+      {256, 6, kMixed, 0x5a23b52a50702054ULL},
+      {256, 7, kMixed, 0xafe34710db6456bbULL},
+      {100, 1, kMixed, 0x570a86985bdc9a9aULL},
+      {100, 2, kMixed, 0xdbfa4453ec5b9303ULL},
+      {100, 3, kMixed, 0x4e5610f5eba8e700ULL},
+      {100, 4, kMixed, 0xef0716a7ae9ada4eULL},
+      {100, 5, kMixed, 0x2dbf30b161942b06ULL},
+      {100, 6, kMixed, 0x3121246a9a8242e2ULL},
+      {100, 7, kMixed, 0x5428b309f53dcc56ULL},
+  };
+  for (const EmbedCase& c : cases) expect_pinned(c);
 }
 
 // --- batch embedding -----------------------------------------------------------

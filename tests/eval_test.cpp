@@ -5,11 +5,13 @@
 
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "eval/harness.hpp"
 #include "eval/judge.hpp"
 #include "eval/paper_reference.hpp"
 #include "eval/report.hpp"
+#include "text/normalize.hpp"
 
 namespace mcqa::eval {
 namespace {
@@ -63,6 +65,52 @@ TEST(Judge, FuzzyRescueOfTypos) {
       "After weighing the mechanisms the most plausible pick is cisplatn",
       judge_task().options);
   EXPECT_EQ(got, 1);
+}
+
+// The fuzzy rescue's edges, one row each: option lengths either side of
+// the bit-parallel path's 64 bytes, the clipped windows at the tail's
+// end, the tail + 2 length cut, options that normalize to nothing and
+// the first-strict-win tie rule.
+TEST(Judge, FuzzyRescueEdges) {
+  const std::string opt64 =
+      "Homologous recombination repairs double strand breaks in S phase.";
+  const std::string opt65 =
+      "Nonhomologous end joining ligates broken ends during the G1 phase";
+  ASSERT_EQ(text::normalize_for_matching(opt64).size(), 64u);
+  ASSERT_EQ(text::normalize_for_matching(opt65).size(), 65u);
+  const std::vector<std::string> pathways{opt64, opt65, "cisplatin"};
+  const std::vector<std::string> agents = judge_task().options;
+  const std::vector<std::string> long_term{"Radiosensitization"};
+  const std::vector<std::string> punctuated{"?!", "cisplatin"};
+  const std::vector<std::string> twins{"cisplatin", "cisplatim"};
+  struct Case {
+    const char* what;
+    const char* answer;
+    const std::vector<std::string>& options;
+    int expected;
+  };
+  const Case cases[] = {
+      {"64-byte option", "All told, homologous recombination repairs "
+                         "double strand breaks in S phse", pathways, 0},
+      {"65-byte option", "Weighing both pathways, the best fit is "
+                         "nonhomologous end joining ligates broken ends "
+                         "durng the G1 phase", pathways, 1},
+      {"truncated restatement in the last window",
+       "Considering radioprotectors, metabolic modulators and stimulants "
+       "in turn, the pick must be cisplatn", agents, 1},
+      {"tail shorter than the option", "cisplatn", agents, 1},
+      {"option longer than tail + 2", "radiosensitizat", long_term, -1},
+      {"option exactly tail + 2", "radiosensitizati", long_term, 0},
+      {"punctuation-only option", "my pick is cisplatn", punctuated, 1},
+      {"punctuation-only answer", "?!", punctuated, -1},
+      {"equal similarity keeps the first option", "the agent is cisplatix",
+       twins, 0},
+  };
+  const Judge judge;
+  for (const Case& c : cases) {
+    EXPECT_EQ(judge.extract_option(c.answer, c.options), c.expected)
+        << c.what;
+  }
 }
 
 TEST(Judge, FirstMentionWinsForPlainText) {

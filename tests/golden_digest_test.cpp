@@ -12,7 +12,9 @@
 // the serve engine assembles over that build; its constant was taken
 // through the engine's former simulated-clock batch plan, with every
 // request completing, at 1, 2 and 4 pool threads and under scalar
-// dispatch.  A change that moves one must say why in CHANGES.md.
+// dispatch.  The graded-answer test pins the judge's extraction for
+// every answer of the frozen-8 grid, at default and scalar dispatch.
+// A change that moves one must say why in CHANGES.md.
 //
 // One TEST per configuration so `ctest -j` spreads them.
 
@@ -24,6 +26,7 @@
 #include "artifact_digest.hpp"
 #include "core/pipeline.hpp"
 #include "eval/harness.hpp"
+#include "eval/judge.hpp"
 #include "index/kernels.hpp"
 #include "parallel/thread_pool.hpp"
 #include "serve/engine.hpp"
@@ -137,6 +140,66 @@ TEST(GoldenDigest, Scale0025FrozenEightSweeps) {
   const std::uint64_t scalar = digest_of(ctx.benchmark(), 4);
   kernels::set_dispatch_for_testing(active);
   EXPECT_EQ(scalar, kBenchmark) << "scalar dispatch";
+}
+
+// Every graded answer of the frozen-8 grid over the benchmark, through
+// a serial prepare -> answer -> grade loop that shares work as the grid
+// does: each condition's hits are filled once, and each record is
+// prepared once per distinct context cut.  The sweep digests pin
+// per-cell tallies only, where two flipped extractions can cancel out;
+// this pins the judge's extracted option of each (model, condition,
+// record).  The constant was taken before the judge's bit-parallel
+// rescue, at default and scalar dispatch.
+TEST(GoldenDigest, Scale0025GradedAnswers) {
+  const PipelineContext ctx(golden_config(0.025, true, kFlat));
+  const auto models = ctx.student_ptrs();
+  const auto specs = ctx.student_specs();
+  std::vector<const llm::ModelSpec*> spec_ptrs;
+  for (const llm::ModelSpec& spec : specs) spec_ptrs.push_back(&spec);
+  const auto& records = ctx.benchmark();
+  const auto conditions = eval::all_conditions();
+  const rag::RagPipeline& rag = ctx.rag();
+  const eval::Judge judge;
+  const auto digest = [&] {
+    // shared[c][i]: record i's tasks under condition c, one per cut.
+    std::vector<std::vector<rag::SharedTasks>> shared(conditions.size());
+    for (std::size_t c = 0; c < conditions.size(); ++c) {
+      rag::RetrievalPlan plan = rag.make_plan(records, conditions[c]);
+      rag.fill_plan(plan, records, 0, records.size());
+      for (std::size_t i = 0; i < records.size(); ++i) {
+        shared[c].push_back(rag.prepare_shared(records[i], conditions[c],
+                                               spec_ptrs, plan.hits_for(i)));
+      }
+    }
+    std::uint64_t h = util::fnv1a64("graded");
+    for (std::size_t m = 0; m < models.size(); ++m) {
+      for (std::size_t c = 0; c < conditions.size(); ++c) {
+        for (std::size_t i = 0; i < records.size(); ++i) {
+          const rag::SharedTasks& s = shared[c][i];
+          const llm::McqTask& task = s.tasks[s.task_of[m]];
+          const trace::GradingResult g =
+              judge.grade(task, models[m]->answer(task).text);
+          h = util::hash_combine(h, util::fnv1a64(models[m]->name()));
+          h = util::hash_combine(
+              h, util::fnv1a64(static_cast<std::uint64_t>(conditions[c])));
+          h = util::hash_combine(h, util::fnv1a64(records[i].record_id));
+          h = util::hash_combine(
+              h, util::fnv1a64(static_cast<std::uint64_t>(
+                     static_cast<std::int64_t>(g.extracted_option_number))));
+        }
+      }
+    }
+    return h;
+  };
+
+  constexpr std::uint64_t kGolden = 0x06687c7c507f3c82ULL;
+  EXPECT_EQ(digest(), kGolden);
+  namespace kernels = index::kernels;
+  const kernels::KernelIsa active = kernels::dispatched_isa();
+  ASSERT_TRUE(kernels::set_dispatch_for_testing(kernels::KernelIsa::kScalar));
+  const std::uint64_t scalar = digest();
+  kernels::set_dispatch_for_testing(active);
+  EXPECT_EQ(scalar, kGolden) << "scalar dispatch";
 }
 
 // Tasks served through serve::QueryEngine over 4 shards: 512 seeded

@@ -3,13 +3,46 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
 #include "text/bpe.hpp"
+#include "text/char_class.hpp"
 #include "text/normalize.hpp"
 #include "text/sentence.hpp"
 #include "text/tokenizer.hpp"
 
 namespace mcqa::text {
 namespace {
+
+// --- byte classes ------------------------------------------------------------
+
+// Every byte value classifies as <cctype> does, and as the "C" locale
+// defines it: six ASCII whitespace bytes, ASCII digits and letters, and
+// nothing at or above 0x80.
+TEST(CharClass, MatchesCctypeForEveryByte) {
+  const auto& t = detail::char_tables();
+  for (int c = 0; c < 256; ++c) {
+    const auto i = static_cast<std::size_t>(c);
+    const bool digit = c >= '0' && c <= '9';
+    const bool upper = c >= 'A' && c <= 'Z';
+    const bool alpha = upper || (c >= 'a' && c <= 'z');
+    const bool space = c == ' ' || (c >= '\t' && c <= '\r');
+    EXPECT_EQ(t.space[i], space) << c;
+    EXPECT_EQ(t.alnum[i], alpha || digit) << c;
+    EXPECT_EQ(t.alpha[i], alpha) << c;
+    EXPECT_EQ(t.digit[i], digit) << c;
+    EXPECT_EQ(t.lower[i], static_cast<char>(upper ? c + 32 : c)) << c;
+    EXPECT_EQ(t.space[i], std::isspace(c) != 0) << c;
+    EXPECT_EQ(t.alnum[i], std::isalnum(c) != 0) << c;
+    EXPECT_EQ(t.alpha[i], std::isalpha(c) != 0) << c;
+    EXPECT_EQ(t.digit[i], std::isdigit(c) != 0) << c;
+    EXPECT_EQ(t.lower[i], static_cast<char>(std::tolower(c))) << c;
+  }
+}
 
 // --- normalize ---------------------------------------------------------------
 
@@ -128,13 +161,69 @@ TEST(Tokenizer, ApproxLlmTokensInflates) {
   EXPECT_LT(toks, words * 2);
 }
 
-TEST(Tokenizer, WordNgrams) {
-  const auto unigrams = word_ngrams("a b c", 1);
-  EXPECT_EQ(unigrams, (std::vector<std::string>{"a", "b", "c"}));
-  const auto bigrams = word_ngrams("a b c", 2);
-  EXPECT_EQ(bigrams, (std::vector<std::string>{"a b", "b c"}));
-  EXPECT_TRUE(word_ngrams("a", 2).empty());
-  EXPECT_TRUE(word_ngrams("a b", 0).empty());
+TEST(Tokenizer, WordViews) {
+  const auto words = [](std::string_view s) {
+    std::vector<std::string_view> out;
+    for (const std::string_view w : WordViews(s)) out.push_back(w);
+    return out;
+  };
+  EXPECT_EQ(words("a b c"), (std::vector<std::string_view>{"a", "b", "c"}));
+  EXPECT_EQ(words("  ab   c "), (std::vector<std::string_view>{"ab", "c"}));
+  EXPECT_TRUE(words("").empty());
+  EXPECT_TRUE(words("   ").empty());
+}
+
+// --- pinned scans -----------------------------------------------------------------
+
+// One row per text: the spans split_sentences returns, count_words and
+// the word_tokenize tokens joined by '|'.  The rows were pinned against
+// the <cctype> scans and hold for the byte-class table: mixed-case
+// abbreviations, initials, decimals, \v \f \r as whitespace, and bytes
+// >= 0x80 (neither space nor alnum in the "C" locale) next to '.'.
+struct ScanCase {
+  std::string_view text;
+  std::vector<std::pair<std::size_t, std::size_t>> sentences;
+  std::size_t words;
+  std::string_view tokens;
+};
+
+TEST(TextScans, PinnedCases) {
+  const ScanCase cases[] = {
+      {"", {}, 0, ""},
+      {"See FIG. 2 for details. Next one.", {{0, 23}, {24, 33}}, 7,
+       "See|FIG|.|2|for|details|.|Next|one|."},
+      {"Smith Et Al. found it. Then more.", {{0, 22}, {23, 33}}, 7,
+       "Smith|Et|Al|.|found|it|.|Then|more|."},
+      {"Use E.G. this one. Done.", {{0, 18}, {19, 24}}, 5,
+       "Use|E.G|.|this|one|.|Done|."},
+      {"Reported by J. Smith. Confirmed.", {{0, 21}, {22, 32}}, 5,
+       "Reported|by|J|.|Smith|.|Confirmed|."},
+      {"Dose 2.5. Then 3.0 Gy.", {{0, 9}, {10, 22}}, 5,
+       "Dose|2.5|.|Then|3.0|Gy|."},
+      {"Roughly approx. 5 Gy, not xapprox. Done.", {{0, 34}, {35, 40}}, 7,
+       "Roughly|approx|.|5|Gy|,|not|xapprox|.|Done|."},
+      {"One.\vTwo.\fThree.\rFour.\tFive",
+       {{0, 4}, {5, 9}, {10, 16}, {17, 22}, {23, 27}}, 5,
+       "One|.|Two|.|Three|.|Four|.|Five"},
+      {"Caf\xc3\xa9. Then end.\xc2\xa0More.", {{0, 6}, {7, 23}}, 3,
+       "Caf|\xc3|\xa9|.|Then|end|.|\xc2|\xa0|More|."},
+  };
+  for (const ScanCase& c : cases) {
+    SCOPED_TRACE(c.text);
+    std::vector<std::pair<std::size_t, std::size_t>> spans;
+    for (const Sentence& s : split_sentences(c.text)) {
+      EXPECT_EQ(s.text, c.text.substr(s.begin, s.end - s.begin));
+      spans.emplace_back(s.begin, s.end);
+    }
+    EXPECT_EQ(spans, c.sentences);
+    EXPECT_EQ(count_words(c.text), c.words);
+    std::string tokens;
+    for (const Token& t : word_tokenize(c.text)) {
+      if (!tokens.empty()) tokens += '|';
+      tokens += t.text;
+    }
+    EXPECT_EQ(tokens, c.tokens);
+  }
 }
 
 // --- BPE -------------------------------------------------------------------------

